@@ -13,6 +13,16 @@ floor, separated by orders of magnitude from the rest of the spectrum.
 Returned candidates are unit Frobenius norm, ranked by singular value, and
 post-verified on a held-out trajectory against the matching hand-coded law.
 
+The rows are built at the sampled nodes only; P_ab is never formed on the
+grid.  D_t P_ab is the centered difference of F_a F~_b at the nodes, and
+d_i P_ab = (d_i F_a) F~_b + F_a d_i F~_b uses spectral gradients of the
+twelve components of F and F~ (one differentiation-matrix product per
+axis).  This equals spectral differentiation of the sampled product only
+while the products are alias free, 2 kmax < N/2; outside that range the
+product rule gives the exact derivative at the nodes.  Since r is linear in (W, K), the hold-out check evaluates every
+near-null direction and the reference law in one pass over the hold-out's
+nodes, a block of nodes at a time.
+
 For the identity map the products P_ab are symmetric in (a, b), so the
 antisymmetric parts of W and K are exactly unobservable and enlarge the
 nullspace with pointwise-trivial directions (zero density, zero flux);
@@ -22,12 +32,13 @@ the recovered subspace are unaffected.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientData
-from .grid import AffineMap, GridSpec, spectral_wavevectors
+from .grid import AffineMap, GridSpec
 from .laws import (
     TwoPointLawSpec,
     law_inversion,
@@ -67,6 +78,7 @@ class DiscoveryResult:
     singular_values: np.ndarray
     rows: int
     reference_max_r: float
+    singular_gap: float  # smallest discarded singular value / largest kept one
 
     def basis(self) -> np.ndarray:
         """(n_candidates, 144) orthonormal rows spanning the recovered space."""
@@ -111,27 +123,72 @@ def _unpack(v: np.ndarray):
     return w, k
 
 
-def _rows_for_step(traj, amap, m, n, points, kvecs):
-    """Collocation rows at interior step n: [D_t P_ab | grad_i P_ab]."""
-    grid = traj.grid
-    dt = traj.dt
+@functools.lru_cache(maxsize=16)
+def _diff_matrix(n: int, h: float) -> np.ndarray:
+    """Spectral differentiation matrix of a periodic axis: (D @ f)_i = f'(x_i)."""
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
+    d = np.fft.irfft(1j * k[:, None] * np.fft.rfft(np.eye(n), axis=0), n, axis=0)
+    d.flags.writeable = False  # shared by every caller through the cache
+    return d
 
-    def products(i):
-        f = _stack6(traj.states[i])
-        g = _pulled6(traj.states[i + m], amap)
-        return np.einsum("a...,b...->ab...", f, g).reshape(36, *grid.dims)
 
-    p_now = products(n)
-    dp = (products(n + 1) - products(n - 1)) / (2.0 * dt)
-    ph = np.fft.rfftn(p_now, axes=(-3, -2, -1))
-    kx, ky, kz = kvecs
-    grad = np.empty((3, 36, *grid.dims))
-    grad[0] = np.fft.irfftn(1j * kx * ph, s=grid.dims, axes=(-3, -2, -1))
-    grad[1] = np.fft.irfftn(1j * ky * ph, s=grid.dims, axes=(-3, -2, -1))
-    grad[2] = np.fft.irfftn(1j * kz * ph, s=grid.dims, axes=(-3, -2, -1))
-    dp_flat = dp.reshape(36, -1)[:, points]
-    grad_flat = grad.reshape(108, -1)[:, points]
-    return np.concatenate([dp_flat.T, grad_flat.T], axis=1)
+def _gradient(data: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Spectral gradient (3, c, Nx, Ny, Nz) of (c, Nx, Ny, Nz) data, one product per axis."""
+    dx, dy, dz = (_diff_matrix(n, h) for n, h in zip(grid.dims, grid.spacing))
+    c, nx, ny, nz = data.shape
+    gx = (dx @ data.reshape(c, nx, ny * nz)).reshape(data.shape)
+    return np.stack([gx, dy @ data, data @ dz.T])
+
+
+def _step_fields(traj, amap, m, n):
+    """Per-node inputs of the rows at interior step n, flattened over nodes.
+
+    Returns (F, F~) at steps n-1 and n+1, (F, F~) at step n stacked as
+    (12, nodes), and their spectral gradients as (3, 12, nodes); F~ is the
+    field pulled back under the map, m steps later.
+    """
+
+    def pair(i):
+        return (_stack6(traj.states[i]).reshape(6, -1),
+                _pulled6(traj.states[i + m], amap).reshape(6, -1))
+
+    now = np.concatenate([_stack6(traj.states[n]), _pulled6(traj.states[n + m], amap)])
+    grad = _gradient(now, traj.grid)
+    return (*pair(n - 1), *pair(n + 1), now.reshape(12, -1), grad.reshape(3, 12, -1))
+
+
+def _rows_at(fields, dt, points):
+    """Collocation rows [D_t P_ab | d_i P_ab] at the given nodes.
+
+    P_ab = F_a F~_b is never formed on the grid: D_t P is the centered
+    difference of the products at the nodes, d_i P the product rule.
+    """
+    f_prev, g_prev, f_next, g_next, now, grad = (x[..., points] for x in fields)
+    dp = (f_next[:, None] * g_next[None] - f_prev[:, None] * g_prev[None]) / (2.0 * dt)
+    f, g = now[:6], now[6:]
+    dpi = grad[:, :6, None] * g[None, None] + f[None, :, None] * grad[:, None, 6:]
+    return np.concatenate([dp.reshape(36, -1), dpi.reshape(108, -1)]).T
+
+
+def _rows_for_step(traj, amap, m, n, points):
+    """Collocation rows at interior step n, sampled at the flat node indices `points`."""
+    return _rows_at(_step_fields(traj, amap, m, n), traj.dt, points)
+
+
+def _holdout_max_r(traj, amap, m, v, block=1024):
+    """max |r| over every node and interior step of traj, per column of v.
+
+    The residual r = rows @ v is linear in (W, K), so one pass evaluates
+    every column of the (144, k) matrix v; rows are taken `block` nodes at
+    a time so the full-grid row matrix is never held at once.
+    """
+    out = np.zeros(v.shape[1])
+    for n in range(1, len(traj) - 1 - m):
+        fields = _step_fields(traj, amap, m, n)
+        for lo in range(0, traj.grid.num_nodes, block):
+            r = _rows_at(fields, traj.dt, slice(lo, lo + block)) @ v
+            np.maximum(out, np.max(np.abs(r), axis=0), out=out)
+    return out
 
 
 def discover_laws(
@@ -166,7 +223,6 @@ def discover_laws(
     holdout = ensemble[-1]
     fit = ensemble[:-1]
     grid = fit[0].grid
-    kvecs = spectral_wavevectors(grid)
     rng = np.random.Generator(np.random.PCG64(seed))
     blocks = []
     for traj in fit:
@@ -174,34 +230,44 @@ def discover_laws(
         take = interior[np.linspace(0, len(interior) - 1, min(times_per_traj, len(interior))).astype(int)]
         points = rng.choice(grid.num_nodes, size=points_per_time, replace=False)
         for n in np.unique(take):
-            blocks.append(_rows_for_step(traj, amap, m, int(n), points, kvecs))
+            blocks.append(_rows_for_step(traj, amap, m, int(n), points))
     a = np.concatenate(blocks, axis=0)
     if a.shape[0] < 144:
         raise InsufficientData(f"only {a.shape[0]} collocation rows for 144 unknowns")
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    s_full = np.zeros(144)
-    s_full[: len(s)] = s
-    if s_full[0] == 0.0:
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    if s[0] == 0.0:
         raise InsufficientData("collocation matrix is identically zero")
-    near_null = s_full <= svd_rel_tol * s_full[0]
+    near_null = s <= svd_rel_tol * s[0]
     if reference_law is None:
         reference_law = matching_reference_law(amap, m, grid)
-    ref_max_r = (
-        residual(holdout, reference_law).max_r if reference_law is not None else np.nan
+    same_rows = reference_law is not None and (
+        reference_law.map == amap and reference_law.time_shift_steps == m
     )
+    order = np.flatnonzero(near_null)[::-1]  # smallest singular values first
+    columns = [vh[order].T]
+    if same_rows:
+        columns.append(reference_law.as_vector()[:, None])
+    hold_r = _holdout_max_r(holdout, amap, m, np.hstack(columns))
+    if same_rows:
+        ref_max_r = hold_r[-1]
+    elif reference_law is not None:  # a yardstick for another map or shift
+        ref_max_r = residual(holdout, reference_law).max_r
+    else:
+        ref_max_r = np.nan
     candidates = []
-    for idx in np.flatnonzero(near_null)[::-1]:  # smallest singular values first
+    for idx, r in zip(order, hold_r):
+        if np.isfinite(ref_max_r) and r > 10.0 * ref_max_r:
+            continue
         w, k = _unpack(vh[idx])
         law = TwoPointLawSpec(
             amap, m, w, k, np.zeros((6, 6)), label=f"discovered-{len(candidates)}"
         )
-        hold_r = residual(holdout, law).max_r
-        if np.isfinite(ref_max_r) and hold_r > 10.0 * ref_max_r:
-            continue
-        candidates.append(Candidate(law, float(s_full[idx]), float(hold_r)))
+        candidates.append(Candidate(law, float(s[idx]), float(r)))
+    kept, dropped = s[near_null], s[~near_null]
     return DiscoveryResult(
         candidates=candidates,
-        singular_values=s_full,
+        singular_values=s,
         rows=a.shape[0],
         reference_max_r=float(ref_max_r),
+        singular_gap=float(dropped.min() / kept.max()) if kept.size else float("nan"),
     )

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from .discover import discover_laws, matching_reference_law
-from .errors import Diverged, InsufficientData, StepTooLarge, TwoPointError
+from .errors import Diverged, InsufficientData, InvalidMap, StepTooLarge, TwoPointError
 from .forge import (
     Pde1D,
     nullspace_invariants,
@@ -215,28 +215,60 @@ def build_source(cfg: Config, grid: GridSpec):
     raise ConfigError(f"unknown source.kind {kind!r}")
 
 
+_AXES = {"x": 0, "y": 1, "z": 2}
+_MAP_ARITY = {"identity": 0, "inversion": 0, "rotation": 2, "translation": 4}
+_MAP_FORMS = "identity | inversion | rotation x|y|z QUARTERS | translation NX NY NZ MSTEPS"
+
+
+def _map_args(descriptor: str) -> tuple:
+    """(name, integer arguments) of a map descriptor, checked for form.
+
+    Rotation axes become 0, 1, 2; translations carry three node shifts and
+    a non-negative time shift in steps.
+    """
+    parts = descriptor.split()
+    name, args = (parts[0], parts[1:]) if parts else ("", [])
+    if _MAP_ARITY.get(name) != len(args):
+        raise ConfigError(f"bad map descriptor {descriptor!r}; expected {_MAP_FORMS}")
+    if name == "rotation":
+        if args[0] not in _AXES:
+            raise ConfigError(f"bad rotation axis in {descriptor!r}; expected x, y or z")
+        args = [_AXES[args[0]], args[1]]
+    try:
+        ints = [int(a) for a in args]
+    except ValueError as exc:
+        raise ConfigError(f"non-integer argument in {descriptor!r}") from exc
+    if name == "translation" and ints[3] < 0:
+        raise ConfigError(f"negative time shift in {descriptor!r}")
+    return name, ints
+
+
+def _build_map(descriptor: str, grid: GridSpec) -> tuple:
+    """(map, time shift in steps) of a map descriptor."""
+    name, args = _map_args(descriptor)
+    if name == "rotation":
+        return AffineMap.quarter_turn(*args), 0
+    if name == "translation":
+        return AffineMap.node_translation(grid, args[:3]), args[3]
+    return getattr(AffineMap, name)(), 0
+
+
 def build_law(descriptor: str, grid: GridSpec):
     parts = descriptor.split()
-    name = parts[0]
+    name = parts[0] if parts else ""
     if name == "local-energy":
         return law_local_energy()
-    if name == "inversion":
-        return law_inversion()
-    if name == "rotation":
-        axis = {"x": 0, "y": 1, "z": 2}.get(parts[1] if len(parts) > 1 else "z")
-        if axis is None:
-            raise ConfigError(f"bad rotation axis in {descriptor!r}")
-        quarters = int(parts[2]) if len(parts) > 2 else 1
-        return law_rotation(AffineMap.quarter_turn(axis, quarters))
-    if name == "translation":
-        if len(parts) != 5:
-            raise ConfigError("translation law needs: translation nx ny nz msteps")
-        nodes = tuple(int(p) for p in parts[1:4])
-        return law_translation(grid, nodes, int(parts[4]))
     if name == "custom":
         if len(parts) != 2:
             raise ConfigError("custom law needs a file path")
         return load_law(parts[1])
+    if name in ("inversion", "rotation", "translation"):
+        _, args = _map_args(descriptor)
+        if name == "inversion":
+            return law_inversion()
+        if name == "rotation":
+            return law_rotation(AffineMap.quarter_turn(*args))
+        return law_translation(grid, args[:3], args[3])
     raise ConfigError(f"unknown law descriptor {descriptor!r}")
 
 
@@ -382,22 +414,6 @@ def cmd_converge(cfg: Config) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_map(descriptor: str, grid: GridSpec) -> tuple:
-    parts = descriptor.split()
-    name = parts[0]
-    if name == "identity":
-        return AffineMap.identity(), 0
-    if name == "inversion":
-        return AffineMap.inversion(), 0
-    if name == "rotation":
-        axis = {"x": 0, "y": 1, "z": 2}[parts[1]]
-        return AffineMap.quarter_turn(axis, int(parts[2])), 0
-    if name == "translation":
-        nodes = tuple(int(p) for p in parts[1:4])
-        return AffineMap.node_translation(grid, nodes), int(parts[4])
-    raise ConfigError(f"unknown map descriptor {descriptor!r}")
-
-
 def cmd_discover(cfg: Config) -> int:
     out = output_dir(cfg)
     grid = build_grid(cfg)
@@ -427,6 +443,7 @@ def cmd_discover(cfg: Config) -> int:
             repr(c.singular_value) for c in result.candidates
         ),
         f"reference_max_r={result.reference_max_r!r}",
+        f"singular_gap={result.singular_gap!r}",
     ]
     if ref is not None:
         lines.append(f"projection[{ref.label}]={result.projection_of(ref)!r}")
@@ -577,7 +594,7 @@ def main(argv=None) -> int:
     try:
         cfg = Config.load(args.config, args.overrides)
         return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, InvalidMap) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InsufficientData as exc:

@@ -95,13 +95,6 @@ class TwoPointLawSpec:
         self.K = _frozen(self.K, (3, 6, 6))
         self.source = _frozen(self.source, (6, 6))
 
-    def is_involutive(self) -> bool:
-        a = self.map.alpha_matrix
-        return bool(
-            np.allclose(a @ a, np.eye(3), atol=1e-12)
-            and np.allclose((np.eye(3) + a) @ self.map.beta_vector, 0.0, atol=1e-12)
-        )
-
     def swap_symmetry_defect(self) -> float:
         """Max |W - W^T|; zero for densities symmetric under x <-> A x.
 

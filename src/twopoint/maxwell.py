@@ -318,7 +318,6 @@ class SpectralEngine:
         u = self.u if u is None else u
         if self.mask is None:
             return u
-        kx, ky, kz = spectral_wavevectors(self.grid)
         out = np.zeros((6, *self.mask.shape), dtype=complex)
         out[:, self.mask] = u
         return out

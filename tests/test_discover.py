@@ -1,10 +1,22 @@
 import numpy as np
 import pytest
 
-from twopoint.discover import discover_laws, matching_reference_law
+from twopoint.discover import (
+    _holdout_max_r,
+    _rows_for_step,
+    discover_laws,
+    matching_reference_law,
+)
 from twopoint.errors import InsufficientData
-from twopoint.grid import AffineMap, GridSpec
-from twopoint.laws import TwoPointLawSpec, law_inversion, law_local_energy
+from twopoint.grid import AffineMap, GridSpec, spectral_wavevectors
+from twopoint.laws import (
+    TwoPointLawSpec,
+    _pulled6,
+    _stack6,
+    law_inversion,
+    law_local_energy,
+    residual,
+)
 from twopoint.maxwell import UniformOscillating, ZeroCurrent, evolve
 from twopoint.waves import random_band_limited
 
@@ -53,6 +65,7 @@ class TestIdentityMap:
         kept = s[s <= 1e-6 * s[0]]
         dropped = s[s > 1e-6 * s[0]]
         assert np.max(kept) <= 1e-2 * np.min(dropped)
+        assert result.singular_gap == np.min(dropped) / np.max(kept)
 
 
 class TestInversionMap:
@@ -90,6 +103,49 @@ class TestInversionMap:
         assert len(r1.candidates) == len(r2.candidates)
         for c in r1.candidates:
             assert r2.projection_of(c.law) >= 0.999
+
+
+def rows_from_full_products(traj, amap, m, n, points):
+    """Reference rows: products P_ab on the whole grid, differentiated by FFT."""
+    grid = traj.grid
+
+    def products(i):
+        f = _stack6(traj.states[i])
+        g = _pulled6(traj.states[i + m], amap)
+        return np.einsum("a...,b...->ab...", f, g).reshape(36, *grid.dims)
+
+    dp = (products(n + 1) - products(n - 1)) / (2.0 * traj.dt)
+    ph = np.fft.rfftn(products(n), axes=(-3, -2, -1))
+    grad = np.stack([
+        np.fft.irfftn(1j * k * ph, s=grid.dims, axes=(-3, -2, -1))
+        for k in spectral_wavevectors(grid)
+    ])
+    return np.concatenate(
+        [dp.reshape(36, -1)[:, points].T, grad.reshape(108, -1)[:, points].T], axis=1
+    )
+
+
+class TestPointSampledRows:
+    @pytest.mark.parametrize(
+        "amap",
+        [AffineMap.identity(), AffineMap.inversion(), AffineMap.quarter_turn(2)],
+        ids=["identity", "inversion", "quarter-turn"],
+    )
+    def test_product_rule_matches_full_grid_products(self, ensemble, amap):
+        # kmax = 2 on 16^3: products are alias free (2 kmax < N/2)
+        points = np.random.Generator(np.random.PCG64(3)).choice(GRID.num_nodes, 8, replace=False)
+        for n in (1, 2, 3):
+            new = _rows_for_step(ensemble[0], amap, 0, n, points)
+            old = rows_from_full_products(ensemble[0], amap, 0, n, points)
+            assert np.array_equal(new[:, :36], old[:, :36])
+            assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+
+    @pytest.mark.parametrize("law", [law_local_energy(), law_inversion()],
+                             ids=["local-energy", "inversion"])
+    def test_blocked_holdout_matches_residual(self, ensemble, law):
+        holdout = ensemble[-1]
+        blocked = _holdout_max_r(holdout, law.map, 0, law.as_vector()[:, None], block=1000)
+        assert blocked[0] == pytest.approx(residual(holdout, law).max_r, rel=1e-5)
 
 
 class TestValidation:
@@ -130,3 +186,9 @@ class TestReferenceMatching:
         ref = matching_reference_law(amap, 2, GRID)
         assert ref.label.startswith("translation")
         assert ref.time_shift_steps == 2
+
+    def test_reference_law_for_another_map(self, ensemble):
+        # a yardstick on another map is checked on its own residual
+        result = discover_laws(ensemble, AffineMap.identity(), seed=5,
+                               reference_law=law_inversion())
+        assert result.reference_max_r == residual(ensemble[-1], law_inversion()).max_r

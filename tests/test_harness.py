@@ -206,6 +206,42 @@ discover.top = 3
         assert (tmp_path / "out" / "candidate_00.law").exists()
 
 
+DISCOVER_BASE = """
+grid.dims = 16 16 8
+grid.spacing = 0.0625 0.0625 0.125
+discover.map = identity
+discover.ensemble = 20
+"""
+
+
+class TestMapDescriptors:
+    @pytest.mark.parametrize("descriptor", [
+        "rotation",
+        "rotation q 1",
+        "rotation z 1.5",
+        "translation 0 0 x 0",
+        "translation 1 2",
+        "translation 0 0 1 -1",
+        "identity 1",
+        "rotation x 1",  # pairs the 16-node y axis with the 8-node z axis
+    ])
+    def test_bad_discover_map_exits_2(self, tmp_path, capsys, descriptor):
+        cfg = write_config(tmp_path / "c.txt", DISCOVER_BASE)
+        code = main(["discover", cfg, f"discover.map={descriptor}",
+                     f"output.dir={tmp_path/'out'}"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("descriptor", ["rotation z q", "translation 0 0 x 0"])
+    def test_bad_law_map_exits_2(self, tmp_path, capsys, descriptor):
+        cfg = write_config(tmp_path / "v.txt", VERIFY_BASE)
+        code = main(["verify", cfg, f"law.5={descriptor}", f"output.dir={tmp_path/'out'}"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and "Traceback" not in err
+
+
 class TestForge:
     def test_advection_four_point_case(self, tmp_path):
         text = """
