@@ -74,7 +74,6 @@ from .forge import (
     InvariantCoefficients,
     MomentMatrix,
     Pde1D,
-    PointSampleSet,
     evolve_1d,
     nullspace_invariants,
     sample_values,

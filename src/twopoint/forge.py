@@ -155,24 +155,6 @@ def sample_values(pde: Pde1D, f: np.ndarray, points) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class PointSampleSet:
-    """Distinct sample locations and the field values there."""
-
-    points: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.points.ndim != 1 or len(self.points) < 2:
-            raise ValueError("need at least two sample points")
-        if len(np.unique(self.points)) != len(self.points):
-            raise ValueError("sample points must be distinct")
-        if self.points.shape != self.values.shape:
-            raise ValueError("points and values must align")
-
-
-@dataclass(eq=False)
 class MomentMatrix:
     """matrix[k-1][i] = (d^k f/dt^k)(x_i) at t = 0, k = 1..order."""
 

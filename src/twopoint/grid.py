@@ -148,24 +148,43 @@ class VectorField:
         return VectorField(grid, np.zeros((3, *grid.dims)), copy=False)
 
 
-@dataclass(eq=False)
+def _view(grid: GridSpec, data: np.ndarray) -> VectorField:
+    """VectorField over rows of an array that is already checked and frozen."""
+    field = object.__new__(VectorField)
+    field.grid = grid
+    field.data = data
+    return field
+
+
 class FieldState:
-    """The pair (E, B) on one grid at one instant t."""
+    """The pair (E, B) on one grid at one instant t.
 
-    E: VectorField
-    B: VectorField
-    t: float
+    Both fields live in one frozen, C-contiguous (6, Nx, Ny, Nz) array
+    `data`, E in rows 0-2 and B in rows 3-5; `E` and `B` are read-only
+    views of it, so the stacked layout the laws contract needs no copy.
+    """
 
-    def __post_init__(self):
-        if self.E.grid != self.B.grid:
+    def __init__(self, E: VectorField, B: VectorField, t: float):
+        if E.grid != B.grid:
             raise GridMismatch("E and B live on different grids")
-        self.t = float(self.t)
+        self._own(E.grid, _freeze(np.concatenate([E.data, B.data])), t)
+
+    @classmethod
+    def from_data(cls, grid: GridSpec, data, t: float) -> "FieldState":
+        """State over a stacked (6, Nx, Ny, Nz) array, adopted without a copy
+        when it is float64 and C-contiguous (the caller must not write to it)."""
+        state = cls.__new__(cls)
+        state._own(grid, _prep(data, (6, *grid.dims), copy=False), t)
+        return state
+
+    def _own(self, grid: GridSpec, data: np.ndarray, t: float):
+        self.t = float(t)
         if not np.isfinite(self.t):
             raise ValueError("state time must be finite")
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.E.grid
+        self.grid = grid
+        self.data = data
+        self.E = _view(grid, data[:3])
+        self.B = _view(grid, data[3:])
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,14 @@ import sys
 import numpy as np
 
 from .discover import discover_laws, matching_reference_law
-from .errors import Diverged, InsufficientData, InvalidMap, StepTooLarge, TwoPointError
+from .errors import (
+    Diverged,
+    HistoryUnderflow,
+    InsufficientData,
+    InvalidMap,
+    StepTooLarge,
+    TwoPointError,
+)
 from .forge import (
     Pde1D,
     nullspace_invariants,
@@ -42,11 +49,11 @@ from .laws import (
     law_rotation,
     law_translation,
     load_law,
-    residual,
     run_balance,
     save_law,
 )
 from .maxwell import (
+    CFL_SAFETY,
     GaussianPulseCurrent,
     PlaneWaveCurrent,
     UniformOscillating,
@@ -261,7 +268,10 @@ def build_law(descriptor: str, grid: GridSpec):
     if name == "custom":
         if len(parts) != 2:
             raise ConfigError("custom law needs a file path")
-        return load_law(parts[1])
+        try:
+            return load_law(parts[1])
+        except (OSError, KeyError, ValueError) as exc:
+            raise ConfigError(f"bad law file {parts[1]}: {exc!r}") from exc
     if name in ("inversion", "rotation", "translation"):
         _, args = _map_args(descriptor)
         if name == "inversion":
@@ -281,6 +291,20 @@ def build_laws(cfg: Config, grid: GridSpec):
     if not laws:
         raise ConfigError("no laws configured (law.1 = ...)")
     return laws
+
+
+def build_stepper(cfg: Config) -> str:
+    stepper = cfg.str("stepper", "spectral")
+    if stepper not in CFL_SAFETY:
+        raise ConfigError(f"unknown stepper {stepper!r}; expected one of {sorted(CFL_SAFETY)}")
+    return stepper
+
+
+def build_nsteps(cfg: Config) -> int:
+    nsteps = cfg.int("nsteps")
+    if nsteps < 0:
+        raise ConfigError(f"nsteps must be >= 0, got {nsteps}")
+    return nsteps
 
 
 def resolve_dt(cfg: Config, grid: GridSpec, stepper: str) -> float:
@@ -303,13 +327,15 @@ def _slug(label: str) -> str:
 def cmd_verify(cfg: Config) -> int:
     out = output_dir(cfg)
     grid = build_grid(cfg)
-    stepper = cfg.str("stepper", "spectral")
+    stepper = build_stepper(cfg)
     initial = build_initial(cfg, grid)
     source = build_source(cfg, grid)
     laws = build_laws(cfg, grid)
     dt = resolve_dt(cfg, grid, stepper)
-    nsteps = cfg.int("nsteps")
+    nsteps = build_nsteps(cfg)
     stride = cfg.int("analysis.stride", 1)
+    if stride < 1:
+        raise ConfigError(f"analysis.stride must be >= 1, got {stride}")
     defect_tol = cfg.float("tolerance.defect_rel", 1e-7)
     r_tol = cfg.float("tolerance.residual_max", 0.0) or None
 
@@ -351,10 +377,10 @@ def cmd_converge(cfg: Config) -> int:
     levels = cfg.int("refinement.levels", 0)
     if levels < 3:
         raise ConfigError("refinement.levels must be >= 3")
-    stepper = cfg.str("stepper", "spectral")
+    stepper = build_stepper(cfg)
     base_grid = build_grid(cfg)
     base_dt = resolve_dt(cfg, base_grid, stepper)
-    base_nsteps = cfg.int("nsteps")
+    base_nsteps = build_nsteps(cfg)
     factor = cfg.int("refinement.factor", 2)
     metric = cfg.str("converge.metric", "residual" if stepper == "yee" else "defect")
     min_order = cfg.float(
@@ -597,7 +623,7 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidMap) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InsufficientData as exc:
+    except (InsufficientData, HistoryUnderflow) as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
     except (Diverged, StepTooLarge) as exc:

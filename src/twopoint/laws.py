@@ -55,11 +55,10 @@ from .grid import (
 )
 from .maxwell import (
     CurrentSpec,
-    SpectralEngine,
     Trajectory,
     UniformOscillating,
-    YeeEngine,
-    _check_dt,
+    _engine,
+    _state_means,
 )
 
 _LEVI = np.zeros((3, 3, 3))
@@ -194,12 +193,12 @@ def law_translation(grid: GridSpec, nodes, dt_steps: int = 0) -> TwoPointLawSpec
 
 
 # ---------------------------------------------------------------------------
-# Pointwise evaluation
+# Pointwise evaluation (F is the state's stacked (6, Nx, Ny, Nz) array)
 # ---------------------------------------------------------------------------
 
 
 def _stack6(state: FieldState) -> np.ndarray:
-    return np.concatenate([state.E.data, state.B.data], axis=0)
+    return state.data
 
 
 def _pulled6(state: FieldState, amap: AffineMap) -> np.ndarray:
@@ -377,14 +376,6 @@ def _analysis_row(law, j, dt, get_state, a, nsteps):
     return q, r_l2, r_max
 
 
-def _state_means(state: FieldState) -> np.ndarray:
-    """Volume integral of each stacked component."""
-    cv = state.grid.cell_volume
-    return np.array(
-        [np.sum(c) * cv for c in state.E.data] + [np.sum(c) * cv for c in state.B.data]
-    )
-
-
 def _uniform_work_series(law, j: UniformOscillating, mean6, dt, t0, nsteps):
     """Per-step source power for a uniform current, from the k=0 modes.
 
@@ -409,201 +400,107 @@ def _uniform_work_series(law, j: UniformOscillating, mean6, dt, t0, nsteps):
     return w
 
 
-def _work_series_from_states(law, j, dt, get_state, nsteps):
-    m = law.time_shift_steps
-    n_w = nsteps - m + 1
-    w = np.empty(n_w)
-    for n in range(n_w):
-        w[n] = volume_integral(source_power(law, get_state(n), get_state(n + m), j))
-    return w
-
-
-def _assemble(law, j, dt, t0, nsteps, analysis, get_state, w) -> BalanceReport:
-    rows = [_analysis_row(law, j, dt, get_state, a, nsteps) for a in analysis]
-    q = np.array([r[0] for r in rows])
-    r_l2 = np.array([r[1] for r in rows])
-    r_max = np.array([r[2] for r in rows])
-    cum = cumulative_simpson(w, dt)
-    idx = np.asarray(analysis)
-    source_cum = cum[idx]
-    defect = q - q[0] - source_cum
-    s0 = get_state(0)
-    scale = float(
-        np.sum(s0.E.data**2 + s0.B.data**2) * s0.grid.cell_volume
-    )
-    return BalanceReport(
-        label=law.label,
-        t=t0 + dt * idx,
-        Q=q,
-        source_cum=source_cum,
-        defect=defect,
-        r_l2=r_l2,
-        r_max=r_max,
-        norm_scale=scale,
-    )
-
-
-def residual(traj: Trajectory, law: TwoPointLawSpec,
-             analysis_stride: int = 1) -> BalanceReport:
-    """Balance report of one law over a stored trajectory.
-
-    The time derivative is a centered 2nd-order difference of the stored
-    states, so the report measures the law against the trajectory the
-    stepper actually produced.
-    """
-    nsteps = len(traj) - 1
-    m = law.time_shift_steps
-    if nsteps < m + 2:
-        raise HistoryUnderflow(
-            f"need at least {m + 3} states for shift {m}, have {len(traj)}"
-        )
-    last_q = nsteps - m
-    analysis = sorted(set(range(0, last_q + 1, analysis_stride)) | {last_q})
-    get_state = traj.states.__getitem__
-    j = traj.source
-    if j.is_zero:
-        w = np.zeros(last_q + 1)
-    elif isinstance(j, UniformOscillating):
-        mean6 = np.array([_state_means(s) for s in traj.states])
-        w = _uniform_work_series(law, j, mean6, traj.dt, traj.states[0].t, nsteps)
-    else:
-        w = _work_series_from_states(law, j, traj.dt, get_state, nsteps)
-    return _assemble(law, j, traj.dt, traj.states[0].t, nsteps, analysis, get_state, w)
-
-
 # ---------------------------------------------------------------------------
-# Streaming verification (long runs without storing the trajectory)
+# One balance loop: `residual` feeds it a stored trajectory, `run_balance`
+# a stepping engine; both reach it through the engine protocol of `maxwell`
 # ---------------------------------------------------------------------------
 
 
-def run_balance(
-    initial: FieldState,
-    j: CurrentSpec,
-    dt: float,
-    nsteps: int,
-    laws,
-    stepper: str = "spectral",
-    analysis_stride: int = 1,
-):
-    """Evolve and verify several laws in one pass, storing only a window.
+class _StoredSource:
+    """A stored trajectory behind the engine protocol of `maxwell`: its
+    checkpoints are the stored states themselves."""
 
-    Q, the residual norms, and (for non-uniform currents) the source power
-    are evaluated at `analysis_stride` multiples; for uniform currents the
-    source power is accumulated every step from the k = 0 field means, so
+    def __init__(self, traj: Trajectory):
+        self.states = traj.states
+        self.step_index = 0
+
+    def advance(self):
+        self.step_index += 1
+
+    def checkpoint(self) -> FieldState:
+        return self.states[self.step_index]
+
+    def state(self, checkpoint: Optional[FieldState] = None) -> FieldState:
+        return self.checkpoint() if checkpoint is None else checkpoint
+
+    def means(self) -> np.ndarray:
+        return _state_means(self.checkpoint())
+
+
+def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
+    """Balance reports of several laws over the nsteps steps of one source.
+
+    `source` follows the engine protocol of `maxwell` (a stepping engine or
+    a stored trajectory).  One window of m_max + 3 steps holds each step's
+    checkpoint until the step is first read, and its snapshot after that,
+    so the window materialises a snapshot only if the analysis or the
+    source work reads it, and at most once (the Yee engine's `means()`,
+    read for uniform currents, materialises on its own).  Q and the
+    residual norms are evaluated at
+    `stride` multiples; the source power of a non-uniform current at every
+    step; for a uniform current it comes from the per-step field means, so
     the Simpson quadrature of the work integral keeps the stepper's order.
     """
-    single = isinstance(laws, TwoPointLawSpec)
-    laws = [laws] if single else list(laws)
-    if not laws:
-        raise ValueError("need at least one law")
-    grid = initial.grid
-    _check_dt(grid, dt, stepper)
+    if stride < 1:
+        raise ValueError(f"analysis stride must be >= 1, got {stride}")
     m_max = max(law.time_shift_steps for law in laws)
     if nsteps < m_max + 2:
-        raise HistoryUnderflow(f"nsteps={nsteps} too short for shift {m_max}")
+        raise HistoryUnderflow(
+            f"need at least {m_max + 2} steps for shift {m_max}, have {nsteps}"
+        )
     last_q = nsteps - m_max
-    analysis = sorted(set(range(0, last_q + 1, analysis_stride)) | {last_q})
+    analysis = sorted(set(range(0, last_q + 1, stride)) | {last_q})
+    initial = source.state()
     t0 = initial.t
 
-    uniform_work = j.is_zero or isinstance(j, UniformOscillating)
+    uniform = isinstance(j, UniformOscillating)
     mean6 = np.zeros((nsteps + 1, 6))
-    w_phys = {
-        id(law): np.zeros(nsteps - law.time_shift_steps + 1) for law in laws
-    } if not uniform_work else None
-
+    work = {id(law): np.zeros(nsteps - law.time_shift_steps + 1) for law in laws}
     window = HistoryBuffer(m_max + 3)
-    snap_cache: OrderedDict = OrderedDict()
 
-    if stepper == "spectral":
-        engine = SpectralEngine(initial, j)
-
-        def push_current(step):
-            window.push(step, engine.u.copy())
-            mean6[step] = _state_means(initial) if step == 0 else engine.mean_fields()
-
-        def materialize(step) -> FieldState:
-            if step == 0:
-                return initial  # keep the exact data, not its FFT round trip
-            if step in snap_cache:
-                snap_cache.move_to_end(step)
-                return snap_cache[step]
-            u = window.get(step)
-            dense = engine.dense_coefficients(u)
-            data = np.fft.irfftn(dense, s=grid.dims, axes=(-3, -2, -1))
-            from .grid import VectorField
-
-            state = FieldState(
-                VectorField(grid, data[:3], copy=False),
-                VectorField(grid, data[3:], copy=False),
-                t0 + step * dt,
-            )
-            snap_cache[step] = state
-            while len(snap_cache) > m_max + 6:
-                snap_cache.popitem(last=False)
-            return state
-
-        def advance():
-            engine.advance(dt)
-
-    elif stepper == "yee":
-        engine = YeeEngine(initial, j, dt)
-
-        def push_current(step):
-            state = engine.state()
-            window.push(step, state)
-            mean6[step] = _state_means(state)
-
-        def materialize(step) -> FieldState:
-            return window.get(step)
-
-        def advance():
-            engine.advance()
-
-    else:
-        raise ValueError(f"unknown stepper {stepper!r}")
-
-    per_law_rows = {id(law): [] for law in laws}
+    def snapshot(step) -> FieldState:
+        entry = window.get(step)
+        if not isinstance(entry, FieldState):
+            entry = source.state(entry)
+            window.push(step, entry)  # same key: replaced in place, no eviction
+        return entry
 
     def need(a: int) -> int:
         return a + m_max + (1 if 1 <= a <= nsteps - m_max - 1 else 0)
 
+    rows = {id(law): [] for law in laws}
     ai = 0
-    push_current(0)
     for n_sim in range(0, nsteps + 1):
         if n_sim > 0:
-            advance()
-            push_current(n_sim)
-        if w_phys is not None:
+            source.advance()
+        window.push(n_sim, source.checkpoint())
+        if uniform:
+            mean6[n_sim] = source.means()
+        elif not j.is_zero:
             for law in laws:
-                m = law.time_shift_steps
-                n = n_sim - m
-                if 0 <= n <= nsteps - m:
-                    w_phys[id(law)][n] = volume_integral(
-                        source_power(law, materialize(n), materialize(n_sim), j)
+                n = n_sim - law.time_shift_steps
+                if n >= 0:
+                    work[id(law)][n] = volume_integral(
+                        source_power(law, snapshot(n), snapshot(n_sim), j)
                     )
         while ai < len(analysis) and need(analysis[ai]) <= n_sim:
             a = analysis[ai]
             for law in laws:
-                per_law_rows[id(law)].append(
-                    _analysis_row(law, j, dt, materialize, a, nsteps)
-                )
+                rows[id(law)].append(_analysis_row(law, j, dt, snapshot, a, nsteps))
             ai += 1
     assert ai == len(analysis)
 
-    scale = float(np.sum(initial.E.data**2 + initial.B.data**2) * grid.cell_volume)
+    scale = float(np.sum(initial.E.data**2 + initial.B.data**2) * initial.grid.cell_volume)
     idx = np.asarray(analysis)
     reports = []
     for law in laws:
-        rows = per_law_rows[id(law)]
-        q = np.array([r[0] for r in rows])
-        r_l2 = np.array([r[1] for r in rows])
-        r_max = np.array([r[2] for r in rows])
-        if j.is_zero:
-            w = np.zeros(nsteps - law.time_shift_steps + 1)
-        elif uniform_work:
+        q = np.array([r[0] for r in rows[id(law)]])
+        r_l2 = np.array([r[1] for r in rows[id(law)]])
+        r_max = np.array([r[2] for r in rows[id(law)]])
+        if uniform:
             w = _uniform_work_series(law, j, mean6, dt, t0, nsteps)
         else:
-            w = w_phys[id(law)]
+            w = work[id(law)]
         source_cum = cumulative_simpson(w, dt)[idx]
         defect = q - q[0] - source_cum
         reports.append(
@@ -618,6 +515,41 @@ def run_balance(
                 norm_scale=scale,
             )
         )
+    return reports
+
+
+def residual(traj: Trajectory, law: TwoPointLawSpec,
+             analysis_stride: int = 1) -> BalanceReport:
+    """Balance report of one law over a stored trajectory.
+
+    The time derivative is a centered 2nd-order difference of the stored
+    states, so the report measures the law against the trajectory the
+    stepper actually produced.
+    """
+    return _balance(_StoredSource(traj), [law], traj.source, traj.dt,
+                    len(traj) - 1, analysis_stride)[0]
+
+
+def run_balance(
+    initial: FieldState,
+    j: CurrentSpec,
+    dt: float,
+    nsteps: int,
+    laws,
+    stepper: str = "spectral",
+    analysis_stride: int = 1,
+):
+    """Evolve and verify several laws in one pass, storing only a window.
+
+    The same bookkeeping as `residual`, fed by a stepping engine instead of
+    a stored trajectory.
+    """
+    single = isinstance(laws, TwoPointLawSpec)
+    laws = [laws] if single else list(laws)
+    if not laws:
+        raise ValueError("need at least one law")
+    engine = _engine(stepper, initial, j, dt)
+    reports = _balance(engine, laws, j, dt, nsteps, analysis_stride)
     return reports[0] if single else reports
 
 

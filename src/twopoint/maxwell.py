@@ -232,12 +232,22 @@ def _check_dt(grid, dt, stepper):
 
 
 # ---------------------------------------------------------------------------
-# Spectral RK4 engine
+# Engines
+#
+# Both steppers share one protocol, constructed as Engine(state, current, dt):
+#   advance()               one step; rebinds the internal arrays, never
+#                           writes into them, so old checkpoints stay valid
+#   checkpoint()            the current step index and internal arrays, no copy
+#   state(checkpoint=None)  the collocated FieldState of a checkpoint (default:
+#                           the current step); step 0 is the initial state itself
+#   means()                 volume integral of each of the 6 stacked components
 # ---------------------------------------------------------------------------
 
 
-def _stack_state(state: FieldState) -> np.ndarray:
-    return np.concatenate([state.E.data, state.B.data], axis=0)
+def _state_means(state: FieldState) -> np.ndarray:
+    """Volume integral of each stacked component."""
+    cv = state.grid.cell_volume
+    return np.array([np.sum(c) * cv for c in state.data])
 
 
 class SpectralEngine:
@@ -252,13 +262,15 @@ class SpectralEngine:
     the noise level because |R(i w dt)| <= 1 for stable steps.
     """
 
-    def __init__(self, state: FieldState, current: CurrentSpec, force_dense: bool = False):
+    def __init__(self, state: FieldState, current: CurrentSpec, dt: float,
+                 force_dense: bool = False):
         grid = state.grid
         self.grid = grid
         self.current = current
-        self.t0 = state.t
+        self.dt = float(dt)
+        self.initial = state
         self.step_index = 0
-        u0 = np.fft.rfftn(_stack_state(state), axes=(-3, -2, -1))
+        u0 = np.fft.rfftn(state.data, axes=(-3, -2, -1))
         if current.is_zero:
             jh = None
         else:
@@ -299,8 +311,9 @@ class SpectralEngine:
             out[:3] -= self.jh * self.current.time_factor(t)
         return out
 
-    def advance(self, dt: float):
-        t = self.t0 + self.step_index * dt
+    def advance(self):
+        dt = self.dt
+        t = self.initial.t + self.step_index * dt
         u = self.u
         k1 = self.rhs(u, t)
         k2 = self.rhs(u + (0.5 * dt) * k1, t + 0.5 * dt)
@@ -311,8 +324,8 @@ class SpectralEngine:
 
     # -- snapshots -----------------------------------------------------------
 
-    def time_at(self, step: int, dt: float) -> float:
-        return self.t0 + step * dt
+    def checkpoint(self) -> tuple:
+        return self.step_index, self.u
 
     def dense_coefficients(self, u: Optional[np.ndarray] = None) -> np.ndarray:
         u = self.u if u is None else u
@@ -322,8 +335,19 @@ class SpectralEngine:
         out[:, self.mask] = u
         return out
 
-    def mean_fields(self) -> np.ndarray:
-        """Volume integral of each stacked component (k = 0 coefficient)."""
+    def state(self, checkpoint: Optional[tuple] = None) -> FieldState:
+        step, u = self.checkpoint() if checkpoint is None else checkpoint
+        if step == 0:
+            return self.initial  # the exact data, not its FFT round trip
+        data = np.fft.irfftn(
+            self.dense_coefficients(u), s=self.grid.dims, axes=(-3, -2, -1)
+        )
+        return FieldState.from_data(self.grid, data, self.initial.t + step * self.dt)
+
+    def means(self) -> np.ndarray:
+        """k = 0 coefficients times the cell volume (exact sums at step 0)."""
+        if self.step_index == 0:
+            return _state_means(self.initial)
         if self.mask is None:
             zero = self.u[:, 0, 0, 0]
         else:
@@ -334,17 +358,6 @@ class SpectralEngine:
             else:
                 zero = np.zeros(6, dtype=complex)
         return np.real(zero) * self.grid.cell_volume
-
-    def state(self, dt: float) -> FieldState:
-        data = np.fft.irfftn(
-            self.dense_coefficients(), s=self.grid.dims, axes=(-3, -2, -1)
-        )
-        t = self.time_at(self.step_index, dt)
-        return FieldState(
-            VectorField(self.grid, data[:3], copy=False),
-            VectorField(self.grid, data[3:], copy=False),
-            t,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +386,8 @@ _E_AXES = ((0,), (1,), (2,))
 _B_AXES = ((1, 2), (0, 2), (0, 1))
 
 
-def _stagger(data: np.ndarray, axes_per_comp, direction: int) -> np.ndarray:
-    out = np.empty_like(data)
+def _stagger(data: np.ndarray, axes_per_comp, direction: int, out=None) -> np.ndarray:
+    out = np.empty_like(data) if out is None else out
     for i in range(3):
         comp = data[i]
         for ax in axes_per_comp[i]:
@@ -396,11 +409,9 @@ class YeeEngine:
         self.grid = grid
         self.current = current
         self.dt = float(dt)
-        self.t0 = state.t
-        self.step_index = 0
         self.initial = state
-        hx, hy, hz = grid.spacing
-        self.h = (hx, hy, hz)
+        self.step_index = 0
+        self.h = grid.spacing
         self.E = _stagger(state.E.data, _E_AXES, +1)
         b0 = _stagger(state.B.data, _B_AXES, +1)
         # B is carried at t - dt/2; dB/dt = -curl E gives the backward half step
@@ -432,7 +443,7 @@ class YeeEngine:
 
     def advance(self):
         dt = self.dt
-        t_half = self.t0 + (self.step_index + 0.5) * dt
+        t_half = self.initial.t + (self.step_index + 0.5) * dt
         self.Bh = self.Bh - dt * self._curl_e(self.E)
         dE = self._curl_b(self.Bh)
         if self.jE is not None:
@@ -440,19 +451,22 @@ class YeeEngine:
         self.E = self.E + dt * dE
         self.step_index += 1
 
-    def state(self) -> FieldState:
-        if self.step_index == 0:
+    def checkpoint(self) -> tuple:
+        return self.step_index, self.E, self.Bh
+
+    def state(self, checkpoint: Optional[tuple] = None) -> FieldState:
+        step, e, bh = self.checkpoint() if checkpoint is None else checkpoint
+        if step == 0:
             return self.initial
-        b_next = self.Bh - self.dt * self._curl_e(self.E)  # peek at t + dt/2
-        b_node = 0.5 * (self.Bh + b_next)
-        e = _stagger(self.E, _E_AXES, -1)
-        b = _stagger(b_node, _B_AXES, -1)
-        t = self.t0 + self.step_index * self.dt
-        return FieldState(
-            VectorField(self.grid, e, copy=False),
-            VectorField(self.grid, b, copy=False),
-            t,
-        )
+        b_next = bh - self.dt * self._curl_e(e)  # peek at t + dt/2
+        b_node = 0.5 * (bh + b_next)
+        data = np.empty((6, *self.grid.dims))
+        _stagger(e, _E_AXES, -1, out=data[:3])
+        _stagger(b_node, _B_AXES, -1, out=data[3:])
+        return FieldState.from_data(self.grid, data, self.initial.t + step * self.dt)
+
+    def means(self) -> np.ndarray:
+        return _state_means(self.state())
 
 
 # ---------------------------------------------------------------------------
@@ -487,18 +501,25 @@ class Trajectory:
         return len(self.states)
 
 
+_ENGINES = {"spectral": SpectralEngine, "yee": YeeEngine}
+
+
+def _engine(stepper: str, state: FieldState, j: CurrentSpec, dt: float):
+    """The stepper's engine at `state`, once dt has passed its CFL check."""
+    _check_dt(state.grid, dt, stepper)  # rejects unknown stepper names too
+    return _ENGINES[stepper](state, j, dt)
+
+
 def step_spectral(state: FieldState, j: CurrentSpec, dt: float) -> FieldState:
     """One classical RK4 step of the spectral method-of-lines system."""
-    _check_dt(state.grid, dt, "spectral")
-    engine = SpectralEngine(state, j)
-    engine.advance(dt)
-    return engine.state(dt)
+    engine = _engine("spectral", state, j, dt)
+    engine.advance()
+    return engine.state()
 
 
 def step_yee(state: FieldState, j: CurrentSpec, dt: float) -> FieldState:
     """One staggered leapfrog step, resampled back to collocated nodes."""
-    _check_dt(state.grid, dt, "yee")
-    engine = YeeEngine(state, j, dt)
+    engine = _engine("yee", state, j, dt)
     engine.advance()
     return engine.state()
 
@@ -524,21 +545,12 @@ def evolve(
     """
     if nsteps < 0:
         raise ValueError("nsteps must be >= 0")
-    _check_dt(initial.grid, dt, stepper)
+    engine = _engine(stepper, initial, j, dt)
     scale = max(np.max(np.abs(initial.E.data)), np.max(np.abs(initial.B.data)))
     states = [initial]
-    if stepper == "spectral":
-        engine = SpectralEngine(initial, j)
-        for _ in range(nsteps):
-            engine.advance(dt)
-            states.append(engine.state(dt))
-    elif stepper == "yee":
-        engine = YeeEngine(initial, j, dt)
-        for _ in range(nsteps):
-            engine.advance()
-            states.append(engine.state())
-    else:
-        raise ValueError(f"unknown stepper {stepper!r}")
+    for _ in range(nsteps):
+        engine.advance()
+        states.append(engine.state())
     if nsteps:
         _check_finite(states[-1], scale)
     return Trajectory(states, dt, j, stepper)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidWavenumber
-from .grid import FieldState, GridSpec, VectorField
+from .grid import FieldState, GridSpec
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,10 @@ def plane_wave(spec: PlaneWaveSpec, grid: GridSpec, t: float) -> FieldState:
     spec.mode_number(grid)
     z = grid.meshgrid()[2]
     phase = np.sin(spec.direction * spec.k * z - spec.omega * t)
-    e = np.zeros((3, *grid.dims))
-    b = np.zeros((3, *grid.dims))
-    e[0] = spec.amplitude * phase
-    b[1] = spec.direction * spec.amplitude * phase
-    return FieldState(VectorField(grid, e, copy=False), VectorField(grid, b, copy=False), t)
+    data = np.zeros((6, *grid.dims))
+    data[0] = spec.amplitude * phase
+    data[4] = spec.direction * spec.amplitude * phase
+    return FieldState.from_data(grid, data, t)
 
 
 def standing_wave(spec: PlaneWaveSpec, grid: GridSpec, t: float) -> FieldState:
@@ -77,11 +76,7 @@ def standing_wave(spec: PlaneWaveSpec, grid: GridSpec, t: float) -> FieldState:
     bwd = plane_wave(
         replace(spec, direction=-spec.direction, amplitude=-spec.amplitude), grid, t
     )
-    return FieldState(
-        VectorField(grid, fwd.E.data + bwd.E.data, copy=False),
-        VectorField(grid, fwd.B.data + bwd.B.data, copy=False),
-        t,
-    )
+    return FieldState.from_data(grid, fwd.data + bwd.data, t)
 
 
 def twopoint_energy_analytic(e0: float, vol: float, k: float, d: float) -> float:
@@ -142,8 +137,4 @@ def random_band_limited(
     data[3] += mean_b[0]
     data[4] += mean_b[1]
     data[5] += mean_b[2]
-    return FieldState(
-        VectorField(grid, data[:3], copy=False),
-        VectorField(grid, data[3:], copy=False),
-        0.0,
-    )
+    return FieldState.from_data(grid, data, 0.0)

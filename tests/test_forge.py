@@ -5,7 +5,6 @@ from twopoint.errors import Diverged, StepTooLarge
 from twopoint.forge import (
     MomentMatrix,
     Pde1D,
-    PointSampleSet,
     evolve_1d,
     nullspace_invariants,
     sample_values,
@@ -82,10 +81,6 @@ class TestSampling:
         pts = np.array([0.13, 1.77, 4.9])
         got = sample_values(pde, f, pts)
         assert np.max(np.abs(got - np.sin(2 * pts))) <= 1e-12
-
-    def test_point_sample_set_validation(self):
-        with pytest.raises(ValueError):
-            PointSampleSet(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
 
 
 class TestMomentMatrix:

@@ -8,6 +8,7 @@ from twopoint.grid import (
     INTERPOLATED,
     SPECTRAL,
     AffineMap,
+    FieldState,
     GridSpec,
     ScalarField,
     VectorField,
@@ -19,6 +20,7 @@ from twopoint.grid import (
     rotate_components,
     volume_integral,
 )
+from twopoint.laws import _stack6
 
 
 @pytest.fixture
@@ -83,6 +85,29 @@ class TestFields:
         f = VectorField.zeros(grid)
         with pytest.raises(ValueError):
             f.data[0, 0, 0, 0] = 1.0
+
+    def test_field_state_is_one_stacked_array(self, grid):
+        e = sine_x_field(grid, axis=1, component=2)
+        b = sine_x_field(grid, axis=0, component=1)
+        state = FieldState(e, b, 0.25)
+        assert state.data.shape == (6, *grid.dims) and state.data.flags.c_contiguous
+        assert np.array_equal(state.data, np.concatenate([e.data, b.data]))
+        assert not np.shares_memory(state.data, e.data)  # one copy, owned by the state
+        assert np.shares_memory(state.E.data, state.data)
+        assert np.shares_memory(state.B.data, state.data)
+        for arr in (state.data, state.E.data, state.B.data):
+            assert not arr.flags.writeable
+        assert _stack6(state) is state.data
+
+    def test_field_state_from_data_adopts_the_array(self, grid):
+        data = np.zeros((6, *grid.dims))
+        state = FieldState.from_data(grid, data, 0.0)
+        assert state.data is data and not data.flags.writeable
+        assert state.B.grid == grid and state.B.data.shape == (3, *grid.dims)
+        with pytest.raises(ValueError):
+            FieldState.from_data(grid, np.zeros((3, *grid.dims)), 0.0)
+        with pytest.raises(ValueError):
+            FieldState.from_data(grid, np.zeros((6, *grid.dims)), np.inf)
 
 
 class TestAffineMap:

@@ -1,8 +1,12 @@
+import contextlib
 import filecmp
+import io
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twopoint.harness import (
     EXIT_CONFIG,
@@ -111,6 +115,29 @@ class TestVerify:
         text = VERIFY_BASE.replace("dt = 0.001", "dt = 1.0")
         cfg = write_config(tmp_path / "c.txt", text)
         assert main(["verify", cfg, f"output.dir={tmp_path/'out'}"]) == EXIT_DIVERGED
+
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(stride=st.integers(-3, 3), nsteps=st.integers(-3, 4),
+           stepper=st.sampled_from(["spectral", "yee", "bogus", ""]))
+    def test_bad_balance_inputs_exit_cleanly(self, tmp_path_factory, stride, nsteps,
+                                             stepper):
+        tmp = tmp_path_factory.mktemp("v")
+        text = VERIFY_BASE.replace("grid.dims = 16 16 16", "grid.dims = 8 8 8")
+        text = text.replace("grid.spacing = 0.0625 0.0625 0.0625",
+                            "grid.spacing = 0.125 0.125 0.125")
+        cfg = write_config(tmp / "v.txt", text)
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+            code = main(["verify", cfg, f"analysis.stride={stride}", f"nsteps={nsteps}",
+                         f"stepper={stepper}", f"output.dir={tmp / 'out'}"])
+        assert code in (EXIT_OK, EXIT_TOLERANCE, EXIT_CONFIG, EXIT_DIVERGED,
+                        EXIT_INSUFFICIENT)
+        assert "Traceback" not in printed.getvalue()
+        if stride < 1 or nsteps < 0 or stepper not in ("spectral", "yee"):
+            assert code == EXIT_CONFIG
+        elif nsteps < 2:
+            assert code == EXIT_INSUFFICIENT
 
 
 class TestConverge:
@@ -240,6 +267,24 @@ class TestMapDescriptors:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("config error:") and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("content", [
+        None,  # no file at all
+        "map.alpha = 1 0 0 0 1 0 0 0 1\nW = 0\n",  # map.beta missing
+        "map.alpha = 1 0 0 0 1 0 0 0 1\nmap.beta = 0 0 0\nW = 1 2\nK = 0\nsource = 0\n",
+    ], ids=["missing-file", "missing-key", "bad-shape"])
+    def test_bad_custom_law_file_exits_2(self, tmp_path, capsys, content):
+        law_path = tmp_path / "c.law"
+        if content is not None:
+            law_path.write_text(content)
+        cfg = write_config(tmp_path / "v.txt", VERIFY_BASE)
+        code = main(["verify", cfg, f"law.5=custom {law_path}",
+                     f"output.dir={tmp_path/'out'}"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and str(law_path) in err
+        assert "Traceback" not in err
 
 
 class TestForge:

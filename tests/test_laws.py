@@ -297,24 +297,46 @@ class TestResidual:
         with pytest.raises(HistoryUnderflow):
             residual(traj, law)
 
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_analysis_stride_below_one_rejected(self, grid, stride):
+        s = random_band_limited(grid, seed=10, kmax=1)
+        with pytest.raises(ValueError, match="stride"):
+            run_balance(s, ZeroCurrent(), 1e-3, 4, law_inversion(), analysis_stride=stride)
+        with pytest.raises(ValueError, match="stride"):
+            residual(evolve(s, ZeroCurrent(), 1e-3, 4), law_inversion(), analysis_stride=stride)
+
     def test_inversion_global_balance_short_run(self, grid):
         s = random_band_limited(grid, seed=11, kmax=2)
         rep = run_balance(s, ZeroCurrent(), 1e-3, 600, law_inversion(),
                           analysis_stride=30)
         assert rep.max_q_drift <= 1e-8 * rep.norm_scale
 
-    def test_streaming_matches_posthoc(self, grid):
+    @pytest.mark.parametrize("stepper", ["spectral", "yee"])
+    @pytest.mark.parametrize("current", ["zero", "uniform"])
+    def test_streaming_matches_posthoc(self, grid, stepper, current):
         s = random_band_limited(grid, seed=12, kmax=1, mean_b=(0.0, 0.1, 0.0))
-        j = UniformOscillating((0.02, 0.0, 0.01), omega=2 * np.pi)
+        if current == "zero":
+            j = ZeroCurrent()
+        else:
+            j = UniformOscillating((0.02, 0.0, 0.01), omega=2 * np.pi)
         dt, n = 1e-3, 24
         law = law_inversion()
-        stream = run_balance(s, j, dt, n, law)
-        post = residual(evolve(s, j, dt, n), law)
-        assert np.allclose(stream.Q, post.Q, rtol=0, atol=1e-13)
-        assert np.allclose(stream.source_cum, post.source_cum, rtol=0, atol=1e-15)
-        assert np.allclose(stream.defect, post.defect, rtol=0, atol=1e-13)
-        finite = np.isfinite(post.r_max)
-        assert np.allclose(stream.r_max[finite], post.r_max[finite], rtol=1e-10, atol=1e-15)
+        stream = run_balance(s, j, dt, n, law, stepper=stepper)
+        post = residual(evolve(s, j, dt, n, stepper=stepper), law)
+        if stepper == "spectral" and current == "uniform":
+            # streaming takes the field means from the k = 0 coefficients,
+            # the stored path sums the materialised snapshots
+            assert np.allclose(stream.Q, post.Q, rtol=0, atol=1e-13)
+            assert np.allclose(stream.source_cum, post.source_cum, rtol=0, atol=1e-15)
+            assert np.allclose(stream.defect, post.defect, rtol=0, atol=1e-13)
+            finite = np.isfinite(post.r_max)
+            assert np.allclose(stream.r_max[finite], post.r_max[finite],
+                               rtol=1e-10, atol=1e-15)
+        else:
+            # both paths read the same snapshots and means
+            for name in ("Q", "source_cum", "defect", "r_max"):
+                assert np.array_equal(getattr(stream, name), getattr(post, name),
+                                      equal_nan=True), name
 
     def test_sourced_defect_small_but_work_nonzero(self, grid):
         s = random_band_limited(grid, seed=13, kmax=1, mean_b=(0.0, 0.2, 0.1))

@@ -67,10 +67,10 @@ class TestStepSpectral:
         nsteps = int(np.ceil(period / dt))
         dt = period / nsteps
         initial = plane_wave(spec, g, 0.0)
-        engine = SpectralEngine(initial, ZeroCurrent())
+        engine = SpectralEngine(initial, ZeroCurrent(), dt)
         for _ in range(nsteps):
-            engine.advance(dt)
-        err = l2_error(engine.state(dt), initial)
+            engine.advance()
+        err = l2_error(engine.state(), initial)
         theory = nsteps * (spec.omega * dt) ** 5 / 120.0
         assert err <= bound
         assert err <= 1.2 * theory
@@ -87,18 +87,18 @@ class TestStepSpectral:
         g = GridSpec.cube(1.0, 16)
         state = random_band_limited(g, seed=2, kmax=1)
         j = UniformOscillating((0.1, 0.2, 0.0), omega=2 * np.pi)
-        fast = SpectralEngine(state, j)
-        slow = SpectralEngine(state, j, force_dense=True)
-        assert fast.mask is not None and slow.mask is None
         dt = 0.002
+        fast = SpectralEngine(state, j, dt)
+        slow = SpectralEngine(state, j, dt, force_dense=True)
+        assert fast.mask is not None and slow.mask is None
         for _ in range(5):
-            fast.advance(dt)
-            slow.advance(dt)
+            fast.advance()
+            slow.advance()
         # retained modes see identical arithmetic, bit for bit
         assert np.array_equal(fast.u, slow.u[:, fast.mask])
         # snapshots differ only by the dropped round-trip noise modes
-        a = fast.state(dt)
-        b = slow.state(dt)
+        a = fast.state()
+        b = slow.state()
         scale = np.max(np.abs(b.E.data))
         assert np.max(np.abs(a.E.data - b.E.data)) <= 1e-13 * scale
         assert np.max(np.abs(a.B.data - b.B.data)) <= 1e-13 * scale
@@ -170,6 +170,13 @@ class TestEvolve:
         traj = evolve(state, ZeroCurrent(), 0.001, 0)
         assert len(traj) == 1
         assert traj.states[0] is state
+
+    @pytest.mark.parametrize("stepper", ["bogus", ""])
+    def test_unknown_stepper_rejected(self, stepper):
+        g = GridSpec.cube(1.0, 8)
+        state = random_band_limited(g, seed=4, kmax=1)
+        with pytest.raises(ValueError, match="unknown stepper"):
+            evolve(state, ZeroCurrent(), 0.001, 1, stepper=stepper)
 
     def test_evolve_matches_repeated_steps(self):
         g = GridSpec.cube(1.0, 8)
