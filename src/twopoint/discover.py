@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData
+from .errors import InsufficientData, NotARotation
 from .grid import AffineMap, GridSpec
 from .laws import (
     TwoPointLawSpec,
@@ -50,6 +50,11 @@ from .laws import (
     _pulled6,
 )
 
+MIN_ENSEMBLE = 20  # trajectories, the last of them held out
+SVD_REL_TOL = 1e-6  # near-null: singular value <= SVD_REL_TOL * largest
+POINTS_PER_TIME = 8  # collocation nodes per sampled step
+TIMES_PER_TRAJ = 3  # sampled interior steps per fitted trajectory
+
 
 @dataclass(eq=False)
 class Candidate:
@@ -58,18 +63,6 @@ class Candidate:
     law: TwoPointLawSpec
     singular_value: float
     holdout_max_r: float
-
-    @property
-    def W(self):
-        return self.law.W
-
-    @property
-    def K(self):
-        return self.law.K
-
-    @property
-    def source(self):
-        return self.law.source
 
 
 @dataclass(eq=False)
@@ -99,21 +92,21 @@ def matching_reference_law(amap: AffineMap, dt_shift_steps: int,
     """Shipped law for this map, if one exists (used as the holdout yardstick)."""
     a = amap.alpha_matrix
     b = amap.beta_vector
-    try:
-        if np.array_equal(a, np.eye(3)):
-            if np.max(np.abs(b)) == 0.0 and dt_shift_steps == 0:
-                return law_local_energy()
-            nodes = [bi / h for bi, h in zip(b, grid.spacing)]
-            if all(abs(n - round(n)) < 1e-9 for n in nodes):
-                return law_translation(
-                    grid, tuple(int(round(n)) for n in nodes), dt_shift_steps
-                )
-        if dt_shift_steps == 0 and np.array_equal(a, -np.eye(3)) and np.max(np.abs(b)) == 0.0:
-            return law_inversion()
-        if dt_shift_steps == 0 and np.max(np.abs(b)) == 0.0:
+    if np.array_equal(a, np.eye(3)):
+        if np.max(np.abs(b)) == 0.0 and dt_shift_steps == 0:
+            return law_local_energy()
+        nodes = [bi / h for bi, h in zip(b, grid.spacing)]
+        if all(abs(n - round(n)) < 1e-9 for n in nodes):
+            return law_translation(
+                grid, tuple(int(round(n)) for n in nodes), dt_shift_steps
+            )
+    if dt_shift_steps == 0 and np.array_equal(a, -np.eye(3)) and np.max(np.abs(b)) == 0.0:
+        return law_inversion()
+    if dt_shift_steps == 0 and np.max(np.abs(b)) == 0.0:
+        try:
             return law_rotation(amap)
-    except Exception:
-        return None
+        except NotARotation:  # improper: a reflection has no shipped law
+            return None
     return None
 
 
@@ -195,12 +188,8 @@ def discover_laws(
     ensemble,
     amap: AffineMap,
     dt_shift_steps: int = 0,
-    svd_rel_tol: float = 1e-6,
-    points_per_time: int = 8,
-    times_per_traj: int = 3,
     seed: int = 0,
     reference_law: TwoPointLawSpec | None = None,
-    min_ensemble: int = 20,
 ) -> DiscoveryResult:
     """Recover (W, K) candidates for one map from source-free trajectories.
 
@@ -210,9 +199,9 @@ def discover_laws(
     InsufficientData for undersized ensembles or rank-deficient sampling.
     """
     ensemble = list(ensemble)
-    if len(ensemble) < min_ensemble:
+    if len(ensemble) < MIN_ENSEMBLE:
         raise InsufficientData(
-            f"need at least {min_ensemble} trajectories, got {len(ensemble)}"
+            f"need at least {MIN_ENSEMBLE} trajectories, got {len(ensemble)}"
         )
     m = int(dt_shift_steps)
     for traj in ensemble:
@@ -227,8 +216,8 @@ def discover_laws(
     blocks = []
     for traj in fit:
         interior = np.arange(1, len(traj) - 1 - m)
-        take = interior[np.linspace(0, len(interior) - 1, min(times_per_traj, len(interior))).astype(int)]
-        points = rng.choice(grid.num_nodes, size=points_per_time, replace=False)
+        take = interior[np.linspace(0, len(interior) - 1, min(TIMES_PER_TRAJ, len(interior))).astype(int)]
+        points = rng.choice(grid.num_nodes, size=POINTS_PER_TIME, replace=False)
         for n in np.unique(take):
             blocks.append(_rows_for_step(traj, amap, m, int(n), points))
     a = np.concatenate(blocks, axis=0)
@@ -237,7 +226,7 @@ def discover_laws(
     _, s, vh = np.linalg.svd(a, full_matrices=False)
     if s[0] == 0.0:
         raise InsufficientData("collocation matrix is identically zero")
-    near_null = s <= svd_rel_tol * s[0]
+    near_null = s <= SVD_REL_TOL * s[0]
     if reference_law is None:
         reference_law = matching_reference_law(amap, m, grid)
     same_rows = reference_law is not None and (

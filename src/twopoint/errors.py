@@ -6,7 +6,7 @@ class TwoPointError(Exception):
 
 
 class InvalidMap(TwoPointError):
-    """Affine map is degenerate or incompatible with the grid it is applied to."""
+    """Map is not a symmetry of the periodic box, or does not fit the grid it is applied to."""
 
 
 class GridMismatch(TwoPointError):

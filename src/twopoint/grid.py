@@ -2,8 +2,10 @@
 
 Everything downstream (steppers, conservation laws, discovery) is built on the
 types here: a collocated periodic grid, scalar/vector fields sampled on its
-nodes, and invertible affine maps x -> alpha x + beta of the torus used to
-pull a field back to mapped evaluation points.  Differential operators come
+nodes, and the symmetries x -> alpha x + beta of the periodic box (alpha a
+signed permutation, beta any shift) used to pull a field back to mapped
+evaluation points.  A pullback is an index gather, preceded by a Fourier
+shift only when beta is not a whole number of nodes.  Differential operators come
 in a spectral flavour (exact on band-limited data) and a 2nd-order centered
 flavour, both with periodic wrap.
 
@@ -21,14 +23,8 @@ import numpy as np
 
 from .errors import GridMismatch, InvalidMap
 
-GRID_EXACT = "grid_exact"
-INTERPOLATED = "interpolated"
-
 SPECTRAL = "spectral"
 CENTERED2 = "centered2"
-
-# Hard cap for the O(modes * nodes) general affine evaluation path.
-_TRIG_EVAL_MAX_NODES = 64**3
 
 
 @dataclass(frozen=True)
@@ -189,33 +185,26 @@ class FieldState:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """Spatial automorphism x -> alpha x + beta, taken modulo the periodic box.
+    """Symmetry x -> alpha x + beta of the periodic box, taken modulo the box.
 
-    alpha and beta are stored as flat tuples so maps are hashable (they key
-    several internal caches).  `exactness` declares how pullbacks evaluate:
-
-    grid_exact   -- alpha is a signed permutation and beta lands on nodes, so
-                    the pullback is a pure index permutation (bit-exact).
-    interpolated -- pullback evaluates the trigonometric interpolant of the
-                    field at the mapped points (exact for band-limited data).
+    alpha is a signed permutation (one of the 48 rotations and reflections
+    that carry the coordinate axes onto each other) and beta any finite
+    shift: the maps under which a periodic field pulls back to a periodic
+    field.  Anything else raises InvalidMap.  alpha and beta are stored as
+    flat tuples so maps are hashable (they key several internal caches).
     """
 
-    alpha: tuple  # 9 floats, row-major 3x3
+    alpha: tuple  # 9 floats, row-major 3x3, entries in {-1, 0, 1}
     beta: tuple  # 3 floats
-    exactness: str = GRID_EXACT
 
     def __post_init__(self):
         a = np.asarray(self.alpha, dtype=float).reshape(3, 3)
         b = np.asarray(self.beta, dtype=float).reshape(3)
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise InvalidMap("map coefficients must be finite")
-        if abs(np.linalg.det(a)) < 1e-12:
-            raise InvalidMap("alpha is not invertible")
-        if self.exactness not in (GRID_EXACT, INTERPOLATED):
-            raise InvalidMap(f"unknown exactness {self.exactness!r}")
-        if self.exactness == GRID_EXACT and not _is_signed_permutation(a):
-            raise InvalidMap("grid_exact maps require a signed permutation alpha")
-        object.__setattr__(self, "alpha", tuple(float(x) for x in a.ravel()))
+        if not _is_signed_permutation(a):
+            raise InvalidMap("alpha must be a signed permutation (a symmetry of the box)")
+        object.__setattr__(self, "alpha", tuple(float(x) for x in np.round(a).ravel()))
         object.__setattr__(self, "beta", tuple(float(x) for x in b))
 
     @property
@@ -227,39 +216,30 @@ class AffineMap:
         return np.asarray(self.beta, dtype=float)
 
     def inverse(self) -> "AffineMap":
-        a = self.alpha_matrix
-        ainv = np.linalg.inv(a)
-        if self.exactness == GRID_EXACT:
-            ainv = np.round(ainv)
+        ainv = self.alpha_matrix.T  # orthogonal
         binv = -ainv @ self.beta_vector
-        return AffineMap(tuple(ainv.ravel()), tuple(binv), self.exactness)
-
-    def is_identity(self, tol: float = 0.0) -> bool:
-        return (
-            np.max(np.abs(self.alpha_matrix - np.eye(3))) <= tol
-            and np.max(np.abs(self.beta_vector)) <= tol
-        )
+        return AffineMap(tuple(ainv.ravel()), tuple(binv))
 
     # -- common constructors -------------------------------------------------
 
     @staticmethod
     def identity() -> "AffineMap":
-        return AffineMap(tuple(np.eye(3).ravel()), (0.0, 0.0, 0.0), GRID_EXACT)
+        return AffineMap(tuple(np.eye(3).ravel()), (0.0, 0.0, 0.0))
 
     @staticmethod
     def inversion() -> "AffineMap":
-        return AffineMap(tuple((-np.eye(3)).ravel()), (0.0, 0.0, 0.0), GRID_EXACT)
+        return AffineMap(tuple((-np.eye(3)).ravel()), (0.0, 0.0, 0.0))
 
     @staticmethod
-    def translation(beta, exactness: str = GRID_EXACT) -> "AffineMap":
-        return AffineMap(tuple(np.eye(3).ravel()), tuple(np.asarray(beta, float)), exactness)
+    def translation(beta) -> "AffineMap":
+        return AffineMap(tuple(np.eye(3).ravel()), tuple(np.asarray(beta, float)))
 
     @staticmethod
     def node_translation(grid: GridSpec, nodes) -> "AffineMap":
         """Translation by an integer number of nodes along each axis."""
         nodes = np.asarray(nodes)
         beta = tuple(int(n) * h for n, h in zip(nodes, grid.spacing))
-        return AffineMap.translation(beta, GRID_EXACT)
+        return AffineMap.translation(beta)
 
     @staticmethod
     def quarter_turn(axis: int, quarters: int = 1) -> "AffineMap":
@@ -271,7 +251,7 @@ class AffineMap:
         r[j, j] = c
         r[i, j] = -s
         r[j, i] = s
-        return AffineMap(tuple(r.ravel()), (0.0, 0.0, 0.0), GRID_EXACT)
+        return AffineMap(tuple(r.ravel()), (0.0, 0.0, 0.0))
 
 
 def _is_signed_permutation(a: np.ndarray) -> bool:
@@ -290,43 +270,45 @@ def _is_signed_permutation(a: np.ndarray) -> bool:
 
 @functools.lru_cache(maxsize=128)
 def _gather_open_indices(grid: GridSpec, amap: AffineMap):
-    """Open index arrays (I0, I1, I2) with result[m] = data[I0, I1, I2][m].
+    """((I0, I1, I2), sub-node shift) with result[m] = shifted[I0, I1, I2][m].
 
     Output axis i draws from input axis j(i) (the nonzero column of row i of
-    alpha); the map must pair axes of equal extent and spacing, and beta must
-    be a whole number of nodes, otherwise the map is not grid-exact here.
+    alpha); the map must pair axes of equal extent and spacing.  The index
+    arrays carry alpha and the whole-node part of beta.  The rest of beta,
+    if any, is returned as a 3-tuple shift of the input axes (None when beta
+    is a whole number of nodes) for the Fourier interpolant to apply first.
     """
     a = amap.alpha_matrix
     b = amap.beta_vector
     out = []
+    rest = [0.0, 0.0, 0.0]
     for i in range(3):
         j = int(np.argmax(np.abs(a[i])))
-        s = int(round(a[i, j]))
+        s = int(a[i, j])
         if grid.dims[j] != grid.dims[i] or grid.spacing[j] != grid.spacing[i]:
             raise InvalidMap(
                 f"map pairs axis {j} with axis {i} but their extents differ"
             )
         shift = b[i] / grid.spacing[i]
-        if abs(shift - round(shift)) > 1e-9:
-            raise InvalidMap(f"beta[{i}]={b[i]} is not a whole number of nodes")
-        lookup = (s * np.arange(grid.dims[j]) + int(round(shift))) % grid.dims[i]
+        nodes = int(round(shift))
+        if abs(shift - nodes) > 1e-9:
+            rest[i] = b[i] - nodes * grid.spacing[i]
+        lookup = (s * np.arange(grid.dims[j]) + nodes) % grid.dims[i]
         shape = [1, 1, 1]
         shape[j] = grid.dims[j]
         out.append(lookup.reshape(shape))
-    return tuple(out)
+    return tuple(out), (tuple(rest) if any(rest) else None)
 
 
 def _pull_array(data: np.ndarray, grid: GridSpec, amap: AffineMap) -> np.ndarray:
     """Pull back an (..., Nx, Ny, Nz) array under the map."""
-    if amap.exactness == GRID_EXACT:
-        i0, i1, i2 = _gather_open_indices(grid, amap)
-        return data[..., i0, i1, i2]
-    if np.allclose(amap.alpha_matrix, np.eye(3), atol=1e-14):
-        return _shift_fourier(data, grid, amap.beta_vector)
-    return _trig_eval(data, grid, amap)
+    (i0, i1, i2), rest = _gather_open_indices(grid, amap)
+    if rest is not None:
+        data = _shift_fourier(data, grid, rest)
+    return data[..., i0, i1, i2]
 
 
-def _shift_fourier(data: np.ndarray, grid: GridSpec, beta: np.ndarray) -> np.ndarray:
+def _shift_fourier(data: np.ndarray, grid: GridSpec, beta) -> np.ndarray:
     """Evaluate f(x + beta) through the band-limited interpolant."""
     kx, ky, kz = spectral_wavevectors(grid)
     phase = np.exp(1j * (kx * beta[0] + ky * beta[1] + kz * beta[2]))
@@ -334,45 +316,17 @@ def _shift_fourier(data: np.ndarray, grid: GridSpec, beta: np.ndarray) -> np.nda
     return np.fft.irfftn(fh * phase, s=grid.dims, axes=(-3, -2, -1))
 
 
-def _trig_eval(data: np.ndarray, grid: GridSpec, amap: AffineMap) -> np.ndarray:
-    """Direct trigonometric evaluation at alpha x + beta for general alpha.
-
-    Cost is O(active modes x nodes); intended for band-limited fields on
-    small grids (general rotations in tests), not for production stepping.
-    """
-    if grid.num_nodes > _TRIG_EVAL_MAX_NODES:
-        raise InvalidMap("general interpolated pullback is limited to small grids")
-    lead = data.shape[:-3]
-    flat = data.reshape(-1, *grid.dims)
-    coeff = np.fft.fftn(flat, axes=(-3, -2, -1)) / grid.num_nodes
-    kx = 2.0 * np.pi * np.fft.fftfreq(grid.dims[0], d=grid.spacing[0])
-    ky = 2.0 * np.pi * np.fft.fftfreq(grid.dims[1], d=grid.spacing[1])
-    kz = 2.0 * np.pi * np.fft.fftfreq(grid.dims[2], d=grid.spacing[2])
-    kmesh = np.stack(np.meshgrid(kx, ky, kz, indexing="ij"), axis=-1).reshape(-1, 3)
-    cflat = coeff.reshape(flat.shape[0], -1)
-    active = np.any(np.abs(cflat) > 1e-15 * max(np.max(np.abs(cflat)), 1e-300), axis=0)
-    kact = kmesh[active]
-    cact = cflat[:, active]
-    x = np.stack(grid.meshgrid(), axis=0).reshape(3, -1)
-    y = amap.alpha_matrix @ x + amap.beta_vector[:, None]
-    out = np.empty((flat.shape[0], x.shape[1]))
-    chunk = max(1, 2_000_000 // max(len(kact), 1))
-    for lo in range(0, x.shape[1], chunk):
-        phases = np.exp(1j * (kact @ y[:, lo:lo + chunk]))
-        out[:, lo:lo + chunk] = np.real(cact @ phases)
-    return out.reshape(*lead, *grid.dims)
-
-
 def pullback(field, amap: AffineMap):
     """Resample a field at mapped points: result(x) = field(alpha x + beta).
 
-    Grid-exact maps are index permutations and therefore bit-exact; other
-    maps evaluate the trigonometric interpolant.  Components are moved, not
-    mixed: use `rotate_components` for the matrix acting on vector components.
+    A whole-node beta makes this an index gather, bit-exact; a sub-node
+    beta is first applied to the trigonometric interpolant (exact for
+    band-limited data).  Components are moved, not mixed: use
+    `rotate_components` for the matrix acting on vector components.
     """
     out = _pull_array(field.data, field.grid, amap)
     cls = VectorField if isinstance(field, VectorField) else ScalarField
-    return cls(field.grid, out, copy=amap.exactness == GRID_EXACT)
+    return cls(field.grid, out, copy=False)
 
 
 def rotate_components(field: VectorField, alpha) -> VectorField:

@@ -26,12 +26,13 @@ import sys
 
 import numpy as np
 
-from .discover import discover_laws, matching_reference_law
+from .discover import MIN_ENSEMBLE, discover_laws, matching_reference_law
 from .errors import (
     Diverged,
     HistoryUnderflow,
     InsufficientData,
     InvalidMap,
+    InvalidWavenumber,
     StepTooLarge,
     TwoPointError,
 )
@@ -145,7 +146,11 @@ class Config:
             raise ConfigError(f"key {key!r} is not a number list") from exc
 
     def ints(self, key, default=None):
-        return [int(v) for v in self.floats(key, default)]
+        raw = self.str(key, default)
+        try:
+            return [int(v) for v in raw.split()]
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r} is not an integer list") from exc
 
 
 def output_dir(cfg: Config) -> str:
@@ -170,15 +175,31 @@ def build_grid(cfg: Config) -> GridSpec:
         raise ConfigError(str(exc)) from exc
 
 
+def build_kmax(cfg: Config, key: str, grid: GridSpec) -> int:
+    """Band limit of random initial data: 1 <= kmax < min(dims) / 2."""
+    kmax = cfg.int(key, 2)
+    top = min(grid.dims) // 2 - 1
+    if not 1 <= kmax <= top:
+        raise ConfigError(f"{key} must be in [1, {top}] on grid {grid.dims}, got {kmax}")
+    return kmax
+
+
+def build_plane_wave(cfg: Config, grid: GridSpec, default_mode: int) -> PlaneWaveSpec:
+    """Plane wave along z; sampling it checks the mode against the Nyquist limit."""
+    n = cfg.int("initial.k_mode", default_mode)
+    if n == 0:
+        raise ConfigError("initial.k_mode must be nonzero (mode 0 is a zero field)")
+    return PlaneWaveSpec(
+        amplitude=cfg.float("initial.amplitude", 1.0),
+        k=2.0 * np.pi * n / grid.lengths[2],
+    )
+
+
 def build_initial(cfg: Config, grid: GridSpec):
     kind = cfg.str("initial.kind")
     t0 = cfg.float("initial.time", 0.0)
     if kind in ("planewave", "standingwave"):
-        n = cfg.int("initial.k_mode", 1)
-        spec = PlaneWaveSpec(
-            amplitude=cfg.float("initial.amplitude", 1.0),
-            k=2.0 * np.pi * n / grid.lengths[2],
-        )
+        spec = build_plane_wave(cfg, grid, 1)
         maker = plane_wave if kind == "planewave" else standing_wave
         return maker(spec, grid, t0)
     if kind == "random":
@@ -188,7 +209,7 @@ def build_initial(cfg: Config, grid: GridSpec):
         return random_band_limited(
             grid,
             seed=cfg.int("initial.seed"),
-            kmax=cfg.int("initial.kmax", 2),
+            kmax=build_kmax(cfg, "initial.kmax", grid),
             amplitude=cfg.float("initial.amplitude", 1.0),
             mean_b=tuple(mean_b),
         )
@@ -270,7 +291,7 @@ def build_law(descriptor: str, grid: GridSpec):
             raise ConfigError("custom law needs a file path")
         try:
             return load_law(parts[1])
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, ValueError, InvalidMap) as exc:
             raise ConfigError(f"bad law file {parts[1]}: {exc!r}") from exc
     if name in ("inversion", "rotation", "translation"):
         _, args = _map_args(descriptor)
@@ -382,6 +403,8 @@ def cmd_converge(cfg: Config) -> int:
     base_dt = resolve_dt(cfg, base_grid, stepper)
     base_nsteps = build_nsteps(cfg)
     factor = cfg.int("refinement.factor", 2)
+    if factor < 2:
+        raise ConfigError(f"refinement.factor must be >= 2, got {factor}")
     metric = cfg.str("converge.metric", "residual" if stepper == "yee" else "defect")
     min_order = cfg.float(
         "converge.min_order", 1.8 if stepper == "yee" else 3.5
@@ -445,10 +468,10 @@ def cmd_discover(cfg: Config) -> int:
     grid = build_grid(cfg)
     amap, m_steps = _build_map(cfg.str("discover.map"), grid)
     n_members = cfg.int("discover.ensemble")
-    if n_members < 20:
-        raise InsufficientData(f"discover.ensemble={n_members} is below 20")
+    if n_members < MIN_ENSEMBLE:
+        raise InsufficientData(f"discover.ensemble={n_members} is below {MIN_ENSEMBLE}")
     seed = cfg.int("discover.seed", 0)
-    kmax = cfg.int("discover.kmax", 2)
+    kmax = build_kmax(cfg, "discover.kmax", grid)
     dt = cfg.float("discover.dt", 1.5e-5)
     nsteps = cfg.int("discover.nsteps", 4)
     top = cfg.int("discover.top", 8)
@@ -557,10 +580,9 @@ def cmd_forge(cfg: Config) -> int:
 def cmd_planewave(cfg: Config) -> int:
     out = output_dir(cfg)
     grid = build_grid(cfg)
-    n = cfg.int("initial.k_mode", 4)
-    e0 = cfg.float("initial.amplitude", 1.0)
+    spec = build_plane_wave(cfg, grid, 4)
+    e0 = spec.amplitude
     t = cfg.float("initial.time", 0.0)
-    spec = PlaneWaveSpec(amplitude=e0, k=2.0 * np.pi * n / grid.lengths[2])
     state = plane_wave(spec, grid, t)
     d_nodes = cfg.ints("planewave.d_nodes", "0")
     rel_tol = cfg.float("tolerance.planewave_rel", 1e-8)
@@ -620,7 +642,7 @@ def main(argv=None) -> int:
     try:
         cfg = Config.load(args.config, args.overrides)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, InvalidMap) as exc:
+    except (ConfigError, InvalidMap, InvalidWavenumber) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InsufficientData, HistoryUnderflow) as exc:

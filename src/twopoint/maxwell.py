@@ -165,7 +165,8 @@ class GaussianPulseCurrent(CurrentSpec):
 
     The raw separable profile is not divergence free, so it is projected
     solenoidal in Fourier space on the grid it is sampled on; mapped
-    evaluation pulls that projected profile back through the interpolant.
+    evaluation is a gather of that projected profile (through the
+    interpolant only for a shift that is not a whole number of nodes).
     """
 
     center: tuple

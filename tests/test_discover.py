@@ -180,6 +180,8 @@ class TestReferenceMatching:
     def test_rotation(self):
         ref = matching_reference_law(AffineMap.quarter_turn(2), 0, GRID)
         assert ref.label == "rotation"
+        reflection = AffineMap(tuple(np.diag([1.0, 1.0, -1.0]).ravel()), (0.0, 0.0, 0.0))
+        assert matching_reference_law(reflection, 0, GRID) is None
 
     def test_translation(self):
         amap = AffineMap.node_translation(GRID, (0, 0, 3))

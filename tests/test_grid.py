@@ -1,11 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twopoint.errors import GridMismatch, InvalidMap
 from twopoint.grid import (
     CENTERED2,
-    GRID_EXACT,
-    INTERPOLATED,
     SPECTRAL,
     AffineMap,
     FieldState,
@@ -110,15 +112,43 @@ class TestFields:
             FieldState.from_data(grid, np.zeros((6, *grid.dims)), np.inf)
 
 
+def signed_permutations():
+    """The 48 symmetries of the cube's axes: permutation matrices with signs."""
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            a = np.zeros((3, 3))
+            a[range(3), perm] = signs
+            out.append(a)
+    return out
+
+
+SIGNED_PERMUTATIONS = signed_permutations()
+CUBE16 = GridSpec.cube(1.0, 16)
+H16 = CUBE16.spacing[0]
+
+# a shift in node units per axis: whole nodes, or whole nodes plus a fraction
+node_shifts = st.one_of(
+    st.tuples(*[st.integers(-40, 40)] * 3).map(lambda n: (np.array(n, float), True)),
+    st.tuples(*[st.floats(-40.0, 40.0).filter(lambda x: abs(x - round(x)) > 1e-3)] * 3)
+    .map(lambda n: (np.array(n), False)),
+)
+
+
 class TestAffineMap:
     def test_rejects_singular(self):
         with pytest.raises(InvalidMap):
-            AffineMap(tuple(np.zeros(9)), (0.0, 0.0, 0.0), INTERPOLATED)
+            AffineMap(tuple(np.zeros(9)), (0.0, 0.0, 0.0))
 
     def test_grid_exact_requires_signed_permutation(self):
-        a = 0.5 * np.eye(3)
+        c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+        rotation_30 = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        shear = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        for a in (0.5 * np.eye(3), rotation_30, shear):
+            with pytest.raises(InvalidMap):
+                AffineMap(tuple(a.ravel()), (0.0, 0.0, 0.0))
         with pytest.raises(InvalidMap):
-            AffineMap(tuple(a.ravel()), (0.0, 0.0, 0.0), GRID_EXACT)
+            AffineMap(tuple(np.eye(3).ravel()), (0.0, np.inf, 0.0))
 
     def test_quarter_turn_is_proper(self):
         for axis in range(3):
@@ -130,6 +160,11 @@ class TestAffineMap:
         m = AffineMap.quarter_turn(2, 1)
         comp = m.inverse().alpha_matrix @ m.alpha_matrix
         assert np.allclose(comp, np.eye(3))
+        assert len({tuple(a.ravel()) for a in SIGNED_PERMUTATIONS}) == 48
+        for a in SIGNED_PERMUTATIONS:
+            m = AffineMap(tuple(a.ravel()), (0.1, -2.0, 7.5))
+            assert np.array_equal(m.inverse().alpha_matrix @ m.alpha_matrix, np.eye(3))
+            assert np.array_equal(m.inverse().beta_vector, -a.T @ m.beta_vector)
 
 
 class TestPullback:
@@ -154,7 +189,7 @@ class TestPullback:
 
     def test_fourier_half_box_shift_flips_sine(self, grid):
         f = sine_x_field(grid)
-        m = AffineMap.translation((0.5, 0.0, 0.0), INTERPOLATED)
+        m = AffineMap.translation((0.5, 0.0, 0.0))
         g = pullback(f, m)
         assert np.max(np.abs(g.data + f.data)) < 1e-12
 
@@ -166,26 +201,55 @@ class TestPullback:
 
     def test_interpolated_round_trip_band_limited(self, grid):
         f = random_band_limited_vector(grid, seed=5, kmax=3)
-        m = AffineMap.translation((0.13, 0.0, 0.0), INTERPOLATED)
+        m = AffineMap.translation((0.13, 0.0, 0.0))
         g = pullback(pullback(f, m), m.inverse())
         scale = np.max(np.abs(f.data))
         assert np.max(np.abs(g.data - f.data)) < 1e-10 * scale
 
-    def test_general_rotation_matches_grid_exact(self):
-        # 90-degree turn through the slow trig path agrees with the gather path
-        grid = GridSpec.cube(1.0, 8)
-        f = random_band_limited_vector(grid, seed=6, kmax=2)
-        m_exact = AffineMap.quarter_turn(2)
-        m_slow = AffineMap(m_exact.alpha, m_exact.beta, INTERPOLATED)
-        a = pullback(f, m_exact)
-        b = pullback(f, m_slow)
-        assert np.max(np.abs(a.data - b.data)) < 1e-11
+    def test_non_node_beta_evaluated_through_interpolant(self, grid):
+        # sin(2 pi x) is band limited, so its interpolant is exact off the nodes
+        m = AffineMap.translation((0.013, 0.0, 0.0))
+        g = pullback(sine_x_field(grid), m)
+        x = grid.meshgrid()[0]
+        assert np.max(np.abs(g.data[0] - np.sin(2.0 * np.pi * (x + 0.013)))) < 1e-12
+        assert np.all(g.data[1:] == 0.0)
 
-    def test_non_node_beta_rejected_for_grid_exact(self, grid):
-        m = AffineMap.translation((0.013, 0.0, 0.0), GRID_EXACT)
-        f = random_band_limited_vector(grid, seed=7)
-        with pytest.raises(InvalidMap):
-            pullback(f, m)
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(index=st.integers(0, 47), shift=node_shifts)
+    def test_round_trip_every_symmetry(self, index, shift):
+        nodes, whole = shift
+        f = random_band_limited_vector(CUBE16, seed=15, kmax=3)
+        m = AffineMap(tuple(SIGNED_PERMUTATIONS[index].ravel()), tuple(nodes * H16))
+        g = pullback(pullback(f, m), m.inverse())
+        if whole:
+            assert np.array_equal(g.data, f.data)
+        else:
+            assert np.max(np.abs(g.data - f.data)) <= 1e-10 * np.max(np.abs(f.data))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(index=st.integers(0, 47), shift=node_shifts)
+    def test_pullback_matches_closed_form(self, index, shift):
+        # f_c(x) = sum over modes of amp cos(k . x + phase), evaluated at alpha x + beta
+        rng = np.random.default_rng(16)
+        modes = 2.0 * np.pi * rng.integers(-3, 4, size=(5, 3))  # k for L = 1
+        amp = rng.standard_normal((3, 5))
+        phase = rng.uniform(0.0, 2.0 * np.pi, size=(3, 5))
+
+        def closed_form(points):  # points: (3, Nx, Ny, Nz)
+            arg = np.einsum("mi,i...->m...", modes, points)
+            return np.stack([
+                sum(amp[c, m] * np.cos(arg[m] + phase[c, m]) for m in range(5))
+                for c in range(3)
+            ])
+
+        nodes, _ = shift
+        a = SIGNED_PERMUTATIONS[index]
+        beta = nodes * H16
+        x = np.stack(CUBE16.meshgrid())
+        f = VectorField(CUBE16, closed_form(x))
+        g = pullback(f, AffineMap(tuple(a.ravel()), tuple(beta)))
+        y = np.einsum("ij,j...->i...", a, x) + beta[:, None, None, None]
+        assert np.max(np.abs(g.data - closed_form(y))) <= 1e-12
 
 
 class TestRotateComponents:

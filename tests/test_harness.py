@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twopoint.harness import (
@@ -45,6 +45,8 @@ law.3 = rotation z 1
 law.4 = translation 0 0 3 0
 tolerance.defect_rel = 1e-7
 """
+VERIFY_SMALL = VERIFY_BASE.replace("grid.dims = 16 16 16", "grid.dims = 8 8 8").replace(
+    "grid.spacing = 0.0625 0.0625 0.0625", "grid.spacing = 0.125 0.125 0.125")
 
 
 class TestConfig:
@@ -117,27 +119,52 @@ class TestVerify:
         assert main(["verify", cfg, f"output.dir={tmp_path/'out'}"]) == EXIT_DIVERGED
 
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(derandomize=True, deadline=None, max_examples=100)
     @given(stride=st.integers(-3, 3), nsteps=st.integers(-3, 4),
-           stepper=st.sampled_from(["spectral", "yee", "bogus", ""]))
+           stepper=st.sampled_from(["spectral", "yee", "bogus", ""]),
+           kmax=st.sampled_from(["2", "0", "4"]),  # 4 is the Nyquist mode of 8 nodes
+           dims=st.sampled_from(["8 8 8", "8.7 8 8"]),
+           amplitude=st.sampled_from(["1.0", "1e160"]))
+    # kmax, dims and amplitude each alone on an otherwise runnable config;
+    # random draws seldom leave every other input valid
+    @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0")
+    @example(stride=2, nsteps=4, stepper="yee", kmax="0", dims="8 8 8", amplitude="1.0")
+    @example(stride=2, nsteps=4, stepper="spectral", kmax="4", dims="8 8 8", amplitude="1.0")
+    @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8.7 8 8", amplitude="1.0")
+    @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1e160")
+    @example(stride=1, nsteps=3, stepper="yee", kmax="2", dims="8 8 8", amplitude="1e160")
     def test_bad_balance_inputs_exit_cleanly(self, tmp_path_factory, stride, nsteps,
-                                             stepper):
+                                             stepper, kmax, dims, amplitude):
         tmp = tmp_path_factory.mktemp("v")
-        text = VERIFY_BASE.replace("grid.dims = 16 16 16", "grid.dims = 8 8 8")
-        text = text.replace("grid.spacing = 0.0625 0.0625 0.0625",
-                            "grid.spacing = 0.125 0.125 0.125")
-        cfg = write_config(tmp / "v.txt", text)
+        cfg = write_config(tmp / "v.txt", VERIFY_SMALL)
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
             code = main(["verify", cfg, f"analysis.stride={stride}", f"nsteps={nsteps}",
-                         f"stepper={stepper}", f"output.dir={tmp / 'out'}"])
+                         f"stepper={stepper}", f"initial.kmax={kmax}", f"grid.dims={dims}",
+                         f"initial.amplitude={amplitude}", f"output.dir={tmp / 'out'}"])
         assert code in (EXIT_OK, EXIT_TOLERANCE, EXIT_CONFIG, EXIT_DIVERGED,
                         EXIT_INSUFFICIENT)
         assert "Traceback" not in printed.getvalue()
-        if stride < 1 or nsteps < 0 or stepper not in ("spectral", "yee"):
+        if (stride < 1 or nsteps < 0 or stepper not in ("spectral", "yee")
+                or kmax != "2" or dims != "8 8 8"):
             assert code == EXIT_CONFIG
         elif nsteps < 2:
             assert code == EXIT_INSUFFICIENT
+        elif amplitude == "1e160":  # the field energy overflows
+            assert code == EXIT_DIVERGED and "step 0" in printed.getvalue()
+
+    @pytest.mark.parametrize("command,override", [
+        ("converge", "refinement.factor=0"),
+        ("converge", "refinement.factor=1"),
+        ("planewave", "initial.k_mode=0"),
+        ("planewave", "initial.k_mode=4"),  # the Nyquist mode of 8 nodes
+    ])
+    def test_bad_refinement_and_mode_exit_2(self, tmp_path, capsys, command, override):
+        cfg = write_config(tmp_path / "c.txt", VERIFY_SMALL + "refinement.levels = 3\n")
+        code = main([command, cfg, override, f"output.dir={tmp_path / 'out'}"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and "Traceback" not in err
 
 
 class TestConverge:
@@ -233,6 +260,10 @@ discover.top = 3
         assert (tmp_path / "out" / "candidate_00.law").exists()
 
 
+# a law file complete but for its map, which is not a symmetry of the box
+LAW_TAIL = ("map.alpha = {alpha}\nmap.beta = 0 0 0\nW = " + " 0" * 36
+            + "\nK = " + " 0" * 108 + "\nsource = " + " 0" * 36 + "\n")
+
 DISCOVER_BASE = """
 grid.dims = 16 16 8
 grid.spacing = 0.0625 0.0625 0.125
@@ -273,7 +304,9 @@ class TestMapDescriptors:
         None,  # no file at all
         "map.alpha = 1 0 0 0 1 0 0 0 1\nW = 0\n",  # map.beta missing
         "map.alpha = 1 0 0 0 1 0 0 0 1\nmap.beta = 0 0 0\nW = 1 2\nK = 0\nsource = 0\n",
-    ], ids=["missing-file", "missing-key", "bad-shape"])
+        LAW_TAIL.format(alpha="0.8660254037844387 -0.5 0 0.5 0.8660254037844387 0 0 0 1"),
+        LAW_TAIL.format(alpha="1 1 0 0 1 0 0 0 1"),
+    ], ids=["missing-file", "missing-key", "bad-shape", "rotation-30deg", "shear"])
     def test_bad_custom_law_file_exits_2(self, tmp_path, capsys, content):
         law_path = tmp_path / "c.law"
         if content is not None:

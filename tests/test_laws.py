@@ -420,3 +420,9 @@ class TestLawFiles:
         assert back.map.beta == law.map.beta
         assert back.time_shift_steps == 2
         assert back.label == law.label
+        text = path.read_text()
+        assert "exactness" not in text
+        # a `map.exactness` line, as older files carry, is ignored
+        old_format = text.replace("dt_shift_steps", "map.exactness = grid_exact\ndt_shift_steps")
+        path.write_text(old_format)
+        assert load_law(path).map == law.map
