@@ -29,6 +29,10 @@ class Diverged(TwoPointError):
     """Numerical blow-up detected during time integration."""
 
 
+class NonFiniteField(TwoPointError, ValueError):
+    """Field data contains NaN or infinity."""
+
+
 class NotARotation(TwoPointError):
     """Map supplied to the rotation law is not a proper rotation (det != +1)."""
 

@@ -21,7 +21,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidMap
+from .errors import GridMismatch, InvalidMap, NonFiniteField
 
 SPECTRAL = "spectral"
 CENTERED2 = "centered2"
@@ -108,7 +108,7 @@ def _prep(data, shape, copy: bool) -> np.ndarray:
     if arr.shape != shape:
         raise ValueError(f"field data has shape {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("field data contains non-finite values")
+        raise NonFiniteField("field data contains non-finite values")
     if copy:
         arr = np.array(arr, order="C")
     elif not arr.flags.c_contiguous:
@@ -277,9 +277,10 @@ def _gather_open_indices(grid: GridSpec, amap: AffineMap):
     arrays carry alpha and the whole-node part of beta.  The rest of beta,
     if any, is returned as a 3-tuple shift of the input axes (None when beta
     is a whole number of nodes) for the Fourier interpolant to apply first.
+    beta is first reduced modulo the box, so any finite shift splits cleanly.
     """
     a = amap.alpha_matrix
-    b = amap.beta_vector
+    b = np.remainder(amap.beta_vector, grid.lengths)
     out = []
     rest = [0.0, 0.0, 0.0]
     for i in range(3):

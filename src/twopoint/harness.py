@@ -133,17 +133,22 @@ class Config:
             raise ConfigError(f"key {key!r} is not an integer") from exc
 
     def float(self, key, default=None):
-        try:
-            return float(self.str(key, None if default is None else repr(default)))
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r} is not a number") from exc
+        raw = self.str(key, None if default is None else repr(default))
+        return self._finite(key, [raw], "a number")[0]
 
     def floats(self, key, default=None):
-        raw = self.str(key, default)
+        return self._finite(key, self.str(key, default).split(), "a number list")
+
+    @staticmethod
+    def _finite(key, words, what) -> list:
+        """The words as floats; non-numbers and inf or nan are ConfigErrors."""
         try:
-            return [float(v) for v in raw.split()]
+            values = [float(v) for v in words]
         except ValueError as exc:
-            raise ConfigError(f"key {key!r} is not a number list") from exc
+            raise ConfigError(f"key {key!r} is not {what}") from exc
+        if not all(np.isfinite(values)):
+            raise ConfigError(f"key {key!r} must be finite, got {' '.join(words)!r}")
+        return values
 
     def ints(self, key, default=None):
         raw = self.str(key, default)

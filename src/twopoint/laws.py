@@ -32,12 +32,19 @@ evaluated at the rotated point)
 with F~ the field at the mapped (and time-shifted) point.  Translation at
 zero shift and rotation at R = I reduce to the local energy law exactly,
 tensor for tensor.
+
+The tensors of the shipped laws are sparse (6 of 36 W entries, 12 of 108 K
+entries), so each law lists its nonzero terms (a, b, coef) once, and the
+pointwise kernels contract only those, node by node, in the dense
+contraction's order: the values are bit-identical to it.  A balance
+run builds the profiles of a non-uniform driving current once, not per step.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -49,6 +56,7 @@ from .grid import (
     FieldState,
     GridSpec,
     ScalarField,
+    VectorField,
     _pull_array,
     divergence,
     volume_integral,
@@ -75,9 +83,19 @@ def _frozen(a: np.ndarray, shape) -> np.ndarray:
     return out
 
 
+def _nonzero_terms(t: np.ndarray) -> tuple:
+    """The nonzero entries (a, b, coef) of a 6x6 tensor, in row-major order."""
+    return tuple((int(a), int(b), float(t[a, b])) for a, b in zip(*np.nonzero(t)))
+
+
 @dataclass(eq=False)
 class TwoPointLawSpec:
-    """One candidate balance law: (map, time shift, W, K, source tensor)."""
+    """One candidate balance law: (map, time shift, W, K, source tensor).
+
+    The tensors are frozen at construction.  The pointwise kernels contract
+    only their nonzero terms, listed on first use (discovery builds many
+    laws that it never evaluates).
+    """
 
     map: AffineMap
     time_shift_steps: int
@@ -93,6 +111,18 @@ class TwoPointLawSpec:
         self.W = _frozen(self.W, (6, 6))
         self.K = _frozen(self.K, (3, 6, 6))
         self.source = _frozen(self.source, (6, 6))
+
+    @cached_property
+    def _w_terms(self) -> tuple:
+        return _nonzero_terms(self.W)
+
+    @cached_property
+    def _k_terms(self) -> tuple:
+        return tuple(_nonzero_terms(k) for k in self.K)
+
+    @cached_property
+    def _source_terms(self) -> tuple:
+        return _nonzero_terms(self.source)
 
     def swap_symmetry_defect(self) -> float:
         """Max |W - W^T|; zero for densities symmetric under x <-> A x.
@@ -194,12 +224,40 @@ def law_translation(grid: GridSpec, nodes, dt_steps: int = 0) -> TwoPointLawSpec
 # Pointwise evaluation (F is the state's stacked (6, Nx, Ny, Nz) array)
 # ---------------------------------------------------------------------------
 
+_IDENTITY = AffineMap.identity()
+
+
+def _contract(terms, f: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
+    """sum over terms (a, b, c) of c f[a] g[b], node by node, added into
+    `out` (default: a new zero array).
+
+    Bit-identical to np.einsum("ab,a...,b...->...", T, f, g) over the dense
+    tensor T: einsum accumulates (T_ab f_a) g_b from zero in row-major
+    (a, b) order, a zero entry adds nothing to a finite sum, and a factor
+    of +-1 is exact, so only the other coefficients are multiplied in.
+    """
+    out = np.zeros(f.shape[1:]) if out is None else out
+    tmp = np.empty_like(out)
+    for a, b, c in terms:
+        if abs(c) == 1.0:
+            np.multiply(f[a], g[b], out=tmp)
+        else:
+            np.multiply(f[a], c, out=tmp)
+            tmp *= g[b]
+        if c == -1.0:
+            out -= tmp
+        else:
+            out += tmp
+    return out
+
 
 def _stack6(state: FieldState) -> np.ndarray:
     return state.data
 
 
 def _pulled6(state: FieldState, amap: AffineMap) -> np.ndarray:
+    if amap == _IDENTITY:
+        return _stack6(state)  # the gather would copy the array unchanged
     return _pull_array(_stack6(state), state.grid, amap)
 
 
@@ -215,39 +273,45 @@ def density(law: TwoPointLawSpec, state_now: FieldState,
     _check_pair(law, state_now, state_shifted)
     f = _stack6(state_now)
     g = _pulled6(state_shifted, law.map)
-    rho = np.einsum("ab,a...,b...->...", law.W, f, g)
-    return ScalarField(state_now.grid, rho, copy=False)
+    return ScalarField(state_now.grid, _contract(law._w_terms, f, g), copy=False)
 
 
 def flux(law: TwoPointLawSpec, state_now: FieldState,
          state_shifted: Optional[FieldState] = None):
     """J_i(x) = K_iab F_a(x) F_b(A x)."""
-    from .grid import VectorField
-
     state_shifted = state_now if state_shifted is None else state_shifted
     _check_pair(law, state_now, state_shifted)
     f = _stack6(state_now)
     g = _pulled6(state_shifted, law.map)
-    j = np.einsum("iab,a...,b...->i...", law.K, f, g)
+    j = np.zeros((3, *f.shape[1:]))
+    for i, terms in enumerate(law._k_terms):
+        _contract(terms, f, g, out=j[i])
     return VectorField(state_now.grid, j, copy=False)
 
 
 def source_power(law: TwoPointLawSpec, state_now: FieldState,
-                 state_shifted: Optional[FieldState], j: CurrentSpec) -> ScalarField:
-    """S(x) with J sampled from its closed form at both points and times."""
+                 state_shifted: Optional[FieldState], j: CurrentSpec,
+                 profiles: Optional[tuple] = None) -> ScalarField:
+    """S(x) with J sampled from its closed form at both points and times.
+
+    `profiles` is the pair (j.spatial_profile(grid), j.profile_at(grid,
+    law.map)) when the caller has built it already.  Row b of the stacked
+    current Js is row b % 3 of the profile.
+    """
     state_shifted = state_now if state_shifted is None else state_shifted
     _check_pair(law, state_now, state_shifted)
     grid = state_now.grid
     if j.is_zero:
         return ScalarField(grid, np.zeros(grid.dims), copy=False)
+    if profiles is None:
+        profiles = (j.spatial_profile(grid), j.profile_at(grid, law.map))
     f = _stack6(state_now)
     g = _pulled6(state_shifted, law.map)
-    jn = j.spatial_profile(grid) * j.time_factor(state_now.t)
-    jm = j.profile_at(grid, law.map) * j.time_factor(state_shifted.t)
-    jn6 = np.concatenate([jn, jn], axis=0)
-    jm6 = np.concatenate([jm, jm], axis=0)
-    s = np.einsum("ab,a...,b...->...", law.source, f, jm6)
-    s += np.einsum("ab,a...,b...->...", law.source, jn6, g)
+    jn = profiles[0] * j.time_factor(state_now.t)
+    jm = profiles[1] * j.time_factor(state_shifted.t)
+    terms = law._source_terms
+    s = _contract([(a, b % 3, c) for a, b, c in terms], f, jm)
+    s += _contract([(a % 3, b, c) for a, b, c in terms], jn, g)
     return ScalarField(grid, s, copy=False)
 
 
@@ -349,8 +413,9 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _analysis_row(law, j, dt, get_state, a, nsteps):
-    """Q and residual norms of one law at analysis step a."""
+def _analysis_row(law, j, dt, get_state, a, nsteps, profiles=None):
+    """Q and residual norms of one law at analysis step a (`profiles` as
+    for `source_power`)."""
     m = law.time_shift_steps
     s_now = get_state(a)
     s_sh = get_state(a + m)
@@ -361,7 +426,7 @@ def _analysis_row(law, j, dt, get_state, a, nsteps):
         r = (rho_next - rho_prev) / (2.0 * dt)
         r = r + divergence(flux(law, s_now, s_sh), SPECTRAL).data
         if not j.is_zero:
-            r = r - source_power(law, s_now, s_sh, j).data
+            r = r - source_power(law, s_now, s_sh, j, profiles).data
         grid = s_now.grid
         r_l2 = float(np.sqrt(volume_integral(ScalarField(grid, r * r, copy=False))))
         r_max = float(np.max(np.abs(r)))
@@ -433,8 +498,10 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
     read for uniform currents, materialises on its own).  Q and the
     residual norms are evaluated at
     `stride` multiples; the source power of a non-uniform current at every
-    step; for a uniform current it comes from the per-step field means, so
-    the Simpson quadrature of the work integral keeps the stepper's order.
+    step, from current profiles built once for the run; for a uniform
+    current it comes from the per-step field means, so the Simpson
+    quadrature of the work integral keeps the stepper's order.  A step
+    whose snapshot or means are not finite raises Diverged naming it.
     """
     if stride < 1:
         raise ValueError(f"analysis stride must be >= 1, got {stride}")
@@ -456,6 +523,13 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
     mean6 = np.zeros((nsteps + 1, 6))
     work = {id(law): np.zeros(nsteps - law.time_shift_steps + 1) for law in laws}
     window = HistoryBuffer(m_max + 3)
+    profiles = {}  # law map -> (profile, mapped profile) of a non-uniform current
+    if not (uniform or j.is_zero):
+        grid = initial.grid
+        spatial = j.spatial_profile(grid)
+        for law in laws:
+            if law.map not in profiles:
+                profiles[law.map] = (spatial, j.profile_at(grid, law.map))
 
     def snapshot(step) -> FieldState:
         entry = window.get(step)
@@ -475,17 +549,21 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
         window.push(n_sim, source.checkpoint())
         if uniform:
             mean6[n_sim] = source.means()
+            if not np.all(np.isfinite(mean6[n_sim])):
+                raise Diverged(f"field means are not finite at step {n_sim}")
         elif not j.is_zero:
             for law in laws:
                 n = n_sim - law.time_shift_steps
                 if n >= 0:
-                    work[id(law)][n] = volume_integral(
-                        source_power(law, snapshot(n), snapshot(n_sim), j)
-                    )
+                    work[id(law)][n] = volume_integral(source_power(
+                        law, snapshot(n), snapshot(n_sim), j, profiles[law.map]
+                    ))
         while ai < len(analysis) and need(analysis[ai]) <= n_sim:
             a = analysis[ai]
             for law in laws:
-                rows[id(law)].append(_analysis_row(law, j, dt, snapshot, a, nsteps))
+                rows[id(law)].append(_analysis_row(
+                    law, j, dt, snapshot, a, nsteps, profiles.get(law.map)
+                ))
             ai += 1
     assert ai == len(analysis)
 

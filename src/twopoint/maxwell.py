@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import Diverged, StepTooLarge
+from .errors import Diverged, NonFiniteField, StepTooLarge
 from .grid import (
     FieldState,
     GridSpec,
@@ -245,6 +245,15 @@ def _check_dt(grid, dt, stepper):
 # ---------------------------------------------------------------------------
 
 
+def _stepped_state(grid: GridSpec, data: np.ndarray, step: int, t: float) -> FieldState:
+    """FieldState.from_data for a stepped array; non-finite data is a
+    divergence at that step."""
+    try:
+        return FieldState.from_data(grid, data, t)
+    except NonFiniteField:
+        raise Diverged(f"field is not finite at step {step}") from None
+
+
 def _state_means(state: FieldState) -> np.ndarray:
     """Volume integral of each stacked component."""
     cv = state.grid.cell_volume
@@ -316,11 +325,16 @@ class SpectralEngine:
         dt = self.dt
         t = self.initial.t + self.step_index * dt
         u = self.u
-        k1 = self.rhs(u, t)
-        k2 = self.rhs(u + (0.5 * dt) * k1, t + 0.5 * dt)
-        k3 = self.rhs(u + (0.5 * dt) * k2, t + 0.5 * dt)
-        k4 = self.rhs(u + dt * k3, t + dt)
-        self.u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # k1 + 2 k2 + 2 k3 + k4, summed left to right as each stage is done,
+        # so at most two stage arrays are alive at a time
+        k = self.rhs(u, t)
+        acc = k
+        k = self.rhs(u + (0.5 * dt) * k, t + 0.5 * dt)
+        acc = acc + 2.0 * k
+        k = self.rhs(u + (0.5 * dt) * k, t + 0.5 * dt)
+        acc = acc + 2.0 * k
+        k = self.rhs(u + dt * k, t + dt)
+        self.u = u + (dt / 6.0) * (acc + k)
         self.step_index += 1
 
     # -- snapshots -----------------------------------------------------------
@@ -343,7 +357,7 @@ class SpectralEngine:
         data = np.fft.irfftn(
             self.dense_coefficients(u), s=self.grid.dims, axes=(-3, -2, -1)
         )
-        return FieldState.from_data(self.grid, data, self.initial.t + step * self.dt)
+        return _stepped_state(self.grid, data, step, self.initial.t + step * self.dt)
 
     def means(self) -> np.ndarray:
         """k = 0 coefficients times the cell volume (exact sums at step 0)."""
@@ -464,7 +478,7 @@ class YeeEngine:
         data = np.empty((6, *self.grid.dims))
         _stagger(e, _E_AXES, -1, out=data[:3])
         _stagger(b_node, _B_AXES, -1, out=data[3:])
-        return FieldState.from_data(self.grid, data, self.initial.t + step * self.dt)
+        return _stepped_state(self.grid, data, step, self.initial.t + step * self.dt)
 
     def means(self) -> np.ndarray:
         return _state_means(self.state())
@@ -525,10 +539,10 @@ def step_yee(state: FieldState, j: CurrentSpec, dt: float) -> FieldState:
     return engine.state()
 
 
-def _check_finite(state: FieldState, scale: float):
+def _check_growth(state: FieldState, scale: float, step: int):
     m = max(np.max(np.abs(state.E.data)), np.max(np.abs(state.B.data)))
-    if not np.isfinite(m) or m > 1e6 * max(scale, 1.0):
-        raise Diverged("field magnitude grew beyond 1e6 x initial scale")
+    if m > 1e6 * max(scale, 1.0):
+        raise Diverged(f"field magnitude grew beyond 1e6 x initial scale at step {step}")
 
 
 def evolve(
@@ -542,7 +556,9 @@ def evolve(
 
     The Yee run keeps its staggered internal state for the whole trajectory
     and only interpolates snapshots, so the leapfrog is never filtered by
-    the collocation resampling.
+    the collocation resampling.  A state that is not finite raises Diverged
+    naming its step, as does a last state grown beyond 1e6 x the initial
+    magnitude.
     """
     if nsteps < 0:
         raise ValueError("nsteps must be >= 0")
@@ -553,5 +569,5 @@ def evolve(
         engine.advance()
         states.append(engine.state())
     if nsteps:
-        _check_finite(states[-1], scale)
+        _check_growth(states[-1], scale, nsteps)
     return Trajectory(states, dt, j, stepper)

@@ -214,6 +214,19 @@ class TestPullback:
         assert np.max(np.abs(g.data[0] - np.sin(2.0 * np.pi * (x + 0.013)))) < 1e-12
         assert np.all(g.data[1:] == 0.0)
 
+    def test_shift_taken_modulo_the_box(self):
+        g = GridSpec.cube(1.1, 16)
+        f = random_band_limited_vector(g, seed=6, kmax=3)
+        h, L = g.spacing[0], g.lengths[0]
+        # whole boxes added to a whole-node shift leave the gather unchanged
+        near = pullback(f, AffineMap.translation((3 * h, -2 * h, 0.0)))
+        far = pullback(f, AffineMap.translation((3 * h + 5 * L, -2 * h - 7 * L, 0.0)))
+        assert np.array_equal(far.data, near.data)
+        # a huge finite shift is reduced to its place in the box first
+        huge = pullback(f, AffineMap.translation((1e308, 0.0, 0.0)))
+        inside = AffineMap.translation((float(np.remainder(1e308, L)), 0.0, 0.0))
+        assert np.array_equal(huge.data, pullback(f, inside).data)
+
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(index=st.integers(0, 47), shift=node_shifts)
     def test_round_trip_every_symmetry(self, index, shift):

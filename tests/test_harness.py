@@ -19,7 +19,7 @@ from twopoint.harness import (
     build_law,
     main,
 )
-from twopoint.grid import GridSpec
+from twopoint.grid import AffineMap, GridSpec
 from twopoint.laws import law_local_energy, save_law, TwoPointLawSpec
 
 
@@ -124,34 +124,62 @@ class TestVerify:
            stepper=st.sampled_from(["spectral", "yee", "bogus", ""]),
            kmax=st.sampled_from(["2", "0", "4"]),  # 4 is the Nyquist mode of 8 nodes
            dims=st.sampled_from(["8 8 8", "8.7 8 8"]),
-           amplitude=st.sampled_from(["1.0", "1e160"]))
-    # kmax, dims and amplitude each alone on an otherwise runnable config;
-    # random draws seldom leave every other input valid
-    @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0")
-    @example(stride=2, nsteps=4, stepper="yee", kmax="0", dims="8 8 8", amplitude="1.0")
-    @example(stride=2, nsteps=4, stepper="spectral", kmax="4", dims="8 8 8", amplitude="1.0")
-    @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8.7 8 8", amplitude="1.0")
-    @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1e160")
-    @example(stride=1, nsteps=3, stepper="yee", kmax="2", dims="8 8 8", amplitude="1e160")
+           amplitude=st.sampled_from(["1.0", "1e160", "inf", "nan"]),
+           mean_b=st.sampled_from(["0 0 0", "0 nan 0"]),
+           huge_shift=st.booleans())
+    # kmax, dims, amplitude, mean_b and huge_shift each alone on an otherwise
+    # runnable config; random draws seldom leave every other input valid
+    @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
+             mean_b="0 0 0", huge_shift=False)
+    @example(stride=2, nsteps=4, stepper="yee", kmax="0", dims="8 8 8", amplitude="1.0",
+             mean_b="0 0 0", huge_shift=False)
+    @example(stride=2, nsteps=4, stepper="spectral", kmax="4", dims="8 8 8", amplitude="1.0",
+             mean_b="0 0 0", huge_shift=False)
+    @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8.7 8 8",
+             amplitude="1.0", mean_b="0 0 0", huge_shift=False)
+    @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8",
+             amplitude="1e160", mean_b="0 0 0", huge_shift=False)
+    @example(stride=1, nsteps=3, stepper="yee", kmax="2", dims="8 8 8", amplitude="1e160",
+             mean_b="0 0 0", huge_shift=False)
+    @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="inf",
+             mean_b="0 0 0", huge_shift=False)
+    @example(stride=2, nsteps=4, stepper="yee", kmax="2", dims="8 8 8", amplitude="nan",
+             mean_b="0 0 0", huge_shift=False)
+    @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
+             mean_b="0 nan 0", huge_shift=False)
+    @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
+             mean_b="0 0 0", huge_shift=True)
     def test_bad_balance_inputs_exit_cleanly(self, tmp_path_factory, stride, nsteps,
-                                             stepper, kmax, dims, amplitude):
+                                             stepper, kmax, dims, amplitude, mean_b,
+                                             huge_shift):
         tmp = tmp_path_factory.mktemp("v")
-        cfg = write_config(tmp / "v.txt", VERIFY_SMALL)
+        text = VERIFY_SMALL
+        if huge_shift:  # a finite shift far outside the box, taken modulo the box
+            good = law_local_energy()
+            law_path = tmp / "far.law"
+            save_law(TwoPointLawSpec(AffineMap.translation((1e308, 0.0, 0.0)), 0, good.W,
+                                     good.K, good.source, label="far"), law_path)
+            text += f"law.5 = custom {law_path}\n"
+        cfg = write_config(tmp / "v.txt", text)
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
             code = main(["verify", cfg, f"analysis.stride={stride}", f"nsteps={nsteps}",
                          f"stepper={stepper}", f"initial.kmax={kmax}", f"grid.dims={dims}",
-                         f"initial.amplitude={amplitude}", f"output.dir={tmp / 'out'}"])
+                         f"initial.amplitude={amplitude}", f"initial.mean_b={mean_b}",
+                         f"output.dir={tmp / 'out'}"])
         assert code in (EXIT_OK, EXIT_TOLERANCE, EXIT_CONFIG, EXIT_DIVERGED,
                         EXIT_INSUFFICIENT)
         assert "Traceback" not in printed.getvalue()
         if (stride < 1 or nsteps < 0 or stepper not in ("spectral", "yee")
-                or kmax != "2" or dims != "8 8 8"):
+                or kmax != "2" or dims != "8 8 8" or amplitude in ("inf", "nan")
+                or mean_b != "0 0 0"):
             assert code == EXIT_CONFIG
         elif nsteps < 2:
             assert code == EXIT_INSUFFICIENT
         elif amplitude == "1e160":  # the field energy overflows
             assert code == EXIT_DIVERGED and "step 0" in printed.getvalue()
+        elif huge_shift:
+            assert code in (EXIT_OK, EXIT_TOLERANCE) and "law=far" in printed.getvalue()
 
     @pytest.mark.parametrize("command,override", [
         ("converge", "refinement.factor=0"),

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twopoint.errors import GridMismatch, HistoryUnderflow, NotARotation
+from twopoint.errors import Diverged, GridMismatch, HistoryUnderflow, NotARotation
 from twopoint.grid import (
     AffineMap,
     FieldState,
@@ -14,6 +16,9 @@ from twopoint.grid import (
 )
 from twopoint.laws import (
     HistoryBuffer,
+    _contract,
+    _nonzero_terms,
+    _pulled6,
     cumulative_simpson,
     density,
     flux,
@@ -27,7 +32,15 @@ from twopoint.laws import (
     save_law,
     source_power,
 )
-from twopoint.maxwell import UniformOscillating, ZeroCurrent, cfl_max_dt, evolve
+from twopoint.maxwell import (
+    GaussianPulseCurrent,
+    SpectralEngine,
+    UniformOscillating,
+    YeeEngine,
+    ZeroCurrent,
+    cfl_max_dt,
+    evolve,
+)
 from twopoint.waves import PlaneWaveSpec, plane_wave, random_band_limited
 
 
@@ -245,6 +258,87 @@ class TestSourcePower:
         sp = source_power(law, s, s, j)
         expected = -2.0 * (0.3 * 1.0 + -0.2 * 2.0 + 0.5 * -1.0)
         assert np.max(np.abs(sp.data - expected)) <= 1e-13
+
+
+_ENTRY = st.one_of(st.sampled_from([0.0, 0.0, 1.0, -1.0]),
+                   st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False))
+
+
+class TestSparseKernels:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(entries=st.lists(_ENTRY, min_size=36, max_size=36),
+           seed=st.integers(0, 2**32 - 1))
+    def test_contract_matches_dense_einsum(self, entries, seed):
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal((6, 8, 8, 8))
+        g = rng.standard_normal((6, 8, 8, 8))
+        t = np.array(entries).reshape(6, 6)
+        terms = _nonzero_terms(t)
+        assert len(terms) == np.count_nonzero(t)
+        assert np.array_equal(_contract(terms, f, g),
+                              np.einsum("ab,a...,b...->...", t, f, g))
+        # the source form: a 3-row current profile stands for both halves of Js
+        j = rng.standard_normal((3, 8, 8, 8))
+        j6 = np.concatenate([j, j])
+        assert np.array_equal(_contract([(a, b % 3, c) for a, b, c in terms], f, j),
+                              np.einsum("ab,a...,b...->...", t, f, j6))
+
+    def test_shipped_laws_are_sparse(self):
+        for law in (law_local_energy(), law_inversion(),
+                    law_rotation(AffineMap.quarter_turn(0, 1))):
+            assert len(law._w_terms) == 6
+            assert sum(len(t) for t in law._k_terms) == 12
+
+    def test_identity_pullback_is_the_state_array(self, grid):
+        s = random_band_limited(grid, seed=3, kmax=2)
+        assert _pulled6(s, AffineMap.identity()) is s.data
+        shifted = AffineMap.translation((1.0, 0.0, 0.0))  # one whole box length
+        assert np.array_equal(_pulled6(s, shifted), s.data)
+
+    def test_gaussian_profile_built_a_fixed_number_of_times(self, grid, monkeypatch):
+        calls = []
+        original = GaussianPulseCurrent.spatial_profile
+
+        def counted(self, g):
+            calls.append(1)
+            return original(self, g)
+
+        monkeypatch.setattr(GaussianPulseCurrent, "spatial_profile", counted)
+        small = GridSpec.cube(1.0, 8)
+        s = random_band_limited(small, seed=4, kmax=1)
+        j = GaussianPulseCurrent((0.5, 0.5, 0.5), 0.2, (0.0, 1.0, 0.0), t0=0.002, tau=0.003)
+        laws = [law_local_energy(), law_inversion(), law_translation(small, (0, 1, 0), 1)]
+        counts = []
+        for nsteps in (4, 12):
+            calls.clear()
+            run_balance(s, j, 1e-3, nsteps, laws, analysis_stride=2)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("stepper,engine,attr",
+                         [("spectral", SpectralEngine, "u"), ("yee", YeeEngine, "E")])
+@pytest.mark.parametrize("current", ["zero", "uniform", "gaussian"])
+def test_non_finite_step_diverges_naming_it(grid, monkeypatch, stepper, engine, attr,
+                                            current):
+    original = engine.advance
+
+    def advance(self):
+        original(self)
+        if self.step_index == 3:
+            setattr(self, attr, np.full_like(getattr(self, attr), np.inf))
+
+    monkeypatch.setattr(engine, "advance", advance)
+    j = {"zero": ZeroCurrent(),
+         "uniform": UniformOscillating((0.02, 0.0, 0.01), omega=2 * np.pi),
+         "gaussian": GaussianPulseCurrent((0.5, 0.5, 0.5), 0.2, (0.0, 1.0, 0.0))}[current]
+    s = random_band_limited(grid, seed=5, kmax=1)
+    dt = 0.3 * cfl_max_dt(grid, stepper)
+    with np.errstate(invalid="ignore"):  # inf - inf while stepping on
+        with pytest.raises(Diverged, match="at step 3$"):
+            run_balance(s, j, dt, 8, [law_local_energy(), law_inversion()], stepper=stepper)
+        with pytest.raises(Diverged, match="at step 3$"):
+            evolve(s, j, dt, 8, stepper=stepper)
 
 
 class TestResidual:
