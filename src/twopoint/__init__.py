@@ -25,12 +25,8 @@ from .grid import (
     GridSpec,
     ScalarField,
     VectorField,
-    cross_density,
-    curl,
     divergence,
-    dot_density,
     pullback,
-    rotate_components,
     volume_integral,
 )
 from .maxwell import (
@@ -42,8 +38,6 @@ from .maxwell import (
     ZeroCurrent,
     cfl_max_dt,
     evolve,
-    step_spectral,
-    step_yee,
 )
 from .waves import (
     PlaneWaveSpec,

@@ -92,7 +92,7 @@ def suggested_max_dt(pde: Pde1D, f0: np.ndarray) -> float:
     a 0.8 safety factor is applied.
     """
     kmax = np.pi / pde.dx
-    speed = abs(pde.c) if pde.kind == "advection" else max(np.max(np.abs(f0)), 1e-12)
+    speed = max(abs(pde.c) if pde.kind == "advection" else np.max(np.abs(f0)), 1e-12)
     if pde.kind == "kdv":
         speed = 6.0 * max(np.max(np.abs(f0)), 1e-12)
         limit = 2.8 / (speed * kmax + kmax**3)

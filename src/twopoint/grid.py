@@ -5,9 +5,8 @@ types here: a collocated periodic grid, scalar/vector fields sampled on its
 nodes, and the symmetries x -> alpha x + beta of the periodic box (alpha a
 signed permutation, beta any shift) used to pull a field back to mapped
 evaluation points.  A pullback is an index gather, preceded by a Fourier
-shift only when beta is not a whole number of nodes.  Differential operators come
-in a spectral flavour (exact on band-limited data) and a 2nd-order centered
-flavour, both with periodic wrap.
+shift only when beta is not a whole number of nodes.  The divergence is
+spectral (exact on band-limited data) with periodic wrap.
 
 Fields are immutable values: construction freezes the underlying array, and
 all operations return new fields.  Reductions use a fixed traversal order so
@@ -22,9 +21,6 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import GridMismatch, InvalidMap, NonFiniteField
-
-SPECTRAL = "spectral"
-CENTERED2 = "centered2"
 
 
 @dataclass(frozen=True)
@@ -322,20 +318,11 @@ def pullback(field, amap: AffineMap):
 
     A whole-node beta makes this an index gather, bit-exact; a sub-node
     beta is first applied to the trigonometric interpolant (exact for
-    band-limited data).  Components are moved, not mixed: use
-    `rotate_components` for the matrix acting on vector components.
+    band-limited data).  Components are moved, not mixed.
     """
     out = _pull_array(field.data, field.grid, amap)
     cls = VectorField if isinstance(field, VectorField) else ScalarField
     return cls(field.grid, out, copy=False)
-
-
-def rotate_components(field: VectorField, alpha) -> VectorField:
-    """Apply a 3x3 matrix to the vector components at every node."""
-    a = np.asarray(alpha, dtype=float)
-    if a.shape != (3, 3):
-        raise ValueError("component matrix must be 3x3")
-    return VectorField(field.grid, np.einsum("ij,j...->i...", a, field.data), copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -343,53 +330,14 @@ def rotate_components(field: VectorField, alpha) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
-def _check_scheme(scheme: str):
-    if scheme not in (SPECTRAL, CENTERED2):
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def divergence(v: VectorField, scheme: str = SPECTRAL) -> ScalarField:
-    """Discrete divergence of a vector field with periodic wrap."""
-    _check_scheme(scheme)
+def divergence(v: VectorField) -> ScalarField:
+    """Spectral divergence of a vector field with periodic wrap."""
     g = v.grid
-    if scheme == SPECTRAL:
-        kx, ky, kz = spectral_wavevectors(g)
-        vh = np.fft.rfftn(v.data, axes=(-3, -2, -1))
-        dh = 1j * (kx * vh[0] + ky * vh[1] + kz * vh[2])
-        out = np.fft.irfftn(dh, s=g.dims, axes=(-3, -2, -1))
-    else:
-        out = np.zeros(g.dims)
-        for i in range(3):
-            out += (np.roll(v.data[i], -1, axis=i) - np.roll(v.data[i], 1, axis=i)) / (
-                2.0 * g.spacing[i]
-            )
+    kx, ky, kz = spectral_wavevectors(g)
+    vh = np.fft.rfftn(v.data, axes=(-3, -2, -1))
+    dh = 1j * (kx * vh[0] + ky * vh[1] + kz * vh[2])
+    out = np.fft.irfftn(dh, s=g.dims, axes=(-3, -2, -1))
     return ScalarField(g, out, copy=False)
-
-
-def curl(v: VectorField, scheme: str = SPECTRAL) -> VectorField:
-    """Discrete curl of a vector field with periodic wrap."""
-    _check_scheme(scheme)
-    g = v.grid
-    if scheme == SPECTRAL:
-        kx, ky, kz = spectral_wavevectors(g)
-        vh = np.fft.rfftn(v.data, axes=(-3, -2, -1))
-        ch = np.empty_like(vh)
-        ch[0] = 1j * (ky * vh[2] - kz * vh[1])
-        ch[1] = 1j * (kz * vh[0] - kx * vh[2])
-        ch[2] = 1j * (kx * vh[1] - ky * vh[0])
-        out = np.fft.irfftn(ch, s=g.dims, axes=(-3, -2, -1))
-    else:
-
-        def d(comp, axis):
-            return (np.roll(comp, -1, axis=axis) - np.roll(comp, 1, axis=axis)) / (
-                2.0 * g.spacing[axis]
-            )
-
-        out = np.empty((3, *g.dims))
-        out[0] = d(v.data[2], 1) - d(v.data[1], 2)
-        out[1] = d(v.data[0], 2) - d(v.data[2], 0)
-        out[2] = d(v.data[1], 0) - d(v.data[0], 1)
-    return VectorField(g, out, copy=False)
 
 
 def volume_integral(s: ScalarField) -> float:
@@ -400,24 +348,3 @@ def volume_integral(s: ScalarField) -> float:
     runs and thread counts.
     """
     return float(s.grid.cell_volume * np.sum(s.data.ravel(order="C")))
-
-
-def _same_grid(a, b):
-    if a.grid != b.grid:
-        raise GridMismatch("fields live on different grids")
-
-
-def dot_density(a: VectorField, b: VectorField) -> ScalarField:
-    """Pointwise a . b."""
-    _same_grid(a, b)
-    return ScalarField(a.grid, np.einsum("i...,i...->...", a.data, b.data), copy=False)
-
-
-def cross_density(a: VectorField, b: VectorField) -> VectorField:
-    """Pointwise a x b."""
-    _same_grid(a, b)
-    out = np.empty_like(a.data)
-    out[0] = a.data[1] * b.data[2] - a.data[2] * b.data[1]
-    out[1] = a.data[2] * b.data[0] - a.data[0] * b.data[2]
-    out[2] = a.data[0] * b.data[1] - a.data[1] * b.data[0]
-    return VectorField(a.grid, out, copy=False)

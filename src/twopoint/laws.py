@@ -51,7 +51,6 @@ import numpy as np
 
 from .errors import Diverged, GridMismatch, HistoryUnderflow, NotARotation
 from .grid import (
-    SPECTRAL,
     AffineMap,
     FieldState,
     GridSpec,
@@ -123,14 +122,6 @@ class TwoPointLawSpec:
     @cached_property
     def _source_terms(self) -> tuple:
         return _nonzero_terms(self.source)
-
-    def swap_symmetry_defect(self) -> float:
-        """Max |W - W^T|; zero for densities symmetric under x <-> A x.
-
-        Only meaningful as an invariant when the map is an involution and
-        the time shift vanishes, where the exchange is a pointwise statement.
-        """
-        return float(np.max(np.abs(self.W - self.W.T)))
 
     def as_vector(self) -> np.ndarray:
         """(W, K) flattened to the 144-vector used by discovery projections."""
@@ -424,7 +415,7 @@ def _analysis_row(law, j, dt, get_state, a, nsteps, profiles=None):
         rho_next = density(law, get_state(a + 1), get_state(a + m + 1)).data
         rho_prev = density(law, get_state(a - 1), get_state(a + m - 1)).data
         r = (rho_next - rho_prev) / (2.0 * dt)
-        r = r + divergence(flux(law, s_now, s_sh), SPECTRAL).data
+        r = r + divergence(flux(law, s_now, s_sh)).data
         if not j.is_zero:
             r = r - source_power(law, s_now, s_sh, j, profiles).data
         grid = s_now.grid

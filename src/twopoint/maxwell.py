@@ -151,7 +151,9 @@ class PlaneWaveCurrent(CurrentSpec):
         x = np.stack(grid.meshgrid(), axis=0)
         y = np.einsum("ij,j...->i...", amap.alpha_matrix, x)
         arg = k[0] * y[0] + k[1] * y[1] + k[2] * y[2]
-        arg += k @ amap.beta_vector + self.phase_x
+        # beta modulo the box: k . L is a whole number of turns, and a huge
+        # beta would otherwise overflow the phase
+        arg += k @ np.remainder(amap.beta_vector, grid.lengths) + self.phase_x
         c = np.cos(arg)
         return np.stack([p * c for p in self.polarization])
 
@@ -523,20 +525,6 @@ def _engine(stepper: str, state: FieldState, j: CurrentSpec, dt: float):
     """The stepper's engine at `state`, once dt has passed its CFL check."""
     _check_dt(state.grid, dt, stepper)  # rejects unknown stepper names too
     return _ENGINES[stepper](state, j, dt)
-
-
-def step_spectral(state: FieldState, j: CurrentSpec, dt: float) -> FieldState:
-    """One classical RK4 step of the spectral method-of-lines system."""
-    engine = _engine("spectral", state, j, dt)
-    engine.advance()
-    return engine.state()
-
-
-def step_yee(state: FieldState, j: CurrentSpec, dt: float) -> FieldState:
-    """One staggered leapfrog step, resampled back to collocated nodes."""
-    engine = _engine("yee", state, j, dt)
-    engine.advance()
-    return engine.state()
 
 
 def _check_growth(state: FieldState, scale: float, step: int):

@@ -5,21 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twopoint.errors import GridMismatch, InvalidMap
+from field_ops import spectral_curl
+from twopoint.errors import InvalidMap
 from twopoint.grid import (
-    CENTERED2,
-    SPECTRAL,
     AffineMap,
     FieldState,
     GridSpec,
     ScalarField,
     VectorField,
-    cross_density,
-    curl,
     divergence,
-    dot_density,
     pullback,
-    rotate_components,
     volume_integral,
 )
 from twopoint.laws import _stack6
@@ -265,74 +260,38 @@ class TestPullback:
         assert np.max(np.abs(g.data - closed_form(y))) <= 1e-12
 
 
-class TestRotateComponents:
-    def test_identity(self, grid):
-        f = random_band_limited_vector(grid, seed=8)
-        g = rotate_components(f, np.eye(3))
-        assert np.array_equal(g.data, f.data)
-
-    def test_negation(self, grid):
-        data = np.zeros((3, *grid.dims))
-        data[0] = 1.0
-        f = VectorField(grid, data)
-        g = rotate_components(f, -np.eye(3))
-        assert np.all(g.data[0] == -1.0)
-        assert np.all(g.data[1:] == 0.0)
-
-    def test_quarter_turn_xhat_to_yhat(self, grid):
-        data = np.zeros((3, *grid.dims))
-        data[0] = 1.0
-        f = VectorField(grid, data)
-        r = AffineMap.quarter_turn(2).alpha_matrix
-        g = rotate_components(f, r)
-        assert np.allclose(g.data[1], 1.0)
-        assert np.allclose(g.data[0], 0.0)
-
-
 class TestDifferentialOperators:
     def test_divergence_of_constant_is_zero(self, grid):
         data = np.ones((3, *grid.dims))
-        f = VectorField(grid, data)
-        for scheme in (SPECTRAL, CENTERED2):
-            d = divergence(f, scheme)
-            assert np.max(np.abs(d.data)) <= 1e-13
+        d = divergence(VectorField(grid, data))
+        assert np.max(np.abs(d.data)) <= 1e-13
 
     def test_divergence_of_sine(self, grid):
         f = sine_x_field(grid)
         L = grid.lengths[0]
         x = grid.meshgrid()[0]
         expected = (2 * np.pi / L) * np.cos(2 * np.pi * x / L)
-        d = divergence(f, SPECTRAL)
+        d = divergence(f)
         assert np.max(np.abs(d.data - expected)) <= 1e-10 * np.max(np.abs(expected))
 
-    def test_centered2_divergence_refines_second_order(self):
-        errs = []
-        for n in (16, 32):
-            g = GridSpec.cube(1.0, n)
-            f = sine_x_field(g)
-            x = g.meshgrid()[0]
-            expected = 2 * np.pi * np.cos(2 * np.pi * x)
-            d = divergence(f, CENTERED2)
-            errs.append(np.max(np.abs(d.data - expected)))
-        ratio = errs[0] / errs[1]
-        assert 4.0 * 0.9 <= ratio <= 4.0 * 1.1
-
+    # the curl tests check the spectral-curl oracle that the law and
+    # stepper tests take from field_ops
     def test_curl_of_gradient_type_field_vanishes(self, grid):
         f = sine_x_field(grid)  # x-only x-component
-        c = curl(f, SPECTRAL)
-        assert np.max(np.abs(c.data)) <= 1e-10
+        c = spectral_curl(f)
+        assert np.max(np.abs(c)) <= 1e-10
 
     def test_curl_of_sine_y_component(self, grid):
         f = sine_x_field(grid, axis=0, component=1)  # sin(2 pi x) y-hat
-        c = curl(f, SPECTRAL)
+        c = spectral_curl(f)
         x = grid.meshgrid()[0]
         expected = 2 * np.pi * np.cos(2 * np.pi * x)
-        assert np.max(np.abs(c.data[2] - expected)) <= 1e-10 * np.max(np.abs(expected))
-        assert np.max(np.abs(c.data[:2])) <= 1e-10
+        assert np.max(np.abs(c[2] - expected)) <= 1e-10 * np.max(np.abs(expected))
+        assert np.max(np.abs(c[:2])) <= 1e-10
 
     def test_curl_curl_identity(self, grid):
         v = random_band_limited_vector(grid, seed=9, kmax=3)
-        cc = curl(curl(v, SPECTRAL), SPECTRAL)
+        cc = spectral_curl(VectorField(grid, spectral_curl(v)))
         # oracle: grad(div v) - laplacian v via direct FFT algebra
         kx = 2 * np.pi * np.fft.fftfreq(grid.dims[0], grid.spacing[0])[:, None, None]
         ky = 2 * np.pi * np.fft.fftfreq(grid.dims[1], grid.spacing[1])[None, :, None]
@@ -343,11 +302,11 @@ class TestDifferentialOperators:
         gh = np.stack([1j * kx * div, 1j * ky * div, 1j * kz * div]) + k2 * vh
         expected = np.fft.irfftn(gh, s=grid.dims, axes=(-3, -2, -1))
         scale = np.max(np.abs(expected))
-        assert np.max(np.abs(cc.data - expected)) <= 1e-10 * scale
+        assert np.max(np.abs(cc - expected)) <= 1e-10 * scale
 
     def test_divergence_of_curl_vanishes(self, grid):
         v = random_band_limited_vector(grid, seed=10, kmax=3)
-        d = divergence(curl(v, SPECTRAL), SPECTRAL)
+        d = divergence(VectorField(grid, spectral_curl(v)))
         scale = np.max(np.abs(v.data))
         assert np.max(np.abs(d.data)) <= 1e-10 * scale
 
@@ -369,52 +328,27 @@ class TestVolumeIntegral:
 
     def test_invariant_under_grid_exact_pullback(self, grid):
         f = random_band_limited_vector(grid, seed=11)
-        s = dot_density(f, f)
+        s = ScalarField(grid, np.einsum("i...,i...->...", f.data, f.data))
         m = AffineMap.quarter_turn(2, 1)
         s2 = pullback(s, m)
         q1, q2 = volume_integral(s), volume_integral(s2)
         assert abs(q1 - q2) <= 1e-13 * abs(q1)
 
 
-class TestPointwiseAlgebra:
-    def test_orthogonal_dot_is_zero(self, grid):
-        a = np.zeros((3, *grid.dims))
-        b = np.zeros((3, *grid.dims))
-        a[0] = 2.0
-        b[1] = 3.0
-        d = dot_density(VectorField(grid, a), VectorField(grid, b))
-        assert np.all(d.data == 0.0)
-
-    def test_self_cross_is_zero(self, grid):
-        f = random_band_limited_vector(grid, seed=12)
-        c = cross_density(f, f)
-        assert np.max(np.abs(c.data)) <= 1e-13
-
-    def test_xhat_cross_yhat(self, grid):
-        a = np.zeros((3, *grid.dims))
-        b = np.zeros((3, *grid.dims))
-        a[0] = 1.0
-        b[1] = 1.0
-        c = cross_density(VectorField(grid, a), VectorField(grid, b))
-        assert np.all(c.data[2] == 1.0)
-        assert np.all(c.data[:2] == 0.0)
-
-    def test_grid_mismatch(self):
-        a = VectorField.zeros(GridSpec.cube(1.0, 8))
-        b = VectorField.zeros(GridSpec.cube(1.0, 16))
-        with pytest.raises(GridMismatch):
-            dot_density(a, b)
-
-
 class TestRotationIdentity:
-    """R(a x b) = (Ra) x (Rb) for proper rotations, pointwise."""
+    """R(a x b) = (Ra) x (Rb) pointwise for the quarter turns: the identity
+    behind the rotation law's flux, which holds only for det R = +1."""
 
     @pytest.mark.parametrize("axis,quarters", [(0, 1), (1, 1), (2, 1), (2, 2), (1, 3)])
     def test_signed_permutation_rotations(self, grid, axis, quarters):
         r = AffineMap.quarter_turn(axis, quarters).alpha_matrix
         a = random_band_limited_vector(grid, seed=13)
         b = random_band_limited_vector(grid, seed=14)
-        lhs = rotate_components(cross_density(a, b), r)
-        rhs = cross_density(rotate_components(a, r), rotate_components(b, r))
-        scale = np.max(np.abs(lhs.data))
-        assert np.max(np.abs(lhs.data - rhs.data)) <= 1e-13 * max(scale, 1.0)
+
+        def rotate(v):
+            return np.einsum("ij,j...->i...", r, v)
+
+        lhs = rotate(np.cross(a.data, b.data, axis=0))
+        rhs = np.cross(rotate(a.data), rotate(b.data), axis=0)
+        scale = np.max(np.abs(lhs))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-13 * max(scale, 1.0)

@@ -2,6 +2,7 @@ import contextlib
 import filecmp
 import io
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,17 @@ def write_config(path, text):
     return str(path)
 
 
+def run_cleanly(argv) -> tuple:
+    """(exit code, stdout and stderr) of main(argv), after checking that
+    the code is one of the documented five and nothing printed a traceback."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_TOLERANCE, EXIT_CONFIG, EXIT_DIVERGED, EXIT_INSUFFICIENT)
+    assert "Traceback" not in printed.getvalue()
+    return code, printed.getvalue()
+
+
 VERIFY_BASE = """
 # small spectral balance run
 grid.dims = 16 16 16
@@ -45,8 +57,22 @@ law.3 = rotation z 1
 law.4 = translation 0 0 3 0
 tolerance.defect_rel = 1e-7
 """
+PLANEWAVE_SOURCE = """
+source.kind = planewave
+source.mode = 1 2 0
+source.polarization = 0 0 1
+source.omega = 6.283185307179586
+"""
 VERIFY_SMALL = VERIFY_BASE.replace("grid.dims = 16 16 16", "grid.dims = 8 8 8").replace(
     "grid.spacing = 0.0625 0.0625 0.0625", "grid.spacing = 0.125 0.125 0.125")
+FORGE_SMALL = """
+forge.pde = advection
+forge.resolution = 32
+forge.points = 0.0 1.5 3.0 4.5
+forge.order = 2
+forge.horizon = 0.5
+forge.nu = 0
+"""
 
 
 class TestConfig:
@@ -72,6 +98,26 @@ class TestConfig:
         assert build_law("rotation z 1", g).label == "rotation"
         law = build_law("translation 0 0 4 2", g)
         assert law.time_shift_steps == 2
+
+    def test_unread_key_warns_and_keeps_the_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "f.txt", FORGE_SMALL)
+        assert main(["forge", cfg, "forge.tol=1e-3", f"output.dir={tmp_path / 'out'}"]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert err == "config warning: keys not read by forge: forge.tol\n"
+
+    def test_readme_verify_example_reads_every_key(self, tmp_path, capsys, monkeypatch):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        example = readme.split("Example `verify` config:")[1].split("```")[1]
+        cfg = write_config(tmp_path / "v.txt", example)
+        small = ["grid.dims=8 8 8", "grid.spacing=0.125 0.125 0.125", "nsteps=4",
+                 "analysis.stride=2", "law.4=translation 0 0 2 0"]
+        main(["verify", cfg, *small, f"output.dir={tmp_path / 'out'}"])
+        # output.dir counts as read when the environment overrides it
+        monkeypatch.setenv("TWOPOINT_OUTPUT_DIR", str(tmp_path / "env_out"))
+        main(["verify", cfg, *small])
+        captured = capsys.readouterr()
+        assert captured.out.count("law=translation-0-0-2-m0") == 2
+        assert captured.err == ""
 
 
 class TestVerify:
@@ -126,34 +172,38 @@ class TestVerify:
            dims=st.sampled_from(["8 8 8", "8.7 8 8"]),
            amplitude=st.sampled_from(["1.0", "1e160", "inf", "nan"]),
            mean_b=st.sampled_from(["0 0 0", "0 nan 0"]),
-           huge_shift=st.booleans())
+           huge_shift=st.booleans(), planewave=st.booleans())
     # kmax, dims, amplitude, mean_b and huge_shift each alone on an otherwise
-    # runnable config; random draws seldom leave every other input valid
+    # runnable config (huge_shift also under a plane-wave current, whose
+    # mapped profile takes the shift); random draws seldom leave every other
+    # input valid
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
-             mean_b="0 0 0", huge_shift=False)
+             mean_b="0 0 0", huge_shift=False, planewave=False)
     @example(stride=2, nsteps=4, stepper="yee", kmax="0", dims="8 8 8", amplitude="1.0",
-             mean_b="0 0 0", huge_shift=False)
+             mean_b="0 0 0", huge_shift=False, planewave=False)
     @example(stride=2, nsteps=4, stepper="spectral", kmax="4", dims="8 8 8", amplitude="1.0",
-             mean_b="0 0 0", huge_shift=False)
+             mean_b="0 0 0", huge_shift=False, planewave=False)
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8.7 8 8",
-             amplitude="1.0", mean_b="0 0 0", huge_shift=False)
+             amplitude="1.0", mean_b="0 0 0", huge_shift=False, planewave=False)
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8",
-             amplitude="1e160", mean_b="0 0 0", huge_shift=False)
+             amplitude="1e160", mean_b="0 0 0", huge_shift=False, planewave=False)
     @example(stride=1, nsteps=3, stepper="yee", kmax="2", dims="8 8 8", amplitude="1e160",
-             mean_b="0 0 0", huge_shift=False)
+             mean_b="0 0 0", huge_shift=False, planewave=False)
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="inf",
-             mean_b="0 0 0", huge_shift=False)
+             mean_b="0 0 0", huge_shift=False, planewave=False)
     @example(stride=2, nsteps=4, stepper="yee", kmax="2", dims="8 8 8", amplitude="nan",
-             mean_b="0 0 0", huge_shift=False)
+             mean_b="0 0 0", huge_shift=False, planewave=False)
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
-             mean_b="0 nan 0", huge_shift=False)
+             mean_b="0 nan 0", huge_shift=False, planewave=False)
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
-             mean_b="0 0 0", huge_shift=True)
+             mean_b="0 0 0", huge_shift=True, planewave=False)
+    @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
+             mean_b="0 0 0", huge_shift=True, planewave=True)
     def test_bad_balance_inputs_exit_cleanly(self, tmp_path_factory, stride, nsteps,
                                              stepper, kmax, dims, amplitude, mean_b,
-                                             huge_shift):
+                                             huge_shift, planewave):
         tmp = tmp_path_factory.mktemp("v")
-        text = VERIFY_SMALL
+        text = VERIFY_SMALL + (PLANEWAVE_SOURCE if planewave else "")
         if huge_shift:  # a finite shift far outside the box, taken modulo the box
             good = law_local_energy()
             law_path = tmp / "far.law"
@@ -161,15 +211,11 @@ class TestVerify:
                                      good.K, good.source, label="far"), law_path)
             text += f"law.5 = custom {law_path}\n"
         cfg = write_config(tmp / "v.txt", text)
-        printed = io.StringIO()
-        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
-            code = main(["verify", cfg, f"analysis.stride={stride}", f"nsteps={nsteps}",
-                         f"stepper={stepper}", f"initial.kmax={kmax}", f"grid.dims={dims}",
-                         f"initial.amplitude={amplitude}", f"initial.mean_b={mean_b}",
-                         f"output.dir={tmp / 'out'}"])
-        assert code in (EXIT_OK, EXIT_TOLERANCE, EXIT_CONFIG, EXIT_DIVERGED,
-                        EXIT_INSUFFICIENT)
-        assert "Traceback" not in printed.getvalue()
+        code, printed = run_cleanly([
+            "verify", cfg, f"analysis.stride={stride}", f"nsteps={nsteps}",
+            f"stepper={stepper}", f"initial.kmax={kmax}", f"grid.dims={dims}",
+            f"initial.amplitude={amplitude}", f"initial.mean_b={mean_b}",
+            f"output.dir={tmp / 'out'}"])
         if (stride < 1 or nsteps < 0 or stepper not in ("spectral", "yee")
                 or kmax != "2" or dims != "8 8 8" or amplitude in ("inf", "nan")
                 or mean_b != "0 0 0"):
@@ -177,9 +223,9 @@ class TestVerify:
         elif nsteps < 2:
             assert code == EXIT_INSUFFICIENT
         elif amplitude == "1e160":  # the field energy overflows
-            assert code == EXIT_DIVERGED and "step 0" in printed.getvalue()
+            assert code == EXIT_DIVERGED and "step 0" in printed
         elif huge_shift:
-            assert code in (EXIT_OK, EXIT_TOLERANCE) and "law=far" in printed.getvalue()
+            assert code in (EXIT_OK, EXIT_TOLERANCE) and "law=far" in printed
 
     @pytest.mark.parametrize("command,override", [
         ("converge", "refinement.factor=0"),
@@ -193,6 +239,17 @@ class TestVerify:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("config error:") and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("command", ["verify", "converge"])
+    def test_laws_sharing_a_label_exit_2(self, tmp_path, capsys, command):
+        # both are labelled "rotation", so they would write one balance_rotation.csv
+        cfg = write_config(tmp_path / "c.txt", VERIFY_SMALL + "refinement.levels = 3\n")
+        code = main([command, cfg, "law.5=rotation x 3", f"output.dir={tmp_path / 'out'}"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "law.3 and law.5" in err and "Traceback" not in err
+        assert not list((tmp_path / "out").glob("*.csv"))
 
 
 class TestConverge:
@@ -370,6 +427,64 @@ forge.f0 = 1 1.0 0.0
                 assert drift <= 1e-9
         drift_csv = (tmp_path / "out" / "drift_00.csv").read_text().splitlines()
         assert drift_csv[1] == "t,g_value,drift"
+
+
+class TestForgeAndPlaneWaveInputs:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(pde=st.sampled_from(["advection", "burgers", "bogus"]),
+           resolution=st.sampled_from(["32", "8", "40.5"]),
+           order=st.sampled_from(["2", "9", "0"]),
+           points=st.sampled_from(["0.0 1.5 3.0 4.5", "", "0 x"]),
+           nu=st.sampled_from(["0", "-1", "nan"]),
+           c=st.sampled_from(["1.0", "0"]))
+    # each of the five rejected values alone on an otherwise runnable config,
+    # and advection at zero speed (no stability limit on the step)
+    @example(pde="advection", resolution="8", order="2", points="0.0 1.5 3.0 4.5", nu="0",
+             c="1.0")
+    @example(pde="bogus", resolution="32", order="2", points="0.0 1.5 3.0 4.5", nu="0",
+             c="1.0")
+    @example(pde="advection", resolution="32", order="9", points="0.0 1.5 3.0 4.5", nu="0",
+             c="1.0")
+    @example(pde="advection", resolution="32", order="2", points="", nu="0", c="1.0")
+    @example(pde="advection", resolution="32", order="2", points="0.0 1.5 3.0 4.5", nu="0",
+             c="0")
+    @example(pde="burgers", resolution="32", order="2", points="0.0 1.5 3.0 4.5", nu="-1",
+             c="1.0")
+    @example(pde="burgers", resolution="32", order="2", points="0.0 1.5 3.0 4.5", nu="0",
+             c="1.0")
+    def test_bad_forge_inputs_exit_cleanly(self, tmp_path_factory, pde, resolution, order,
+                                           points, nu, c):
+        tmp = tmp_path_factory.mktemp("f")
+        cfg = write_config(tmp / "f.txt", FORGE_SMALL)
+        code, _ = run_cleanly(["forge", cfg, f"forge.pde={pde}", f"forge.resolution={resolution}",
+                               f"forge.order={order}", f"forge.points={points}",
+                               f"forge.nu={nu}", f"forge.c={c}", f"output.dir={tmp / 'out'}"])
+        if (pde == "bogus" or resolution != "32" or order != "2"
+                or points != "0.0 1.5 3.0 4.5" or nu != "0"):
+            assert code == EXIT_CONFIG
+        else:
+            assert code == EXIT_OK
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(amplitude=st.sampled_from(["1.25", "1e200", "inf"]),
+           k_mode=st.sampled_from(["1", "0", "4"]),  # 4 is the Nyquist mode of 8 nodes
+           d_nodes=st.sampled_from(["0 1 -2", "x"]),
+           dims=st.sampled_from(["8 8 8", "8 8"]))
+    @example(amplitude="1e200", k_mode="1", d_nodes="0 1 -2", dims="8 8 8")
+    @example(amplitude="1.25", k_mode="1", d_nodes="0 1 -2", dims="8 8 8")
+    def test_bad_planewave_inputs_exit_cleanly(self, tmp_path_factory, amplitude, k_mode,
+                                               d_nodes, dims):
+        tmp = tmp_path_factory.mktemp("p")
+        cfg = write_config(tmp / "p.txt", VERIFY_SMALL)
+        code, _ = run_cleanly(["planewave", cfg, f"initial.amplitude={amplitude}",
+                               f"initial.k_mode={k_mode}", f"planewave.d_nodes={d_nodes}",
+                               f"grid.dims={dims}", f"output.dir={tmp / 'out'}"])
+        if amplitude == "inf" or k_mode != "1" or d_nodes != "0 1 -2" or dims != "8 8 8":
+            assert code == EXIT_CONFIG
+        elif amplitude == "1e200":  # the two-point energy overflows
+            assert code == EXIT_DIVERGED
+        else:
+            assert code == EXIT_OK
 
 
 class TestPlaneWave:

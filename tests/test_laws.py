@@ -9,8 +9,6 @@ from twopoint.grid import (
     FieldState,
     GridSpec,
     VectorField,
-    cross_density,
-    dot_density,
     pullback,
     volume_integral,
 )
@@ -79,7 +77,7 @@ class TestConstructors:
         law = law_local_energy()
         s = random_band_limited(grid, seed=1)
         rho = density(law, s, s)
-        expected = dot_density(s.E, s.E).data + dot_density(s.B, s.B).data
+        expected = np.einsum("i...,i...->...", s.data, s.data)
         assert np.max(np.abs(rho.data - expected)) <= 1e-13
 
     def test_local_energy_on_plane_wave(self, grid):
@@ -114,8 +112,8 @@ class TestConstructors:
             law_rotation(m)
 
     def test_involutive_laws_have_symmetric_w(self):
-        assert law_inversion().swap_symmetry_defect() == 0.0
-        assert law_local_energy().swap_symmetry_defect() == 0.0
+        for law in (law_inversion(), law_local_energy()):
+            assert np.array_equal(law.W, law.W.T)
 
     def test_negative_time_shift_rejected(self, grid):
         with pytest.raises(ValueError):
@@ -134,7 +132,7 @@ class TestDensity:
         law = law_inversion()
         s = even_state(grid, seed=2)
         rho = density(law, s, s)
-        expected = 2.0 * dot_density(s.E, s.B).data
+        expected = 2.0 * np.einsum("i...,i...->...", s.E.data, s.B.data)
         assert np.max(np.abs(rho.data - expected)) <= 1e-12
 
     def test_matches_brute_force_quadrature(self):
@@ -190,7 +188,7 @@ class TestFlux:
         law = law_local_energy()
         s = plane_wave(PlaneWaveSpec(amplitude=1.0, k=2 * np.pi * 2), grid, 0.11)
         f = flux(law, s, s)
-        expected = 2.0 * cross_density(s.E, s.B).data
+        expected = 2.0 * np.cross(s.E.data, s.B.data, axis=0)
         assert np.max(np.abs(f.data - expected)) <= 1e-13
 
     def test_inversion_flux_isolates_bb_term(self, grid):
@@ -199,32 +197,31 @@ class TestFlux:
         s = random_band_limited(grid, seed=5)
         s = FieldState(VectorField.zeros(grid), s.B, 0.0)
         f = flux(law, s, s)
-        expected = -cross_density(s.B, pullback(s.B, law.map)).data
+        expected = -np.cross(s.B.data, pullback(s.B, law.map).data, axis=0)
         assert np.max(np.abs(f.data - expected)) <= 1e-13
 
     def test_rotation_flux_formula(self, grid):
-        from twopoint.grid import rotate_components
-
         amap = AffineMap.quarter_turn(2)
         law = law_rotation(amap)
         s = random_band_limited(grid, seed=6)
         f = flux(law, s, s)
         rt = amap.alpha_matrix.T  # inverse rotation on the mapped components
-        rb = rotate_components(pullback(s.B, amap), rt)
-        re = rotate_components(pullback(s.E, amap), rt)
-        expected = cross_density(s.E, rb).data + cross_density(re, s.B).data
+        rb = np.einsum("ij,j...->i...", rt, pullback(s.B, amap).data)
+        re = np.einsum("ij,j...->i...", rt, pullback(s.E, amap).data)
+        expected = np.cross(s.E.data, rb, axis=0) + np.cross(re, s.B.data, axis=0)
         assert np.max(np.abs(f.data - expected)) <= 1e-12
 
     def test_rotation_law_closes_under_maxwell(self, grid):
         # analytic RHS substitution: d rho/dt + div flux = 0 for J = 0
-        from twopoint.grid import _pull_array, curl, divergence
+        from field_ops import spectral_curl
+        from twopoint.grid import _pull_array, divergence
         from twopoint.laws import _pulled6, _stack6
 
         amap = AffineMap.quarter_turn(2)
         law = law_rotation(amap)
         s = random_band_limited(grid, seed=61, kmax=2)
-        de = curl(s.B).data
-        db = -curl(s.E).data
+        de = spectral_curl(s.B)
+        db = -spectral_curl(s.E)
         f = _stack6(s)
         df = np.concatenate([de, db], axis=0)
         g = _pulled6(s, amap)
