@@ -88,6 +88,13 @@ def _wavenumbers(dims, spacing):
     return kx, ky, kz
 
 
+def _mode_numbers(dims) -> tuple:
+    """Integer mode numbers along each axis of the rfftn layout of `dims`:
+    the full axes 0 and 1 (negative modes last), the half axis 2."""
+    full = [(np.arange(n) + n // 2) % n - n // 2 for n in dims[:2]]
+    return (*full, np.arange(dims[2] // 2 + 1))
+
+
 def spectral_wavevectors(grid: GridSpec):
     """Broadcastable (KX, KY, KZ) arrays matching the rfftn coefficient layout."""
     kx, ky, kz = _wavenumbers(grid.dims, grid.spacing)
@@ -338,6 +345,24 @@ def divergence(v: VectorField) -> ScalarField:
     dh = 1j * (kx * vh[0] + ky * vh[1] + kz * vh[2])
     out = np.fft.irfftn(dh, s=g.dims, axes=(-3, -2, -1))
     return ScalarField(g, out, copy=False)
+
+
+def _refine(data: np.ndarray, grid: GridSpec, fine: GridSpec) -> np.ndarray:
+    """Samples on `fine` of the band-limited (Nx, Ny, Nz) array `data` on
+    `grid`, a coarser grid of the same box: its rfftn, zero-padded.
+
+    Modes at or above half of the coarse node count are dropped, so the
+    data should have none.
+    """
+    fh = np.fft.rfftn(data)
+    out = np.zeros((*fine.dims[:2], fine.dims[2] // 2 + 1), dtype=complex)
+    src, dst = [], []
+    for modes, m, n in zip(_mode_numbers(grid.dims), grid.dims, fine.dims):
+        keep = np.flatnonzero(2 * np.abs(modes) < m)
+        src.append(keep)
+        dst.append(modes[keep] % n)
+    out[np.ix_(*dst)] = fh[np.ix_(*src)] * (fine.num_nodes / grid.num_nodes)
+    return np.fft.irfftn(out, s=fine.dims)
 
 
 def volume_integral(s: ScalarField) -> float:

@@ -45,7 +45,7 @@ from .forge import (
     time_derivative_samples,
     verify_invariant_drift,
 )
-from .grid import AffineMap, GridSpec, volume_integral
+from .grid import AffineMap, FieldState, GridSpec, volume_integral
 from .laws import (
     density,
     law_inversion,
@@ -187,6 +187,14 @@ def build_grid(cfg: Config) -> GridSpec:
         raise ConfigError(str(exc)) from exc
 
 
+def build_count(cfg: Config, key: str, default=None) -> int:
+    """A seed or count: an integer >= 0."""
+    n = cfg.int(key, default)
+    if n < 0:
+        raise ConfigError(f"{key} must be >= 0, got {n}")
+    return n
+
+
 def build_kmax(cfg: Config, key: str, grid: GridSpec) -> int:
     """Band limit of random initial data: 1 <= kmax < min(dims) / 2."""
     kmax = cfg.int(key, 2)
@@ -218,13 +226,14 @@ def build_initial(cfg: Config, grid: GridSpec):
         if not cfg.has("initial.seed"):
             raise ConfigError("random initial data requires initial.seed")
         mean_b = cfg.floats("initial.mean_b", "0 0 0")
-        return random_band_limited(
+        state = random_band_limited(
             grid,
-            seed=cfg.int("initial.seed"),
+            seed=build_count(cfg, "initial.seed"),
             kmax=build_kmax(cfg, "initial.kmax", grid),
             amplitude=cfg.float("initial.amplitude", 1.0),
             mean_b=tuple(mean_b),
         )
+        return FieldState.from_data(grid, state.data, t0)
     raise ConfigError(f"unknown initial.kind {kind!r}")
 
 
@@ -341,13 +350,6 @@ def build_stepper(cfg: Config) -> str:
     return stepper
 
 
-def build_nsteps(cfg: Config) -> int:
-    nsteps = cfg.int("nsteps")
-    if nsteps < 0:
-        raise ConfigError(f"nsteps must be >= 0, got {nsteps}")
-    return nsteps
-
-
 def resolve_dt(cfg: Config, grid: GridSpec, stepper: str) -> float:
     if cfg.has("dt"):
         return cfg.float("dt")
@@ -373,7 +375,7 @@ def cmd_verify(cfg: Config) -> int:
     source = build_source(cfg, grid)
     laws = build_laws(cfg, grid)
     dt = resolve_dt(cfg, grid, stepper)
-    nsteps = build_nsteps(cfg)
+    nsteps = build_count(cfg, "nsteps")
     stride = cfg.int("analysis.stride", 1)
     if stride < 1:
         raise ConfigError(f"analysis.stride must be >= 1, got {stride}")
@@ -421,7 +423,7 @@ def cmd_converge(cfg: Config) -> int:
     stepper = build_stepper(cfg)
     base_grid = build_grid(cfg)
     base_dt = resolve_dt(cfg, base_grid, stepper)
-    base_nsteps = build_nsteps(cfg)
+    base_nsteps = build_count(cfg, "nsteps")
     factor = cfg.int("refinement.factor", 2)
     if factor < 2:
         raise ConfigError(f"refinement.factor must be >= 2, got {factor}")
@@ -488,9 +490,9 @@ def cmd_discover(cfg: Config) -> int:
     n_members = cfg.int("discover.ensemble")
     if n_members < MIN_ENSEMBLE:
         raise InsufficientData(f"discover.ensemble={n_members} is below {MIN_ENSEMBLE}")
-    seed = cfg.int("discover.seed", 0)
+    seed = build_count(cfg, "discover.seed", 0)
     kmax = build_kmax(cfg, "discover.kmax", grid)
-    top = cfg.int("discover.top", 8)
+    top = build_count(cfg, "discover.top", 8)
     ensemble = [
         evolve(random_band_limited(grid, seed=seed + i, kmax=kmax), ZeroCurrent(), 1.5e-5, 4)
         for i in range(n_members)

@@ -38,6 +38,13 @@ entries), so each law lists its nonzero terms (a, b, coef) once, and the
 pointwise kernels contract only those, node by node, in the dense
 contraction's order: the values are bit-identical to it.  A balance
 run builds the profiles of a non-uniform driving current once, not per step.
+
+A balance run evaluates its rows on the source's analysis grid.  For a
+masked spectral engine whose fields carry modes |n_i| <= K that is the
+same box on 4K + 2 nodes per axis, where every quadratic quantity above
+and its square are sampled without aliasing, so Q, the source work and
+r_l2 equal their fine-grid values up to rounding; r_max is taken over the
+fine nodes, from the coarse residual resampled in Fourier space.
 """
 
 from __future__ import annotations
@@ -56,7 +63,9 @@ from .grid import (
     GridSpec,
     ScalarField,
     VectorField,
+    _gather_open_indices,
     _pull_array,
+    _refine,
     divergence,
     volume_integral,
 )
@@ -404,9 +413,14 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _analysis_row(law, j, dt, get_state, a, nsteps, profiles=None):
+def _analysis_row(law, j, dt, get_state, a, nsteps, fine_grid, profiles=None):
     """Q and residual norms of one law at analysis step a (`profiles` as
-    for `source_power`)."""
+    for `source_power`).
+
+    The states may live on a coarser grid than `fine_grid`, the grid of the
+    run, if it holds their band-limited products exactly; r_max is still
+    the largest |r| over the fine nodes.
+    """
     m = law.time_shift_steps
     s_now = get_state(a)
     s_sh = get_state(a + m)
@@ -420,6 +434,8 @@ def _analysis_row(law, j, dt, get_state, a, nsteps, profiles=None):
             r = r - source_power(law, s_now, s_sh, j, profiles).data
         grid = s_now.grid
         r_l2 = float(np.sqrt(volume_integral(ScalarField(grid, r * r, copy=False))))
+        if grid != fine_grid:
+            r = _refine(r, grid, fine_grid)
         r_max = float(np.max(np.abs(r)))
     else:
         r_l2 = float("nan")
@@ -459,10 +475,11 @@ def _uniform_work_series(law, j: UniformOscillating, mean6, dt, t0, nsteps):
 
 class _StoredSource:
     """A stored trajectory behind the engine protocol of `maxwell`: its
-    checkpoints are the stored states themselves."""
+    checkpoints are the stored states themselves, on the trajectory's grid."""
 
     def __init__(self, traj: Trajectory):
         self.states = traj.states
+        self.analysis_grid = traj.grid
         self.step_index = 0
 
     def advance(self):
@@ -471,7 +488,8 @@ class _StoredSource:
     def checkpoint(self) -> FieldState:
         return self.states[self.step_index]
 
-    def state(self, checkpoint: Optional[FieldState] = None) -> FieldState:
+    def state(self, checkpoint: Optional[FieldState] = None,
+              grid: Optional[GridSpec] = None) -> FieldState:
         return self.checkpoint() if checkpoint is None else checkpoint
 
     def means(self) -> np.ndarray:
@@ -483,13 +501,12 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
 
     `source` follows the engine protocol of `maxwell` (a stepping engine or
     a stored trajectory).  One window of m_max + 3 steps holds each step's
-    checkpoint until the step is first read, and its snapshot after that,
-    so the window materialises a snapshot only if the analysis or the
-    source work reads it, and at most once (the Yee engine's `means()`,
-    read for uniform currents, materialises on its own).  Q and the
-    residual norms are evaluated at
-    `stride` multiples; the source power of a non-uniform current at every
-    step, from current profiles built once for the run; for a uniform
+    checkpoint until the step is first read, and its snapshot on the
+    source's analysis grid after that, so the window materialises a
+    snapshot only if the analysis or the source work reads it, and at most
+    once.  Q and the residual norms are evaluated at `stride` multiples;
+    the source power of a non-uniform current at every step, from current
+    profiles built once for the run on the analysis grid; for a uniform
     current it comes from the per-step field means, so the Simpson
     quadrature of the work integral keeps the stepper's order.  A step
     whose snapshot or means are not finite raises Diverged naming it.
@@ -504,6 +521,9 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
     last_q = nsteps - m_max
     analysis = sorted(set(range(0, last_q + 1, stride)) | {last_q})
     initial = source.state()
+    for law in laws:  # each map must be a symmetry of the run's own grid
+        _gather_open_indices(initial.grid, law.map)
+    agrid = source.analysis_grid
     t0 = initial.t
     with np.errstate(over="ignore"):
         scale = float(np.sum(initial.E.data**2 + initial.B.data**2) * initial.grid.cell_volume)
@@ -516,16 +536,15 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
     window = HistoryBuffer(m_max + 3)
     profiles = {}  # law map -> (profile, mapped profile) of a non-uniform current
     if not (uniform or j.is_zero):
-        grid = initial.grid
-        spatial = j.spatial_profile(grid)
+        spatial = j.spatial_profile(agrid)
         for law in laws:
             if law.map not in profiles:
-                profiles[law.map] = (spatial, j.profile_at(grid, law.map))
+                profiles[law.map] = (spatial, j.profile_at(agrid, law.map))
 
     def snapshot(step) -> FieldState:
         entry = window.get(step)
         if not isinstance(entry, FieldState):
-            entry = source.state(entry)
+            entry = source.state(entry, agrid)
             window.push(step, entry)  # same key: replaced in place, no eviction
         return entry
 
@@ -553,7 +572,7 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
             a = analysis[ai]
             for law in laws:
                 rows[id(law)].append(_analysis_row(
-                    law, j, dt, snapshot, a, nsteps, profiles.get(law.map)
+                    law, j, dt, snapshot, a, nsteps, initial.grid, profiles.get(law.map)
                 ))
             ai += 1
     assert ai == len(analysis)

@@ -27,6 +27,7 @@ from .grid import (
     FieldState,
     GridSpec,
     VectorField,
+    _mode_numbers,
     _pull_array,
     spectral_wavevectors,
 )
@@ -238,12 +239,18 @@ def _check_dt(grid, dt, stepper):
 # Engines
 #
 # Both steppers share one protocol, constructed as Engine(state, current, dt):
-#   advance()               one step; rebinds the internal arrays, never
-#                           writes into them, so old checkpoints stay valid
-#   checkpoint()            the current step index and internal arrays, no copy
-#   state(checkpoint=None)  the collocated FieldState of a checkpoint (default:
-#                           the current step); step 0 is the initial state itself
-#   means()                 volume integral of each of the 6 stacked components
+#   advance()          one step; rebinds the internal arrays, never writes
+#                      into them, so old checkpoints stay valid
+#   checkpoint()       the current step index and internal arrays, no copy
+#   analysis_grid      the grid the balance rows are evaluated on: the engine's
+#                      own grid, or for a masked spectral engine the coarsest
+#                      grid of the same box on which every quadratic quantity
+#                      of its fields is exact
+#   state(checkpoint=None, grid=None)
+#                      the collocated FieldState of a checkpoint (default: the
+#                      current step) on the own grid (default) or the analysis
+#                      grid; on the own grid, step 0 is the initial state itself
+#   means()            volume integral of each of the 6 stacked components
 # ---------------------------------------------------------------------------
 
 
@@ -293,6 +300,7 @@ class SpectralEngine:
             jamp = np.max(np.abs(jh))
             active |= np.any(np.abs(jh) > _MASK_REL_TOL * jamp, axis=0)
         kx, ky, kz = spectral_wavevectors(grid)
+        self.analysis_grid = grid
         if not force_dense and active.sum() <= _MASK_FRACTION * active.size:
             self.mask = active
             self.u = np.ascontiguousarray(u0[:, active])
@@ -301,11 +309,34 @@ class SpectralEngine:
             self.k = tuple(
                 np.broadcast_to(k, shape)[active].copy() for k in (kx, ky, kz)
             )
+            self._coarsen(active)
         else:
             self.mask = None
             self.u = u0
             self.jh = jh
             self.k = (kx, ky, kz)
+
+    def _coarsen(self, active):
+        """Set the analysis grid of a masked engine with these active modes.
+
+        Every field carries integer modes |n_i| <= K, so a product of two has
+        band 2K and the square of one 4K.  On M >= 4K + 1 nodes per axis the
+        samples of those products, their spectral divergence and their means
+        are exact; M = 4K + 2 (at least 4, the smallest grid) on every axis
+        keeps each symmetry of the box a symmetry of the coarse grid.  The
+        coarse grid is used only where it has fewer nodes than the engine's.
+        """
+        grid = self.grid
+        n = [modes[i] for modes, i in zip(_mode_numbers(grid.dims), np.nonzero(active))]
+        k_band = max((int(np.max(np.abs(a))) for a in n if a.size), default=0)
+        m = max(4 * k_band + 2, 4)
+        if any(m >= d for d in grid.dims):
+            return
+        self.analysis_grid = GridSpec((m, m, m), tuple(L / m for L in grid.lengths))
+        self._coarse_index = np.ravel_multi_index(
+            (n[0] % m, n[1] % m, n[2]), (m, m, m // 2 + 1)
+        )
+        self._coarse_scale = m**3 / grid.num_nodes
 
     # -- dynamics ----------------------------------------------------------
 
@@ -352,14 +383,27 @@ class SpectralEngine:
         out[:, self.mask] = u
         return out
 
-    def state(self, checkpoint: Optional[tuple] = None) -> FieldState:
+    def state(self, checkpoint: Optional[tuple] = None,
+              grid: Optional[GridSpec] = None) -> FieldState:
         step, u = self.checkpoint() if checkpoint is None else checkpoint
-        if step == 0:
-            return self.initial  # the exact data, not its FFT round trip
+        t = self.initial.t + step * self.dt
+        if grid is None or grid == self.grid:
+            if step == 0:
+                return self.initial  # the exact data, not its FFT round trip
+            data = np.fft.irfftn(
+                self.dense_coefficients(u), s=self.grid.dims, axes=(-3, -2, -1)
+            )
+            return _stepped_state(self.grid, data, step, t)
+        if grid != self.analysis_grid:
+            raise ValueError(f"no snapshots on grid {grid.dims}")
+        # the retained modes, rescaled to sums over the coarse nodes
+        m = grid.dims[0]
+        coarse = np.zeros((6, m * m * (m // 2 + 1)), dtype=complex)
+        coarse[:, self._coarse_index] = u * self._coarse_scale
         data = np.fft.irfftn(
-            self.dense_coefficients(u), s=self.grid.dims, axes=(-3, -2, -1)
+            coarse.reshape(6, m, m, m // 2 + 1), s=grid.dims, axes=(-3, -2, -1)
         )
-        return _stepped_state(self.grid, data, step, self.initial.t + step * self.dt)
+        return _stepped_state(grid, data, step, t)
 
     def means(self) -> np.ndarray:
         """k = 0 coefficients times the cell volume (exact sums at step 0)."""
@@ -433,6 +477,7 @@ class YeeEngine:
         b0 = _stagger(state.B.data, _B_AXES, +1)
         # B is carried at t - dt/2; dB/dt = -curl E gives the backward half step
         self.Bh = b0 + 0.5 * self.dt * self._curl_e(self.E)
+        self.analysis_grid = grid
         if current.is_zero:
             self.jE = None
         else:
@@ -471,7 +516,9 @@ class YeeEngine:
     def checkpoint(self) -> tuple:
         return self.step_index, self.E, self.Bh
 
-    def state(self, checkpoint: Optional[tuple] = None) -> FieldState:
+    def state(self, checkpoint: Optional[tuple] = None,
+              grid: Optional[GridSpec] = None) -> FieldState:
+        # `grid` is None or the analysis grid, which is the engine's own
         step, e, bh = self.checkpoint() if checkpoint is None else checkpoint
         if step == 0:
             return self.initial
@@ -483,7 +530,13 @@ class YeeEngine:
         return _stepped_state(self.grid, data, step, self.initial.t + step * self.dt)
 
     def means(self) -> np.ndarray:
-        return _state_means(self.state())
+        """Sums of the staggered arrays (exact sums at step 0): the snapshot's
+        de-staggering preserves each mean, and the curl that time-centres B
+        sums to zero over the periodic box."""
+        if self.step_index == 0:
+            return _state_means(self.initial)
+        cv = self.grid.cell_volume
+        return np.array([np.sum(c) * cv for c in (*self.E, *self.Bh)])
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,29 @@ class TestVerify:
         elif huge_shift:
             assert code in (EXIT_OK, EXIT_TOLERANCE) and "law=far" in printed
 
+    def test_random_state_starts_at_initial_time(self, tmp_path):
+        cfg = write_config(tmp_path / "v.txt", VERIFY_SMALL + PLANEWAVE_SOURCE)
+        code = main(["verify", cfg, "nsteps=4", "analysis.stride=2", "initial.time=5.0",
+                     f"output.dir={tmp_path / 'out'}"])
+        assert code == EXIT_OK
+        for path in (tmp_path / "out").glob("balance_*.csv"):
+            first_row = path.read_text().splitlines()[2]
+            assert float(first_row.split(",")[0]) == 5.0, path.name
+
+    def test_map_of_another_grid_exits_2(self, tmp_path, capsys):
+        # x and z have equal lengths but not equal node counts; the spectral
+        # rows run on a 6^3 analysis grid, where the swap would be a symmetry
+        law_path = tmp_path / "swap.law"
+        save_law(TwoPointLawSpec(AffineMap((0, 0, 1, 0, 1, 0, 1, 0, 0), (0, 0, 0)), 0,
+                                 np.eye(6), np.zeros((3, 6, 6)), np.zeros((6, 6))), law_path)
+        cfg = write_config(tmp_path / "v.txt", VERIFY_BASE + f"law.5 = custom {law_path}\n")
+        code = main(["verify", cfg, "grid.dims=16 16 8", "grid.spacing=0.0625 0.0625 0.125",
+                     "initial.kmax=1", "nsteps=4", "analysis.stride=2",
+                     f"output.dir={tmp_path / 'out'}"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "extents differ" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command,override", [
         ("converge", "refinement.factor=0"),
         ("converge", "refinement.factor=1"),
@@ -313,8 +336,56 @@ refinement.levels = 3
                 order = float(line.split("fitted_order=")[1].split()[0])
                 assert 3.5 <= order <= 4.5
 
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(levels=st.sampled_from(["3", "2", "x"]), factor=st.sampled_from(["2", "1", "-2"]),
+           stepper=st.sampled_from(["spectral", "yee", "bogus"]),
+           nsteps=st.sampled_from(["8", "1", "-1"]), dt=st.sampled_from(["0.001", "-1", "10"]))
+    @example(levels="3", factor="2", stepper="yee", nsteps="8", dt="0.001")
+    @example(levels="3", factor="2", stepper="spectral", nsteps="1", dt="0.001")
+    @example(levels="3", factor="2", stepper="spectral", nsteps="8", dt="10")
+    def test_bad_converge_inputs_exit_cleanly(self, tmp_path_factory, levels, factor,
+                                              stepper, nsteps, dt):
+        tmp = tmp_path_factory.mktemp("c")
+        cfg = write_config(tmp / "c.txt", VERIFY_SMALL)
+        code, _ = run_cleanly([
+            "converge", cfg, f"refinement.levels={levels}", f"refinement.factor={factor}",
+            f"stepper={stepper}", f"nsteps={nsteps}", f"dt={dt}", f"output.dir={tmp / 'out'}"])
+        if (levels != "3" or factor != "2" or stepper == "bogus" or nsteps == "-1"
+                or dt == "-1"):
+            assert code == EXIT_CONFIG
+        elif dt == "10":  # beyond the CFL limit
+            assert code == EXIT_DIVERGED
+        elif nsteps == "1":
+            assert code == EXIT_INSUFFICIENT
+
 
 class TestDiscover:
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(amap=st.sampled_from(["identity", "inversion", "rotation z 1",
+                                 "translation 0 0 1 2", "rotation x 1", "bogus"]),
+           ensemble=st.sampled_from(["20", "2", "x"]), kmax=st.sampled_from(["1", "0", "4"]),
+           top=st.sampled_from(["2", "0", "-1"]), seed=st.sampled_from(["0", "-5", "1.5"]))
+    @example(amap="inversion", ensemble="20", kmax="1", top="2", seed="0")
+    @example(amap="translation 0 0 1 2", ensemble="20", kmax="1", top="0", seed="0")
+    @example(amap="inversion", ensemble="20", kmax="1", top="2", seed="-5")
+    @example(amap="inversion", ensemble="20", kmax="1", top="-1", seed="0")
+    def test_bad_discover_inputs_exit_cleanly(self, tmp_path_factory, amap, ensemble, kmax,
+                                              top, seed):
+        tmp = tmp_path_factory.mktemp("d")
+        cfg = write_config(tmp / "d.txt", "grid.dims = 8 8 4\n"
+                           "grid.spacing = 0.125 0.125 0.25\n")
+        code, _ = run_cleanly([
+            "discover", cfg, f"discover.map={amap}", f"discover.ensemble={ensemble}",
+            f"discover.kmax={kmax}", f"discover.top={top}", f"discover.seed={seed}",
+            f"output.dir={tmp / 'out'}"])
+        if amap == "bogus" or ensemble == "x":
+            assert code == EXIT_CONFIG
+        elif ensemble == "2":  # checked before the other keys and the map's extents
+            assert code == EXIT_INSUFFICIENT
+        elif (amap == "rotation x 1" or kmax != "1" or top == "-1"
+              or seed in ("-5", "1.5")):
+            assert code == EXIT_CONFIG
+
     def test_small_ensemble_exit(self, tmp_path):
         text = """
 grid.dims = 8 8 8

@@ -1,19 +1,24 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twopoint.errors import Diverged, GridMismatch, HistoryUnderflow, NotARotation
+from twopoint.errors import Diverged, GridMismatch, HistoryUnderflow, InvalidMap, NotARotation
 from twopoint.grid import (
     AffineMap,
     FieldState,
     GridSpec,
     VectorField,
+    _refine,
     pullback,
     volume_integral,
 )
 from twopoint.laws import (
+    _LEVI,
     HistoryBuffer,
+    TwoPointLawSpec,
     _contract,
     _nonzero_terms,
     _pulled6,
@@ -32,6 +37,7 @@ from twopoint.laws import (
 )
 from twopoint.maxwell import (
     GaussianPulseCurrent,
+    PlaneWaveCurrent,
     SpectralEngine,
     UniformOscillating,
     YeeEngine,
@@ -414,20 +420,16 @@ class TestResidual:
         law = law_inversion()
         stream = run_balance(s, j, dt, n, law, stepper=stepper)
         post = residual(evolve(s, j, dt, n, stepper=stepper), law)
-        if stepper == "spectral" and current == "uniform":
-            # streaming takes the field means from the k = 0 coefficients,
-            # the stored path sums the materialised snapshots
-            assert np.allclose(stream.Q, post.Q, rtol=0, atol=1e-13)
-            assert np.allclose(stream.source_cum, post.source_cum, rtol=0, atol=1e-15)
-            assert np.allclose(stream.defect, post.defect, rtol=0, atol=1e-13)
-            finite = np.isfinite(post.r_max)
-            assert np.allclose(stream.r_max[finite], post.r_max[finite],
-                               rtol=1e-10, atol=1e-15)
-        else:
-            # both paths read the same snapshots and means
+        if stepper == "yee" and current == "zero":
+            # both paths read the same snapshots
             for name in ("Q", "source_cum", "defect", "r_max"):
                 assert np.array_equal(getattr(stream, name), getattr(post, name),
                                       equal_nan=True), name
+        else:
+            # streaming evaluates spectral rows on the coarse analysis grid
+            # and takes the field means from the engine's own arrays; the
+            # stored path reads fine snapshots and sums them
+            assert_reports_agree(stream, post)
 
     def test_sourced_defect_small_but_work_nonzero(self, grid):
         s = random_band_limited(grid, seed=13, kmax=1, mean_b=(0.0, 0.2, 0.1))
@@ -451,6 +453,168 @@ class TestResidual:
                           stepper="yee", analysis_stride=5)
         assert rep.max_defect <= 1e-2 * rep.norm_scale  # 2nd-order stepper
         assert np.isfinite(rep.max_r)
+
+
+def assert_reports_agree(coarse, fine):
+    """The stated agreement of a coarse-grid (or engine-means) balance run
+    with the fine-grid one: Q and defect to 1e-13 absolute, source_cum to
+    1e-15 absolute, r_max to 1e-9 relative."""
+    for name, atol in (("Q", 1e-13), ("source_cum", 1e-15), ("defect", 1e-13)):
+        assert np.allclose(getattr(coarse, name), getattr(fine, name),
+                           rtol=0, atol=atol), name
+    finite = np.isfinite(fine.r_max)
+    assert np.array_equal(finite, np.isfinite(coarse.r_max))
+    assert np.allclose(coarse.r_max[finite], fine.r_max[finite], rtol=1e-9, atol=0)
+
+
+_SIGNED_PERMUTATIONS = [
+    np.eye(3)[list(perm)] * np.array(signs)[:, None]
+    for perm in itertools.permutations(range(3))
+    for signs in itertools.product((1.0, -1.0), repeat=3)
+]
+
+
+def symmetry_law(alpha, beta, m):
+    """A closing law of the map x -> alpha x + beta with time shift m: the
+    rotation form for a proper alpha, the inversion form for an improper
+    one (both with the component matrix alpha^T)."""
+    at = alpha.T
+    w = np.zeros((6, 6))
+    k = np.zeros((3, 6, 6))
+    g = np.zeros((6, 6))
+    if np.linalg.det(alpha) > 0:
+        w[:3, :3] = w[3:, 3:] = at
+        k[:, :3, 3:] = np.einsum("ijk,kl->ijl", _LEVI, at)
+        k[:, 3:, :3] = np.einsum("ijk,jl->ikl", _LEVI, at)
+        g[:3, :3] = -at
+    else:
+        w[:3, 3:] = w[3:, :3] = at
+        k[:, :3, :3] = np.einsum("ijk,kl->ijl", _LEVI, at)
+        k[:, 3:, 3:] = -np.einsum("ijk,kl->ijl", _LEVI, at)
+        g[3:, 3:] = -at
+    return TwoPointLawSpec(AffineMap(tuple(alpha.ravel()), beta), m, w, k, g)
+
+
+class TestAnalysisGrid:
+    CURRENTS = {
+        "zero": ZeroCurrent(),
+        "uniform": UniformOscillating((0.05, 0.03, 0.04), omega=2 * np.pi),
+        "planewave": PlaneWaveCurrent((1, 2, 0), (0.0, 0.0, 1.0), omega=2 * np.pi),
+    }
+
+    def test_masked_engine_picks_the_coarsest_exact_grid(self):
+        g = GridSpec.cube(1.0, 32)
+        s = random_band_limited(g, seed=1, kmax=2)
+        engine = SpectralEngine(s, ZeroCurrent(), 1e-3)
+        assert engine.analysis_grid == GridSpec.cube(1.0, 10)  # 4 kmax + 2 nodes
+        # a plane-wave current's mode widens the band
+        j = PlaneWaveCurrent((0, 3, 0), (1.0, 0.0, 0.0), omega=1.0)
+        assert SpectralEngine(s, j, 1e-3).analysis_grid == GridSpec.cube(1.0, 14)
+        for dense in (SpectralEngine(s, ZeroCurrent(), 1e-3, force_dense=True),
+                      YeeEngine(s, ZeroCurrent(), 1e-3)):
+            assert dense.analysis_grid == g
+
+    def test_coarse_state_is_the_fine_state_resampled(self):
+        g = GridSpec.cube(1.0, 16)
+        s = random_band_limited(g, seed=2, kmax=1, mean_b=(0.0, 0.1, 0.0))
+        engine = SpectralEngine(s, self.CURRENTS["planewave"], 1e-3)
+        coarse_grid = engine.analysis_grid
+        assert coarse_grid.dims == (10, 10, 10)
+        for _ in range(3):
+            engine.advance()
+        coarse = engine.state(grid=coarse_grid)
+        fine = engine.state()
+        assert coarse.grid == coarse_grid and coarse.t == fine.t
+        for c in range(6):
+            assert np.allclose(_refine(coarse.data[c], coarse_grid, g), fine.data[c],
+                               rtol=0, atol=1e-14)
+        with pytest.raises(ValueError):
+            engine.state(grid=GridSpec.cube(1.0, 12))
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(alpha=st.sampled_from(range(48)), shift=st.sampled_from(["zero", "whole", "sub"]),
+           m=st.sampled_from([0, 2]), current=st.sampled_from(sorted(CURRENTS)))
+    @example(alpha=7, shift="sub", m=2, current="planewave")  # inversion
+    @example(alpha=46, shift="whole", m=0, current="uniform")  # an improper swap
+    def test_coarse_rows_match_fine_rows(self, alpha, shift, m, current):
+        g = GridSpec.cube(1.0, 32)
+        h = g.spacing[0]
+        beta = {"zero": (0.0, 0.0, 0.0), "whole": (3 * h, -5 * h, 16 * h),
+                "sub": (0.13, 0.4, 0.07)}[shift]
+        law = symmetry_law(_SIGNED_PERMUTATIONS[alpha], beta, m)
+        s = random_band_limited(g, seed=alpha, kmax=2, mean_b=(0.0, 0.2, 0.1))
+        j = self.CURRENTS[current]
+        dt, n = 1e-3, 6
+        coarse = run_balance(s, j, dt, n, law, analysis_stride=2)
+        fine = residual(evolve(s, j, dt, n), law, analysis_stride=2)
+        assert_reports_agree(coarse, fine)
+        assert coarse.max_defect <= 1e-9 * coarse.norm_scale  # the law closes
+
+    def test_masked_run_reads_no_dense_coefficients(self, grid, monkeypatch):
+        calls = []
+        original = SpectralEngine.dense_coefficients
+
+        def counted(self, u=None):
+            calls.append(1)
+            return original(self, u)
+
+        monkeypatch.setattr(SpectralEngine, "dense_coefficients", counted)
+        s = random_band_limited(grid, seed=6, kmax=1)
+        laws = [law_local_energy(), law_inversion(), law_translation(grid, (0, 0, 3), 1)]
+        for j in self.CURRENTS.values():
+            run_balance(s, j, 1e-3, 12, laws, analysis_stride=3)
+        assert calls == []
+
+    def test_own_grid_when_the_coarse_one_is_not_smaller(self):
+        g = GridSpec.cube(1.0, 8)
+        s = random_band_limited(g, seed=7, kmax=2, mean_b=(0.0, 0.2, 0.1))
+        laws = [law_local_energy(), law_inversion(), law_translation(g, (1, -2, 3), 1)]
+        for name in ("zero", "planewave"):
+            j = self.CURRENTS[name]
+            assert SpectralEngine(s, j, 1e-3).analysis_grid == g  # 10 nodes >= 8
+            traj = evolve(s, j, 1e-3, 10)
+            for law in laws:
+                rep = run_balance(s, j, 1e-3, 10, law, analysis_stride=3)
+                post = residual(traj, law, analysis_stride=3)
+                for field in ("Q", "source_cum", "defect", "r_l2", "r_max"):
+                    assert np.array_equal(getattr(rep, field), getattr(post, field),
+                                          equal_nan=True), field
+
+    def test_map_is_checked_on_the_run_grid(self):
+        # x and z have equal lengths but 16 and 8 nodes: the swap is not a
+        # symmetry of the grid, though it is one of the 10^3 analysis grid
+        g = GridSpec((16, 16, 8), (1.0 / 16, 1.0 / 16, 1.0 / 8))
+        s = random_band_limited(g, seed=8, kmax=1)
+        assert SpectralEngine(s, ZeroCurrent(), 1e-3).analysis_grid.dims == (6, 6, 6)
+        swap = AffineMap((0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+        with pytest.raises(InvalidMap):
+            run_balance(s, ZeroCurrent(), 1e-3, 4, symmetry_law(swap.alpha_matrix, swap.beta, 0))
+
+    def test_yee_means_need_no_snapshots(self, grid, monkeypatch):
+        calls = []
+        original = YeeEngine.state
+
+        def counted(self, checkpoint=None, grid=None):
+            calls.append(1)
+            return original(self, checkpoint, grid)
+
+        monkeypatch.setattr(YeeEngine, "state", counted)
+        s = random_band_limited(grid, seed=9, kmax=1, mean_b=(0.0, 0.2, 0.1))
+        dt = 0.3 * cfl_max_dt(grid, "yee")
+        counts = []
+        for name in ("zero", "uniform"):
+            calls.clear()
+            run_balance(s, self.CURRENTS[name], dt, 16, law_inversion(),
+                        stepper="yee", analysis_stride=4)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        engine = YeeEngine(s, self.CURRENTS["uniform"], dt)
+        for _ in range(5):
+            engine.advance()
+        snapshot = engine.state()
+        cv = grid.cell_volume
+        sums = np.array([np.sum(c) * cv for c in snapshot.data])
+        assert np.allclose(engine.means(), sums, rtol=0, atol=1e-15)
 
 
 class TestPlaneWaveTwoPointTable:
