@@ -23,6 +23,7 @@ from twopoint import (
     evolve,
     law_inversion,
     law_local_energy,
+    law_symmetry,
     random_band_limited,
 )
 
@@ -33,22 +34,28 @@ ensemble = [
 ]
 print(f"ensemble: {len(ensemble)} source-free trajectories on {grid.dims}")
 
+mirror_x = AffineMap((-1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0))
 for name, amap, known in (
     ("identity", AffineMap.identity(), law_local_energy()),
     ("inversion", AffineMap.inversion(), law_inversion()),
+    ("mirror x", mirror_x, law_symmetry(mirror_x)),
 ):
     result = discover_laws(ensemble, amap, seed=7)
     print(f"\nmap = {name}")
     print(f"  nullspace dimension : {len(result.candidates)}")
     print(f"  sigma gap           : {result.singular_gap:.2e} (smallest discarded / "
           f"largest kept, of sigma_max {result.singular_values[0]:.2e})")
-    print(f"  projection of the hand-coded {known.label} law: "
+    print(f"  projection of the {known.label} law: "
           f"{result.projection_of(known):.6f}")
     worst = max(c.holdout_max_r for c in result.candidates)
     print(f"  held-out max residual of candidates: {worst:.2e} "
           f"(reference {result.reference_max_r:.2e})")
 
-print("\nBoth nullspaces are larger than the single hand-coded law.  For the")
+print("\nEvery yardstick is one formula, law_symmetry: with E' = a^T E~ and")
+print("B' = det(a) a^T B~ (B is a pseudovector), a proper map a pairs by energy,")
+print("rho = E.E' + B.B', and an improper one (inversion, mirror x: the")
+print("disconnected branch) by duality, rho = E.B' - B.E'.")
+print("\nEach nullspace is larger than the one formula law in it.  For the")
 print("identity map the extra directions are degenerate (antisymmetric W or K")
 print("give identically zero density and flux).  For the inversion map they")
 print("are genuine: besides the symmetrized law above there is a companion")

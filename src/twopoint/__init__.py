@@ -55,6 +55,7 @@ from .laws import (
     law_inversion,
     law_local_energy,
     law_rotation,
+    law_symmetry,
     law_translation,
     load_law,
     residual,

@@ -34,7 +34,7 @@ class NonFiniteField(TwoPointError, ValueError):
 
 
 class NotARotation(TwoPointError):
-    """Map supplied to the rotation law is not a proper rotation (det != +1)."""
+    """Map given to the rotation law is improper (det = -1) or shifted (beta != 0)."""
 
 
 class InvalidWavenumber(TwoPointError):

@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .discover import MIN_ENSEMBLE, discover_laws, matching_reference_law
+from .discover import MIN_ENSEMBLE, discover_laws
 from .errors import (
     Diverged,
     HistoryUnderflow,
@@ -176,13 +176,27 @@ def output_dir(cfg: Config) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _three(read, key, default=None) -> tuple:
+    """A vector config value of exactly three entries (`read` is
+    Config.floats or Config.ints)."""
+    values = read(key, default)
+    if len(values) != 3:
+        raise ConfigError(f"{key} needs three entries, got {len(values)}")
+    return tuple(values)
+
+
+def _positive(cfg: Config, key: str, default=None) -> float:
+    value = cfg.float(key, default)
+    if not value > 0.0:
+        raise ConfigError(f"{key} must be > 0, got {value!r}")
+    return value
+
+
 def build_grid(cfg: Config) -> GridSpec:
-    dims = cfg.ints("grid.dims")
-    spacing = cfg.floats("grid.spacing")
-    if len(dims) != 3 or len(spacing) != 3:
-        raise ConfigError("grid.dims and grid.spacing need three entries")
+    dims = _three(cfg.ints, "grid.dims")
+    spacing = _three(cfg.floats, "grid.spacing")
     try:
-        return GridSpec(tuple(dims), tuple(spacing))
+        return GridSpec(dims, spacing)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -225,42 +239,50 @@ def build_initial(cfg: Config, grid: GridSpec):
     if kind == "random":
         if not cfg.has("initial.seed"):
             raise ConfigError("random initial data requires initial.seed")
-        mean_b = cfg.floats("initial.mean_b", "0 0 0")
         state = random_band_limited(
             grid,
             seed=build_count(cfg, "initial.seed"),
             kmax=build_kmax(cfg, "initial.kmax", grid),
             amplitude=cfg.float("initial.amplitude", 1.0),
-            mean_b=tuple(mean_b),
+            mean_b=_three(cfg.floats, "initial.mean_b", "0 0 0"),
         )
         return FieldState.from_data(grid, state.data, t0)
     raise ConfigError(f"unknown initial.kind {kind!r}")
 
 
 def build_source(cfg: Config, grid: GridSpec):
+    """The driving current; a plane-wave mode must be below the Nyquist
+    mode on every axis, and the library rejects the zero mode."""
     kind = cfg.str("source.kind", "zero")
-    if kind == "zero":
-        return ZeroCurrent()
-    if kind == "uniform":
-        return UniformOscillating(
-            amplitude=tuple(cfg.floats("source.amplitude")),
-            omega=cfg.float("source.omega"),
-            phase=cfg.float("source.phase", 0.0),
-        )
-    if kind == "planewave":
-        return PlaneWaveCurrent(
-            mode=tuple(cfg.ints("source.mode")),
-            polarization=tuple(cfg.floats("source.polarization")),
-            omega=cfg.float("source.omega"),
-        )
-    if kind == "gaussian":
-        return GaussianPulseCurrent(
-            center=tuple(cfg.floats("source.center")),
-            width=cfg.float("source.width"),
-            polarization=tuple(cfg.floats("source.polarization")),
-            t0=cfg.float("source.t0", 0.0),
-            tau=cfg.float("source.tau", 1.0),
-        )
+    try:
+        if kind == "zero":
+            return ZeroCurrent()
+        if kind == "uniform":
+            return UniformOscillating(
+                amplitude=_three(cfg.floats, "source.amplitude"),
+                omega=cfg.float("source.omega"),
+                phase=cfg.float("source.phase", 0.0),
+            )
+        if kind == "planewave":
+            mode = _three(cfg.ints, "source.mode")
+            if any(2 * abs(n) >= d for n, d in zip(mode, grid.dims)):
+                raise ConfigError(f"source.mode {mode} is not below the Nyquist mode "
+                                  f"(|n_i| < N_i/2) of grid {grid.dims}")
+            return PlaneWaveCurrent(
+                mode=mode,
+                polarization=_three(cfg.floats, "source.polarization"),
+                omega=cfg.float("source.omega"),
+            )
+        if kind == "gaussian":
+            return GaussianPulseCurrent(
+                center=_three(cfg.floats, "source.center"),
+                width=_positive(cfg, "source.width"),
+                polarization=_three(cfg.floats, "source.polarization"),
+                t0=cfg.float("source.t0", 0.0),
+                tau=_positive(cfg, "source.tau", 1.0),
+            )
+    except ValueError as exc:
+        raise ConfigError(f"bad source: {exc}") from exc
     raise ConfigError(f"unknown source.kind {kind!r}")
 
 
@@ -501,7 +523,6 @@ def cmd_discover(cfg: Config) -> int:
     for i, cand in enumerate(result.candidates[:top]):
         save_law(cand.law, os.path.join(out, f"candidate_{i:02d}.law"))
 
-    ref = matching_reference_law(amap, m_steps, grid)
     lines = [
         f"discover: map={cfg.str('discover.map')} ensemble={n_members} "
         f"rows={result.rows}",
@@ -511,9 +532,8 @@ def cmd_discover(cfg: Config) -> int:
         ),
         f"reference_max_r={result.reference_max_r!r}",
         f"singular_gap={result.singular_gap!r}",
+        f"projection[{result.reference.label}]={result.projection_of(result.reference)!r}",
     ]
-    if ref is not None:
-        lines.append(f"projection[{ref.label}]={result.projection_of(ref)!r}")
     with open(os.path.join(out, "discovery_report.txt"), "w") as f:
         f.write("\n".join(lines) + "\n")
     print("\n".join(lines))

@@ -19,19 +19,21 @@ D(t) = Q(t) - Q(0) - integral of the source power, which vanishes for an
 exact law.  Fluxes and sources of the shipped laws therefore carry a fixed
 overall sign relative to forms written with the divergence on the left.
 
-Shipped laws (unit normalization, no extra factors):
+Every law comes from one formula, `law_symmetry`, for a symmetry
+x -> alpha x + beta of the box and a time shift of m steps.  With F~ the
+field at (alpha x + beta, t + m dt), the mapped field E' = alpha^T E~,
+B' = det(alpha) alpha^T B~ (B is a pseudovector) solves Maxwell again,
+driven by J' = alpha^T J~, and F pairs with it (unit normalization):
 
-    local energy   rho = E.E + B.B              J = 2 E x B
-    inversion      rho = B.E~ + B~.E            J = E x E~ - B x B~
-    rotation R     rho = E.R'E~ + B.R'B~        J = E x (R'B~) + (R'E~) x B
-    translation    rho = E.E~ + B.B~            J = E x B~ + E~ x B
+    det +1, energy pairing    rho = E.E' + B.B'    J = E x B' + E' x B
+                              S = -(J.E' + J'.E)
+    det -1, duality pairing   rho = E.B' - B.E'    J = B' x B - E x E'
+                              S = B.J' - J.B'
 
-(R' = R^T, the inverse rotation applied to the components of the field
-evaluated at the rotated point)
-
-with F~ the field at the mapped (and time-shifted) point.  Translation at
-zero shift and rotation at R = I reduce to the local energy law exactly,
-tensor for tensor.
+The shipped constructors are that formula at special maps, under their own
+labels: local energy (alpha = I, beta = 0: rho = E.E + B.B, J = 2 E x B),
+translation (alpha = I), rotation (det alpha = +1, beta = 0) and inversion
+(alpha = -I, beta = 0: rho = B.E~ + B~.E, J = E x E~ - B x B~).
 
 The tensors of the shipped laws are sparse (6 of 36 W entries, 12 of 108 K
 entries), so each law lists its nonzero terms (a, b, coef) once, and the
@@ -142,22 +144,31 @@ class TwoPointLawSpec:
 # ---------------------------------------------------------------------------
 
 
-def _symmetrized_poynting_k() -> np.ndarray:
-    # J_i = eps_ijk [ E_j(x) B_k(~) + E_j(~) B_k(x) ]
+def law_symmetry(amap: AffineMap, m: int = 0, label: str = "symmetry") -> TwoPointLawSpec:
+    """Two-point law of a symmetry x -> alpha x + beta of the box, with time
+    shift m steps: the energy pairing for det alpha = +1, the duality
+    pairing for det alpha = -1 (see the module docstring)."""
+    pt = amap.alpha_matrix.T  # a signed permutation, so orthogonal
+    eps_pt = np.einsum("ijk,kl->ijl", _LEVI, pt)
+    w = np.zeros((6, 6))
     k = np.zeros((3, 6, 6))
-    k[:, :3, 3:] = _LEVI
-    k[:, 3:, :3] = np.transpose(_LEVI, (0, 2, 1))
-    return k
+    g = np.zeros((6, 6))
+    if np.linalg.det(pt) > 0.0:
+        w[:3, :3] = w[3:, 3:] = pt
+        k[:, :3, 3:] = eps_pt
+        k[:, 3:, :3] = np.einsum("ijk,jl->ikl", _LEVI, pt)
+        g[:3, :3] = -pt
+    else:
+        w[:3, 3:] = w[3:, :3] = -pt
+        k[:, :3, :3] = -eps_pt
+        k[:, 3:, 3:] = eps_pt
+        g[3:, 3:] = pt
+    return TwoPointLawSpec(amap, m, w, k, g, label=label)
 
 
 def law_local_energy() -> TwoPointLawSpec:
     """d/dt (E.E + B.B) + div(2 E x B) = -2 J.E."""
-    g = np.zeros((6, 6))
-    g[:3, :3] = -np.eye(3)
-    return TwoPointLawSpec(
-        AffineMap.identity(), 0, np.eye(6), _symmetrized_poynting_k(), g,
-        label="local-energy",
-    )
+    return law_symmetry(AffineMap.identity(), label="local-energy")
 
 
 def law_inversion() -> TwoPointLawSpec:
@@ -166,43 +177,21 @@ def law_inversion() -> TwoPointLawSpec:
     rho = B(x).E(-x) + B(-x).E(x), flux E(x) x E(-x) - B(x) x B(-x),
     source -[B(x).J(-x) + B(-x).J(x)].
     """
-    w = np.zeros((6, 6))
-    w[:3, 3:] = np.eye(3)
-    w[3:, :3] = np.eye(3)
-    k = np.zeros((3, 6, 6))
-    k[:, :3, :3] = _LEVI
-    k[:, 3:, 3:] = -_LEVI
-    g = np.zeros((6, 6))
-    g[3:, 3:] = -np.eye(3)
-    return TwoPointLawSpec(AffineMap.inversion(), 0, w, k, g, label="inversion")
+    return law_symmetry(AffineMap.inversion(), label="inversion")
 
 
 def law_rotation(rotation: AffineMap) -> TwoPointLawSpec:
-    """Two-point law of a proper rotation map x -> R x.
+    """Two-point law of a proper rotation map x -> R x: the energy pairing
+    rho = E(x).R^T E(Rx) + B(x).R^T B(Rx).
 
-    The field evaluated at the rotated point must have its components
-    rotated back for the pair to satisfy the same field equations, so the
-    density is rho = E(x).R^T E(Rx) + B(x).R^T B(Rx) with flux
-    E(x) x R^T B(Rx) + R^T E(Rx) x B(x); pairing the map R with the
-    component matrix R itself closes only for R^2 = I.  The cross-product
-    identity behind the flux needs det R = +1, so improper maps are
-    rejected.
+    That form fails for det R = -1, so NotARotation is raised for an
+    improper map, and for a shifted one; `law_symmetry` covers both.
     """
-    r = rotation.alpha_matrix  # a signed permutation, so orthogonal
     if np.max(np.abs(rotation.beta_vector)) > 0.0:
         raise NotARotation("rotation law requires beta = 0")
-    if np.linalg.det(r) < 0.0:
-        raise NotARotation("improper rotation (det = -1) has no two-point law here")
-    rt = r.T
-    w = np.zeros((6, 6))
-    w[:3, :3] = rt
-    w[3:, 3:] = rt
-    k = np.zeros((3, 6, 6))
-    k[:, :3, 3:] = np.einsum("ijk,kl->ijl", _LEVI, rt)
-    k[:, 3:, :3] = np.einsum("ijk,jl->ikl", _LEVI, rt)
-    g = np.zeros((6, 6))
-    g[:3, :3] = -rt
-    return TwoPointLawSpec(rotation, 0, w, k, g, label="rotation")
+    if np.linalg.det(rotation.alpha_matrix) < 0.0:
+        raise NotARotation("improper map (det = -1) has no rotation-form law")
+    return law_symmetry(rotation, label="rotation")
 
 
 def law_translation(grid: GridSpec, nodes, dt_steps: int = 0) -> TwoPointLawSpec:
@@ -211,13 +200,8 @@ def law_translation(grid: GridSpec, nodes, dt_steps: int = 0) -> TwoPointLawSpec
     At nodes = (0,0,0) and m = 0 this is the local energy law, tensor for
     tensor (the zero-displacement limit).
     """
-    g = np.zeros((6, 6))
-    g[:3, :3] = -np.eye(3)
-    amap = AffineMap.node_translation(grid, nodes)
     label = "translation-{}-{}-{}-m{}".format(*(int(n) for n in nodes), int(dt_steps))
-    return TwoPointLawSpec(
-        amap, dt_steps, np.eye(6), _symmetrized_poynting_k(), g, label=label
-    )
+    return law_symmetry(AffineMap.node_translation(grid, nodes), dt_steps, label)
 
 
 # ---------------------------------------------------------------------------

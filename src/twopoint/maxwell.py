@@ -188,12 +188,15 @@ class GaussianPulseCurrent(CurrentSpec):
         for x, c, L in zip(mesh, self.center, grid.lengths):
             d = np.remainder(x - c + 0.5 * L, L) - 0.5 * L
             r2 += d * d
-        bump = np.exp(-r2 / (2.0 * self.width**2))
+        with np.errstate(over="ignore"):  # a float64 square overflows to inf, not an error
+            bump = np.exp(-r2 / (2.0 * np.float64(self.width) ** 2))
         raw = np.stack([p * bump for p in self.polarization])
         return _project_transverse(raw, grid)
 
     def time_factor(self, t):
-        return float(np.exp(-((t - self.t0) ** 2) / (2.0 * self.tau**2)))
+        with np.errstate(over="ignore"):  # as in spatial_profile
+            return float(np.exp(-(np.float64(t - self.t0) ** 2)
+                                / (2.0 * np.float64(self.tau) ** 2)))
 
 
 def _project_transverse(data: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -411,13 +414,10 @@ class SpectralEngine:
             return _state_means(self.initial)
         if self.mask is None:
             zero = self.u[:, 0, 0, 0]
+        elif self.mask[0, 0, 0]:
+            zero = self.u[:, 0]  # mode (0, 0, 0) is first in the C-order gather
         else:
-            flat = np.flatnonzero(self.mask.ravel())
-            pos = np.searchsorted(flat, 0)
-            if pos < len(flat) and flat[pos] == 0:
-                zero = self.u[:, pos]
-            else:
-                zero = np.zeros(6, dtype=complex)
+            zero = np.zeros(6)
         return np.real(zero) * self.grid.cell_volume
 
 

@@ -15,6 +15,7 @@ from twopoint.laws import (
     _stack6,
     law_inversion,
     law_local_energy,
+    law_symmetry,
     residual,
 )
 from twopoint.maxwell import UniformOscillating, ZeroCurrent, evolve
@@ -105,6 +106,31 @@ class TestInversionMap:
             assert r2.projection_of(c.law) >= 0.999
 
 
+def _signed(perm, signs, beta=(0.0, 0.0, 0.0)):
+    alpha = np.eye(3)[list(perm)] * np.array(signs, dtype=float)[:, None]
+    return AffineMap(tuple(alpha.ravel()), beta)
+
+
+H = GRID.spacing[0]
+ROTATION_Z = AffineMap.quarter_turn(2).alpha_matrix
+
+
+class TestEveryBoxSymmetry:
+    # maps no shipped constructor covers: both branches of the group, and
+    # shifted or time-shifted maps
+    @pytest.mark.parametrize("amap,m", [
+        (_signed((0, 1, 2), (-1, 1, 1)), 0),  # mirror x
+        (_signed((1, 0, 2), (1, 1, 1)), 0),  # the x <-> y swap
+        (AffineMap(tuple((-ROTATION_Z).ravel()), (0.0, 0.0, 0.0)), 0),  # -R_z
+        (AffineMap(tuple(ROTATION_Z.ravel()), (3 * H, 0.0, 5 * H)), 0),
+        (AffineMap(tuple((-np.eye(3)).ravel()), (0.13, 0.4, 0.0)), 1),
+    ], ids=["mirror-x", "swap-xy", "minus-rz", "shifted-rz", "shifted-inversion-m1"])
+    def test_recovers_law_symmetry(self, ensemble, amap, m):
+        result = discover_laws(ensemble, amap, m, seed=7)
+        assert len(result.candidates) == 8
+        assert result.projection_of(law_symmetry(amap, m)) >= 0.999
+
+
 def rows_from_full_products(traj, amap, m, n, points):
     """Reference rows: products P_ab on the whole grid, differentiated by FFT."""
     grid = traj.grid
@@ -181,7 +207,11 @@ class TestReferenceMatching:
         ref = matching_reference_law(AffineMap.quarter_turn(2), 0, GRID)
         assert ref.label == "rotation"
         reflection = AffineMap(tuple(np.diag([1.0, 1.0, -1.0]).ravel()), (0.0, 0.0, 0.0))
-        assert matching_reference_law(reflection, 0, GRID) is None
+        ref = matching_reference_law(reflection, 0, GRID)
+        expected = law_symmetry(reflection)
+        assert ref.map == reflection and ref.time_shift_steps == 0
+        for name in ("W", "K", "source"):
+            assert np.array_equal(getattr(ref, name), getattr(expected, name)), name
 
     def test_translation(self):
         amap = AffineMap.node_translation(GRID, (0, 0, 3))
@@ -189,8 +219,8 @@ class TestReferenceMatching:
         assert ref.label.startswith("translation")
         assert ref.time_shift_steps == 2
 
-    def test_reference_law_for_another_map(self, ensemble):
-        # a yardstick on another map is checked on its own residual
-        result = discover_laws(ensemble, AffineMap.identity(), seed=5,
-                               reference_law=law_inversion())
-        assert result.reference_max_r == residual(ensemble[-1], law_inversion()).max_r
+    def test_result_carries_the_maps_own_law(self, ensemble):
+        result = discover_laws(ensemble, AffineMap.inversion(), seed=7)
+        assert result.reference.label == "inversion"
+        assert result.reference_max_r == pytest.approx(
+            residual(ensemble[-1], law_inversion()).max_r, rel=1e-5)

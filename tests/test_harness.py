@@ -63,6 +63,16 @@ source.mode = 1 2 0
 source.polarization = 0 0 1
 source.omega = 6.283185307179586
 """
+# every key a current of any kind reads, each valid on 8^3
+SOURCE_KEYS = """
+source.amplitude = 0.05 0.03 0.04
+source.omega = 6.283185307179586
+source.mode = 1 2 0
+source.polarization = 0 0 1
+source.center = 0.5 0.5 0.5
+source.width = 0.2
+source.tau = 0.01
+"""
 VERIFY_SMALL = VERIFY_BASE.replace("grid.dims = 16 16 16", "grid.dims = 8 8 8").replace(
     "grid.spacing = 0.0625 0.0625 0.0625", "grid.spacing = 0.125 0.125 0.125")
 FORGE_SMALL = """
@@ -273,6 +283,58 @@ class TestVerify:
         assert code == EXIT_CONFIG
         assert "law.3 and law.5" in err and "Traceback" not in err
         assert not list((tmp_path / "out").glob("*.csv"))
+
+
+    @pytest.mark.parametrize("overrides", [
+        ["source.kind=planewave", "source.mode=0 0 0"],
+        ["source.kind=planewave", "source.mode=1 2"],
+        ["source.kind=planewave", "source.polarization=0 1"],
+        ["source.kind=planewave", "source.mode=9 0 0"],  # beyond the Nyquist mode of 8 nodes
+        ["source.kind=planewave", "source.mode=0 4 0"],  # the Nyquist mode itself
+        ["source.kind=uniform", "source.amplitude=1 2"],
+        ["source.kind=uniform", "source.amplitude=1 2 3 4"],
+        ["source.kind=gaussian", "source.polarization=0 1"],
+        ["source.kind=gaussian", "source.center=0.5 0.5"],
+        ["source.kind=gaussian", "source.width=0"],
+        ["source.kind=gaussian", "source.width=-0.1"],
+        ["source.kind=gaussian", "source.tau=0"],
+        ["initial.mean_b=0 1"],
+        ["initial.mean_b=0 1 2 3"],
+    ])
+    def test_vector_or_source_that_cannot_mean_what_it_says_exits_2(self, tmp_path,
+                                                                     overrides):
+        cfg = write_config(tmp_path / "v.txt", VERIFY_SMALL + SOURCE_KEYS)
+        code, printed = run_cleanly(["verify", cfg, "nsteps=4", "analysis.stride=2", *overrides,
+                                     f"output.dir={tmp_path / 'out'}"])
+        assert code == EXIT_CONFIG
+        assert printed.startswith("config error:")
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(kind=st.sampled_from(["uniform", "planewave", "gaussian", "bogus"]),
+           vector=st.sampled_from(["0 1 0", "0 1", "1 0 0 1", "0 nan 1"]),
+           mode=st.sampled_from(["1 2 0", "0 0 0", "-3 0 0", "0 9 0"]),
+           width=st.sampled_from(["0.2", "0", "-1", "1e-200", "1e200"]),
+           tau=st.sampled_from(["0.01", "0", "1e-200", "1e200"]),
+           t0=st.sampled_from(["0", "1e200"]))
+    @example(kind="gaussian", vector="0 1 0", mode="1 2 0", width="0.2", tau="0.01", t0="0")
+    @example(kind="gaussian", vector="0 1 0", mode="1 2 0", width="0.2", tau="0.01", t0="1e200")
+    @example(kind="planewave", vector="0 1 0", mode="-3 0 0", width="0.2", tau="0.01", t0="0")
+    def test_bad_source_inputs_exit_cleanly(self, tmp_path_factory, kind, vector, mode,
+                                            width, tau, t0):
+        tmp = tmp_path_factory.mktemp("s")
+        cfg = write_config(tmp / "v.txt", VERIFY_SMALL + SOURCE_KEYS)
+        vector_key = {"uniform": "source.amplitude"}.get(kind, "source.polarization")
+        code, _ = run_cleanly([
+            "verify", cfg, "nsteps=4", "analysis.stride=2", f"source.kind={kind}",
+            f"{vector_key}={vector}", f"source.center={vector}", f"source.mode={mode}",
+            f"source.width={width}", f"source.tau={tau}", f"source.t0={t0}",
+            f"output.dir={tmp / 'out'}"])
+        valid = kind != "bogus" and vector == "0 1 0"
+        if kind == "planewave":
+            valid = valid and mode in ("1 2 0", "-3 0 0")
+        if kind == "gaussian":  # a huge or tiny scale is valid: it runs, or it diverges
+            valid = valid and width not in ("0", "-1") and tau != "0"
+        assert (code == EXIT_CONFIG) != valid
 
 
 class TestConverge:

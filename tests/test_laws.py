@@ -28,6 +28,7 @@ from twopoint.laws import (
     law_inversion,
     law_local_energy,
     law_rotation,
+    law_symmetry,
     law_translation,
     load_law,
     residual,
@@ -475,32 +476,75 @@ _SIGNED_PERMUTATIONS = [
 
 
 def symmetry_law(alpha, beta, m):
-    """A closing law of the map x -> alpha x + beta with time shift m: the
-    rotation form for a proper alpha, the inversion form for an improper
-    one (both with the component matrix alpha^T)."""
-    at = alpha.T
+    return law_symmetry(AffineMap(tuple(alpha.ravel()), beta), m)
+
+
+def shipped_tensors(alpha):
+    """(W, K, source) as the shipped constructors wrote them out by hand
+    before `law_symmetry`: the rotation form with R^T, the local energy
+    form (R = I) and the inversion form."""
     w = np.zeros((6, 6))
     k = np.zeros((3, 6, 6))
     g = np.zeros((6, 6))
-    if np.linalg.det(alpha) > 0:
-        w[:3, :3] = w[3:, 3:] = at
-        k[:, :3, 3:] = np.einsum("ijk,kl->ijl", _LEVI, at)
-        k[:, 3:, :3] = np.einsum("ijk,jl->ikl", _LEVI, at)
-        g[:3, :3] = -at
+    if np.array_equal(alpha, -np.eye(3)):
+        w[:3, 3:] = w[3:, :3] = np.eye(3)
+        k[:, :3, :3] = _LEVI
+        k[:, 3:, 3:] = -_LEVI
+        g[3:, 3:] = -np.eye(3)
+    elif np.array_equal(alpha, np.eye(3)):
+        w = np.eye(6)
+        k[:, :3, 3:] = _LEVI
+        k[:, 3:, :3] = np.transpose(_LEVI, (0, 2, 1))
+        g[:3, :3] = -np.eye(3)
     else:
-        w[:3, 3:] = w[3:, :3] = at
-        k[:, :3, :3] = np.einsum("ijk,kl->ijl", _LEVI, at)
-        k[:, 3:, 3:] = -np.einsum("ijk,kl->ijl", _LEVI, at)
-        g[3:, 3:] = -at
-    return TwoPointLawSpec(AffineMap(tuple(alpha.ravel()), beta), m, w, k, g)
+        rt = alpha.T
+        w[:3, :3] = w[3:, 3:] = rt
+        k[:, :3, 3:] = np.einsum("ijk,kl->ijl", _LEVI, rt)
+        k[:, 3:, :3] = np.einsum("ijk,jl->ikl", _LEVI, rt)
+        g[:3, :3] = -rt
+    return w, k, g
 
 
-class TestAnalysisGrid:
+_PROPER = [a for a in _SIGNED_PERMUTATIONS if np.linalg.det(a) > 0]
+
+
+class TestLawSymmetry:
     CURRENTS = {
         "zero": ZeroCurrent(),
         "uniform": UniformOscillating((0.05, 0.03, 0.04), omega=2 * np.pi),
         "planewave": PlaneWaveCurrent((1, 2, 0), (0.0, 0.0, 1.0), omega=2 * np.pi),
     }
+
+    def test_reproduces_every_shipped_constructor(self, grid):
+        cases = [(law_local_energy(), np.eye(3), "local-energy"),
+                 (law_inversion(), -np.eye(3), "inversion"),
+                 (law_translation(grid, (1, -2, 3), 2), np.eye(3), "translation-1--2-3-m2")]
+        cases += [(law_rotation(AffineMap(tuple(a.ravel()), (0.0, 0.0, 0.0))), a, "rotation")
+                  for a in _PROPER]
+        assert len(cases) == 27
+        for law, alpha, label in cases:
+            assert law.label == label
+            general = law_symmetry(law.map, law.time_shift_steps)
+            for name, hand in zip(("W", "K", "source"), shipped_tensors(alpha)):
+                assert np.array_equal(getattr(law, name), hand), (label, name)
+                assert np.array_equal(getattr(general, name), hand), (label, name)
+
+    @pytest.mark.parametrize("current", sorted(CURRENTS))
+    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("shift", ["zero", "whole", "sub"])
+    def test_all_48_maps_close(self, grid, shift, m, current):
+        h = grid.spacing[0]
+        beta = {"zero": (0.0, 0.0, 0.0), "whole": (3 * h, 0.0, 5 * h),
+                "sub": (0.13, 0.4, 0.0)}[shift]
+        laws = [symmetry_law(a, beta, m) for a in _SIGNED_PERMUTATIONS]
+        s = random_band_limited(grid, seed=21, kmax=2, mean_b=(0.0, 0.2, 0.1))
+        reports = run_balance(s, self.CURRENTS[current], 1e-3, 8, laws, analysis_stride=4)
+        worst = max(rep.max_defect / rep.norm_scale for rep in reports)
+        assert worst <= 1e-7
+
+
+class TestAnalysisGrid:
+    CURRENTS = TestLawSymmetry.CURRENTS
 
     def test_masked_engine_picks_the_coarsest_exact_grid(self):
         g = GridSpec.cube(1.0, 32)

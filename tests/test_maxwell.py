@@ -13,6 +13,7 @@ from twopoint.maxwell import (
     Trajectory,
     UniformOscillating,
     ZeroCurrent,
+    _state_means,
     cfl_max_dt,
     evolve,
 )
@@ -103,6 +104,20 @@ class TestStepSpectral:
         scale = np.max(np.abs(b.E.data))
         assert np.max(np.abs(a.E.data - b.E.data)) <= 1e-13 * scale
         assert np.max(np.abs(a.B.data - b.B.data)) <= 1e-13 * scale
+
+
+    @pytest.mark.parametrize("mean_b", [(0.0, 0.0, 0.0), (0.0, 0.2, 0.1)])
+    def test_masked_means_are_the_snapshot_means(self, mean_b):
+        g = GridSpec.cube(1.0, 16)
+        state = random_band_limited(g, seed=3, kmax=1, mean_b=mean_b)
+        engine = SpectralEngine(state, ZeroCurrent(), 0.002)
+        assert engine.mask is not None
+        assert engine.mask[0, 0, 0] == any(mean_b)  # the mean mode is active
+        for _ in range(3):
+            engine.advance()
+        sums = _state_means(engine.state())
+        assert np.allclose(engine.means(), sums, rtol=0, atol=1e-15)
+        assert np.allclose(engine.means()[3:], np.array(mean_b) * g.volume, rtol=0, atol=1e-15)
 
 
 class TestStepYee:
