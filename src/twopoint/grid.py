@@ -362,7 +362,7 @@ def _refine(data: np.ndarray, grid: GridSpec, fine: GridSpec) -> np.ndarray:
         src.append(keep)
         dst.append(modes[keep] % n)
     out[np.ix_(*dst)] = fh[np.ix_(*src)] * (fine.num_nodes / grid.num_nodes)
-    return np.fft.irfftn(out, s=fine.dims)
+    return np.fft.irfftn(out, s=fine.dims, axes=(0, 1, 2))
 
 
 def volume_integral(s: ScalarField) -> float:

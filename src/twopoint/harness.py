@@ -185,10 +185,12 @@ def _three(read, key, default=None) -> tuple:
     return tuple(values)
 
 
-def _positive(cfg: Config, key: str, default=None) -> float:
+def _scale(cfg: Config, key: str, default=None) -> float:
+    """A Gaussian scale: > 0, with a float64 square that does not underflow
+    to 0 (the profile would be 0/0)."""
     value = cfg.float(key, default)
-    if not value > 0.0:
-        raise ConfigError(f"{key} must be > 0, got {value!r}")
+    if not (value > 0.0 and value * value > 0.0):
+        raise ConfigError(f"{key} must be > 0 with a nonzero float64 square, got {value!r}")
     return value
 
 
@@ -276,14 +278,23 @@ def build_source(cfg: Config, grid: GridSpec):
         if kind == "gaussian":
             return GaussianPulseCurrent(
                 center=_three(cfg.floats, "source.center"),
-                width=_positive(cfg, "source.width"),
+                width=_scale(cfg, "source.width"),
                 polarization=_three(cfg.floats, "source.polarization"),
                 t0=cfg.float("source.t0", 0.0),
-                tau=_positive(cfg, "source.tau", 1.0),
+                tau=_scale(cfg, "source.tau", 1.0),
             )
     except ValueError as exc:
         raise ConfigError(f"bad source: {exc}") from exc
     raise ConfigError(f"unknown source.kind {kind!r}")
+
+
+def _check_resolved(source, dt: float):
+    """An oscillating current must turn its phase by less than pi per step;
+    a faster one is aliased by the stepper to another frequency."""
+    if isinstance(source, (UniformOscillating, PlaneWaveCurrent)):
+        if not abs(source.omega) * dt < np.pi:
+            raise ConfigError(f"source.omega = {source.omega!r} is not resolved by "
+                              f"dt = {dt!r}: |omega| dt must be < pi")
 
 
 _AXES = {"x": 0, "y": 1, "z": 2}
@@ -397,6 +408,7 @@ def cmd_verify(cfg: Config) -> int:
     source = build_source(cfg, grid)
     laws = build_laws(cfg, grid)
     dt = resolve_dt(cfg, grid, stepper)
+    _check_resolved(source, dt)
     nsteps = build_count(cfg, "nsteps")
     stride = cfg.int("analysis.stride", 1)
     if stride < 1:
@@ -467,6 +479,7 @@ def cmd_converge(cfg: Config) -> int:
         nsteps = base_nsteps * scale
         initial = build_initial(cfg, grid)
         source = build_source(cfg, grid)
+        _check_resolved(source, dt)  # level 0 checks the base dt, the largest
         laws = build_laws(cfg, grid)
         stride = max(1, nsteps // 8)
         reports = run_balance(initial, source, dt, nsteps, laws,

@@ -39,14 +39,14 @@ The tensors of the shipped laws are sparse (6 of 36 W entries, 12 of 108 K
 entries), so each law lists its nonzero terms (a, b, coef) once, and the
 pointwise kernels contract only those, node by node, in the dense
 contraction's order: the values are bit-identical to it.  A balance
-run builds the profiles of a non-uniform driving current once, not per step.
+run builds the profiles of its driving current once, not per step.
 
 A balance run evaluates its rows on the source's analysis grid.  For a
-masked spectral engine whose fields carry modes |n_i| <= K that is the
-same box on 4K + 2 nodes per axis, where every quadratic quantity above
-and its square are sampled without aliasing, so Q, the source work and
-r_l2 equal their fine-grid values up to rounding; r_max is taken over the
-fine nodes, from the coarse residual resampled in Fourier space.
+spectral engine whose fields carry modes |n_i| <= K that is the same box
+on 4K + 2 nodes per axis, where every quadratic quantity above and its
+square are sampled without aliasing, so Q, the source work and r_l2
+equal their fine-grid values up to rounding; r_max is taken over the fine
+nodes, from the coarse residual resampled in Fourier space.
 """
 
 from __future__ import annotations
@@ -488,12 +488,12 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
     checkpoint until the step is first read, and its snapshot on the
     source's analysis grid after that, so the window materialises a
     snapshot only if the analysis or the source work reads it, and at most
-    once.  Q and the residual norms are evaluated at `stride` multiples;
-    the source power of a non-uniform current at every step, from current
-    profiles built once for the run on the analysis grid; for a uniform
-    current it comes from the per-step field means, so the Simpson
-    quadrature of the work integral keeps the stepper's order.  A step
-    whose snapshot or means are not finite raises Diverged naming it.
+    once.  Q and the residual norms are evaluated at `stride` multiples,
+    and the source power of a non-uniform current at every step, both from
+    current profiles built once for the run on the analysis grid; the work
+    of a uniform current comes from the per-step field means, so the
+    Simpson quadrature of the work integral keeps the stepper's order.  A
+    step whose snapshot or means are not finite raises Diverged naming it.
     """
     if stride < 1:
         raise ValueError(f"analysis stride must be >= 1, got {stride}")
@@ -518,8 +518,8 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
     mean6 = np.zeros((nsteps + 1, 6))
     work = {id(law): np.zeros(nsteps - law.time_shift_steps + 1) for law in laws}
     window = HistoryBuffer(m_max + 3)
-    profiles = {}  # law map -> (profile, mapped profile) of a non-uniform current
-    if not (uniform or j.is_zero):
+    profiles = {}  # law map -> (profile, mapped profile) of the current
+    if not j.is_zero:
         spatial = j.spatial_profile(agrid)
         for law in laws:
             if law.map not in profiles:

@@ -34,10 +34,8 @@ from .grid import (
 
 CFL_SAFETY = {"yee": 0.9, "spectral": 0.5}
 
-# Fraction of modes below which the spectral engine gathers active modes
-# into flat arrays, and the relative coefficient magnitude below which a
-# mode counts as inactive (FFT round-trip noise sits near 1e-17).
-_MASK_FRACTION = 0.125
+# Relative coefficient magnitude below which the spectral engine counts a
+# mode as inactive (FFT round-trip noise sits near 1e-17).
 _MASK_REL_TOL = 1e-15
 
 
@@ -246,9 +244,9 @@ def _check_dt(grid, dt, stepper):
 #                      into them, so old checkpoints stay valid
 #   checkpoint()       the current step index and internal arrays, no copy
 #   analysis_grid      the grid the balance rows are evaluated on: the engine's
-#                      own grid, or for a masked spectral engine the coarsest
-#                      grid of the same box on which every quadratic quantity
-#                      of its fields is exact
+#                      own grid, or for a spectral engine the coarsest grid of
+#                      the same box on which every quadratic quantity of its
+#                      active modes is exact, where that grid is smaller
 #   state(checkpoint=None, grid=None)
 #                      the collocated FieldState of a checkpoint (default: the
 #                      current step) on the own grid (default) or the analysis
@@ -273,19 +271,19 @@ def _state_means(state: FieldState) -> np.ndarray:
 
 
 class SpectralEngine:
-    """Classical RK4 on the rfftn coefficients of the stacked (E, B) field.
+    """Classical RK4 on the active rfftn coefficients of the stacked (E, B) field.
 
     The update is diagonal over wavevectors, so modes carrying less than
     ~1e-15 of the initial amplitude (FFT round-trip noise) and not touched
-    by the current are dynamically decoupled from everything retained.  When
-    they are few, the active coefficients are gathered into flat arrays:
-    every retained mode then sees arithmetic identical, bit for bit, to
-    dense stepping, and the omitted contribution to any snapshot stays at
-    the noise level because |R(i w dt)| <= 1 for stable steps.
+    by the current are dynamically decoupled from everything retained.  The
+    active coefficients are gathered into flat arrays, with flat
+    wavevectors, and only they are stepped: every retained mode sees
+    arithmetic identical, bit for bit, to stepping every mode, and the
+    omitted contribution to any snapshot stays at the noise level because
+    |R(i w dt)| <= 1 for stable steps.
     """
 
-    def __init__(self, state: FieldState, current: CurrentSpec, dt: float,
-                 force_dense: bool = False):
+    def __init__(self, state: FieldState, current: CurrentSpec, dt: float):
         grid = state.grid
         self.grid = grid
         self.current = current
@@ -293,41 +291,35 @@ class SpectralEngine:
         self.initial = state
         self.step_index = 0
         u0 = np.fft.rfftn(state.data, axes=(-3, -2, -1))
-        if current.is_zero:
-            jh = None
-        else:
-            jh = np.fft.rfftn(current.spatial_profile(grid), axes=(-3, -2, -1))
         amp = np.max(np.abs(u0))
         active = np.any(np.abs(u0) > _MASK_REL_TOL * amp, axis=0)
-        if jh is not None:
+        self.jh = None
+        if not current.is_zero:
+            jh = np.fft.rfftn(current.spatial_profile(grid), axes=(-3, -2, -1))
             jamp = np.max(np.abs(jh))
             active |= np.any(np.abs(jh) > _MASK_REL_TOL * jamp, axis=0)
-        kx, ky, kz = spectral_wavevectors(grid)
+            self.jh = np.ascontiguousarray(jh[:, active])
+        self.mask = active
+        self.u = np.ascontiguousarray(u0[:, active])
+        self.k = tuple(
+            np.broadcast_to(k, active.shape)[active].copy()
+            for k in spectral_wavevectors(grid)
+        )
+        # grid -> (flat rfftn index of each active mode, coefficient scale)
+        self._layout = {grid: (np.flatnonzero(active), 1.0)}
         self.analysis_grid = grid
-        if not force_dense and active.sum() <= _MASK_FRACTION * active.size:
-            self.mask = active
-            self.u = np.ascontiguousarray(u0[:, active])
-            self.jh = np.ascontiguousarray(jh[:, active]) if jh is not None else None
-            shape = active.shape
-            self.k = tuple(
-                np.broadcast_to(k, shape)[active].copy() for k in (kx, ky, kz)
-            )
-            self._coarsen(active)
-        else:
-            self.mask = None
-            self.u = u0
-            self.jh = jh
-            self.k = (kx, ky, kz)
+        self._coarsen(active)
 
     def _coarsen(self, active):
-        """Set the analysis grid of a masked engine with these active modes.
+        """Add the coarsest grid on which the active modes' products are exact.
 
         Every field carries integer modes |n_i| <= K, so a product of two has
         band 2K and the square of one 4K.  On M >= 4K + 1 nodes per axis the
         samples of those products, their spectral divergence and their means
         are exact; M = 4K + 2 (at least 4, the smallest grid) on every axis
         keeps each symmetry of the box a symmetry of the coarse grid.  The
-        coarse grid is used only where it has fewer nodes than the engine's.
+        coarse grid is the analysis grid only where it has fewer nodes than
+        the engine's; its coefficients are rescaled to sums over its nodes.
         """
         grid = self.grid
         n = [modes[i] for modes, i in zip(_mode_numbers(grid.dims), np.nonzero(active))]
@@ -336,10 +328,10 @@ class SpectralEngine:
         if any(m >= d for d in grid.dims):
             return
         self.analysis_grid = GridSpec((m, m, m), tuple(L / m for L in grid.lengths))
-        self._coarse_index = np.ravel_multi_index(
-            (n[0] % m, n[1] % m, n[2]), (m, m, m // 2 + 1)
+        self._layout[self.analysis_grid] = (
+            np.ravel_multi_index((n[0] % m, n[1] % m, n[2]), (m, m, m // 2 + 1)),
+            m**3 / grid.num_nodes,
         )
-        self._coarse_scale = m**3 / grid.num_nodes
 
     # -- dynamics ----------------------------------------------------------
 
@@ -378,46 +370,32 @@ class SpectralEngine:
     def checkpoint(self) -> tuple:
         return self.step_index, self.u
 
-    def dense_coefficients(self, u: Optional[np.ndarray] = None) -> np.ndarray:
-        u = self.u if u is None else u
-        if self.mask is None:
-            return u
-        out = np.zeros((6, *self.mask.shape), dtype=complex)
-        out[:, self.mask] = u
-        return out
+    def dense_coefficients(self, u: np.ndarray, grid: GridSpec) -> np.ndarray:
+        """The gathered coefficients u scattered into the rfftn array of
+        `grid` (the own grid or the analysis grid)."""
+        index, scale = self._layout[grid]
+        nx, ny, nz = grid.dims
+        out = np.zeros((6, nx * ny * (nz // 2 + 1)), dtype=complex)
+        out[:, index] = u * scale
+        return out.reshape(6, nx, ny, nz // 2 + 1)
 
     def state(self, checkpoint: Optional[tuple] = None,
               grid: Optional[GridSpec] = None) -> FieldState:
         step, u = self.checkpoint() if checkpoint is None else checkpoint
-        t = self.initial.t + step * self.dt
-        if grid is None or grid == self.grid:
-            if step == 0:
-                return self.initial  # the exact data, not its FFT round trip
-            data = np.fft.irfftn(
-                self.dense_coefficients(u), s=self.grid.dims, axes=(-3, -2, -1)
-            )
-            return _stepped_state(self.grid, data, step, t)
-        if grid != self.analysis_grid:
+        grid = self.grid if grid is None else grid
+        if grid not in self._layout:
             raise ValueError(f"no snapshots on grid {grid.dims}")
-        # the retained modes, rescaled to sums over the coarse nodes
-        m = grid.dims[0]
-        coarse = np.zeros((6, m * m * (m // 2 + 1)), dtype=complex)
-        coarse[:, self._coarse_index] = u * self._coarse_scale
-        data = np.fft.irfftn(
-            coarse.reshape(6, m, m, m // 2 + 1), s=grid.dims, axes=(-3, -2, -1)
-        )
-        return _stepped_state(grid, data, step, t)
+        if step == 0 and grid == self.grid:
+            return self.initial  # the exact data, not its FFT round trip
+        data = np.fft.irfftn(self.dense_coefficients(u, grid), s=grid.dims, axes=(-3, -2, -1))
+        return _stepped_state(grid, data, step, self.initial.t + step * self.dt)
 
     def means(self) -> np.ndarray:
         """k = 0 coefficients times the cell volume (exact sums at step 0)."""
         if self.step_index == 0:
             return _state_means(self.initial)
-        if self.mask is None:
-            zero = self.u[:, 0, 0, 0]
-        elif self.mask[0, 0, 0]:
-            zero = self.u[:, 0]  # mode (0, 0, 0) is first in the C-order gather
-        else:
-            zero = np.zeros(6)
+        # mode (0, 0, 0) is first in the C-order gather
+        zero = self.u[:, 0] if self.mask[0, 0, 0] else np.zeros(6)
         return np.real(zero) * self.grid.cell_volume
 
 

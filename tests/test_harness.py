@@ -298,6 +298,10 @@ class TestVerify:
         ["source.kind=gaussian", "source.width=0"],
         ["source.kind=gaussian", "source.width=-0.1"],
         ["source.kind=gaussian", "source.tau=0"],
+        ["source.kind=gaussian", "source.width=1e-200"],  # its square underflows to 0
+        ["source.kind=gaussian", "source.tau=1e-200"],
+        ["source.kind=uniform", "source.omega=1e300"],  # |omega| dt >= pi
+        ["source.kind=planewave", "source.omega=-1e300"],
         ["initial.mean_b=0 1"],
         ["initial.mean_b=0 1 2 3"],
     ])
@@ -308,6 +312,18 @@ class TestVerify:
                                      f"output.dir={tmp_path / 'out'}"])
         assert code == EXIT_CONFIG
         assert printed.startswith("config error:")
+
+    @pytest.mark.parametrize("command", ["verify", "converge"])
+    def test_unresolved_source_omega_exits_2(self, tmp_path, command):
+        # dt = 0.001: omega dt = 3.141 < pi runs, 3.142 >= pi is aliased;
+        # converge checks its base dt, the largest
+        cfg = write_config(tmp_path / "c.txt",
+                           VERIFY_SMALL + SOURCE_KEYS + "refinement.levels = 3\n")
+        for omega, resolved in (("3141", True), ("3142", False)):
+            code, printed = run_cleanly([command, cfg, "nsteps=4", "source.kind=uniform",
+                                         f"source.omega={omega}",
+                                         f"output.dir={tmp_path / omega}"])
+            assert (code == EXIT_CONFIG) != resolved, printed
 
     @settings(derandomize=True, deadline=None, max_examples=80)
     @given(kind=st.sampled_from(["uniform", "planewave", "gaussian", "bogus"]),
@@ -332,8 +348,8 @@ class TestVerify:
         valid = kind != "bogus" and vector == "0 1 0"
         if kind == "planewave":
             valid = valid and mode in ("1 2 0", "-3 0 0")
-        if kind == "gaussian":  # a huge or tiny scale is valid: it runs, or it diverges
-            valid = valid and width not in ("0", "-1") and tau != "0"
+        if kind == "gaussian":  # a huge scale is valid: it runs, or it diverges
+            valid = valid and width not in ("0", "-1", "1e-200") and tau not in ("0", "1e-200")
         assert (code == EXIT_CONFIG) != valid
 
 
