@@ -257,7 +257,9 @@ def density(law: TwoPointLawSpec, state_now: FieldState,
     _check_pair(law, state_now, state_shifted)
     f = _stack6(state_now)
     g = _pulled6(state_shifted, law.map)
-    return ScalarField(state_now.grid, _contract(law._w_terms, f, g), copy=False)
+    with np.errstate(over="ignore"):  # ScalarField reports it as NonFiniteField
+        rho = _contract(law._w_terms, f, g)
+    return ScalarField(state_now.grid, rho, copy=False)
 
 
 def flux(law: TwoPointLawSpec, state_now: FieldState,

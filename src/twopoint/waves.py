@@ -12,6 +12,7 @@ target of the verification suite.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -100,7 +101,8 @@ def random_band_limited(
 
     Coefficients are drawn from numpy's PCG64 generator in a fixed mode
     order, so the same seed reproduces the same field on every platform.
-    Both fields are projected transverse to k mode by mode; `amplitude`
+    Both fields are projected transverse to k mode by mode, and each mode
+    and its conjugate fill the nz >= 0 half spectrum of one irfftn; `amplitude`
     rescales the result so that the energy integral (|E|^2 + |B|^2) dV
     equals amplitude**2.  A constant magnetic offset `mean_b` can be added
     (a valid Maxwell configuration) to give current-work terms a nonzero
@@ -111,30 +113,26 @@ def random_band_limited(
     if any(kmax >= n // 2 for n in grid.dims):
         raise ValueError("kmax must stay below the grid Nyquist mode")
     rng = np.random.Generator(np.random.PCG64(seed))
-    spec = np.zeros((6, *grid.dims), dtype=complex)
-    rng_modes = [
-        (nx, ny, nz)
-        for nx in range(-kmax, kmax + 1)
-        for ny in range(-kmax, kmax + 1)
-        for nz in range(-kmax, kmax + 1)
-        if (nx, ny, nz) != (0, 0, 0)
-    ]
-    for n in rng_modes:
+    dims = grid.dims
+    spec = np.zeros((6, dims[0], dims[1], dims[2] // 2 + 1), dtype=complex)
+    band = range(-kmax, kmax + 1)
+    for n in itertools.product(band, band, band):
+        if n == (0, 0, 0):
+            continue
         coeff = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         khat = np.asarray(n, dtype=float)
         khat /= np.linalg.norm(khat)
         for block in (0, 3):
             c = coeff[block : block + 3]
             coeff[block : block + 3] = c - (c @ khat) * khat
-        idx = tuple(m % d for m, d in zip(n, grid.dims))
-        spec[(slice(None), *idx)] += coeff
-        conj_idx = tuple((-m) % d for m, d in zip(n, grid.dims))
-        spec[(slice(None), *conj_idx)] += np.conj(coeff)
-    data = np.real(np.fft.ifftn(spec, axes=(-3, -2, -1)))
+        # the half spectrum holds nz >= 0; the nz = 0 plane takes both terms
+        if n[2] >= 0:
+            spec[:, n[0] % dims[0], n[1] % dims[1], n[2]] += coeff
+        if n[2] <= 0:
+            spec[:, -n[0] % dims[0], -n[1] % dims[1], -n[2]] += np.conj(coeff)
+    data = np.fft.irfftn(spec, s=dims, axes=(-3, -2, -1))
     energy = np.sum(data * data) * grid.cell_volume
     if energy > 0.0:
         data *= amplitude / np.sqrt(energy)
-    data[3] += mean_b[0]
-    data[4] += mean_b[1]
-    data[5] += mean_b[2]
+    data[3:] += np.reshape(mean_b, (3, 1, 1, 1))
     return FieldState.from_data(grid, data, 0.0)

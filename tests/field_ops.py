@@ -1,6 +1,6 @@
 """Spectral oracles for the tests: the curl and a dense RK4 stepper of the
 field equations dE/dt = curl B - J, dB/dt = -curl E on band-limited
-periodic data."""
+periodic data, and random band-limited data built in the full spectrum."""
 
 import numpy as np
 
@@ -21,8 +21,9 @@ def spectral_curl(v: VectorField) -> np.ndarray:
 
 def dense_rk4(state, current, dt: float, nsteps: int) -> np.ndarray:
     """rfftn coefficients, shape (6, Nx, Ny, Nz // 2 + 1), of `state` after
-    nsteps classical RK4 steps of every mode, with the arithmetic of the
-    spectral engine, which steps only the active ones."""
+    nsteps classical RK4 steps of every mode, stage by stage: the reference
+    for the spectral engine, which steps only the active modes, each with
+    RK4's stability polynomial."""
     kx, ky, kz = spectral_wavevectors(state.grid)
     jh = None
     if not current.is_zero:
@@ -53,3 +54,31 @@ def dense_rk4(state, current, dt: float, nsteps: int) -> np.ndarray:
         k = rhs(u + dt * k, t + dt)
         u = u + (dt / 6.0) * (acc + k)
     return u
+
+
+def full_spectrum_band_limited(grid, seed, kmax=2, amplitude=1.0, mean_b=(0.0, 0.0, 0.0)):
+    """Data array of `random_band_limited` built the long way: every mode and
+    its conjugate placed in a full complex (6, Nx, Ny, Nz) spectrum, then one
+    complex ifftn, with the same draws, projection and scaling."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    spec = np.zeros((6, *grid.dims), dtype=complex)
+    for nx in range(-kmax, kmax + 1):
+        for ny in range(-kmax, kmax + 1):
+            for nz in range(-kmax, kmax + 1):
+                n = (nx, ny, nz)
+                if n == (0, 0, 0):
+                    continue
+                coeff = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+                khat = np.asarray(n, dtype=float)
+                khat /= np.linalg.norm(khat)
+                for block in (0, 3):
+                    c = coeff[block : block + 3]
+                    coeff[block : block + 3] = c - (c @ khat) * khat
+                spec[(slice(None), *(m % d for m, d in zip(n, grid.dims)))] += coeff
+                spec[(slice(None), *(-m % d for m, d in zip(n, grid.dims)))] += np.conj(coeff)
+    data = np.real(np.fft.ifftn(spec, axes=(-3, -2, -1)))
+    energy = np.sum(data * data) * grid.cell_volume
+    if energy > 0.0:
+        data *= amplitude / np.sqrt(energy)
+    data[3:] += np.reshape(mean_b, (3, 1, 1, 1))
+    return data

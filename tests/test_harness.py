@@ -2,6 +2,7 @@ import contextlib
 import filecmp
 import io
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -625,9 +626,12 @@ class TestForgeAndPlaneWaveInputs:
                                                d_nodes, dims):
         tmp = tmp_path_factory.mktemp("p")
         cfg = write_config(tmp / "p.txt", VERIFY_SMALL)
-        code, _ = run_cleanly(["planewave", cfg, f"initial.amplitude={amplitude}",
-                               f"initial.k_mode={k_mode}", f"planewave.d_nodes={d_nodes}",
-                               f"grid.dims={dims}", f"output.dir={tmp / 'out'}"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # each would print to the CLI's stderr
+            code, _ = run_cleanly(["planewave", cfg, f"initial.amplitude={amplitude}",
+                                   f"initial.k_mode={k_mode}", f"planewave.d_nodes={d_nodes}",
+                                   f"grid.dims={dims}", f"output.dir={tmp / 'out'}"])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         if amplitude == "inf" or k_mode != "1" or d_nodes != "0 1 -2" or dims != "8 8 8":
             assert code == EXIT_CONFIG
         elif amplitude == "1e200":  # the two-point energy overflows

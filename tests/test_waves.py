@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from field_ops import full_spectrum_band_limited
 from twopoint.errors import InvalidWavenumber
 from twopoint.grid import (
     AffineMap,
+    FieldState,
     GridSpec,
     ScalarField,
     divergence,
     pullback,
     volume_integral,
 )
+from twopoint.maxwell import SpectralEngine, ZeroCurrent
 from twopoint.waves import (
     PlaneWaveSpec,
     plane_wave,
@@ -136,3 +139,24 @@ class TestRandomBandLimited:
         assert np.mean(s.B.data[1]) == pytest.approx(0.2, abs=1e-12)
         assert np.mean(s.B.data[2]) == pytest.approx(0.1, abs=1e-12)
         assert np.mean(s.E.data[0]) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dims,spacing", [
+        ((64, 64, 64), (1 / 64, 1 / 64, 1 / 64)),
+        ((16, 12, 20), (0.1, 0.2, 0.05)),
+        ((15, 13, 17), (0.1, 0.1, 0.1)),
+    ], ids=["cube", "non-cubic", "odd-axes"])
+    def test_half_spectrum_matches_full_spectrum_oracle(self, dims, spacing):
+        g = GridSpec(dims, spacing)
+        mean_b = (0.0, 0.2, 0.1)
+        s = random_band_limited(g, seed=7, kmax=2, amplitude=1.3, mean_b=mean_b)
+        oracle = full_spectrum_band_limited(g, seed=7, kmax=2, amplitude=1.3, mean_b=mean_b)
+        assert np.max(np.abs(s.data - oracle)) <= 1e-15 * np.max(np.abs(oracle))
+        energy = np.sum(s.data * s.data) * g.cell_volume
+        assert abs(energy - (1.3**2 + np.dot(mean_b, mean_b) * g.volume)) <= 1e-14
+        # the engine finds the same modes: 124 band modes fill 74 half-spectrum
+        # entries, plus the mean mode of mean_b
+        engine = SpectralEngine(s, ZeroCurrent(), 1e-4)
+        ref = SpectralEngine(FieldState.from_data(g, oracle, 0.0), ZeroCurrent(), 1e-4)
+        assert np.array_equal(engine.mask, ref.mask)
+        assert engine.mask.sum() == 75
+        assert engine.analysis_grid.dims == ref.analysis_grid.dims == (10, 10, 10)
