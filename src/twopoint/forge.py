@@ -142,16 +142,9 @@ def sample_values(pde: Pde1D, f: np.ndarray, points) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     fh = np.fft.rfft(f) / pde.n
     k = pde.wavenumbers()
-    out = np.empty(points.shape)
-    for i, x in enumerate(points.ravel()):
-        phases = np.exp(1j * k * x)
-        # rfft halves: double every mode except DC and (even n) Nyquist
-        weights = np.full(len(k), 2.0)
-        weights[0] = 1.0
-        if pde.n % 2 == 0:
-            weights[-1] = 1.0
-        out.ravel()[i] = np.real(np.sum(weights * fh * phases))
-    return out
+    # rfft halves: double every mode except DC and (even n) Nyquist
+    fh[1 : (pde.n + 1) // 2] *= 2.0
+    return np.real(np.sum(np.exp(1j * np.multiply.outer(points, k)) * fh, axis=-1))
 
 
 @dataclass(eq=False)

@@ -41,8 +41,8 @@ pointwise kernels contract only those, node by node, in the dense
 contraction's order: the values are bit-identical to it.  A balance
 run builds the profiles of its driving current once, not per step.
 
-A balance run evaluates its rows on the source's analysis grid.  For a
-spectral engine whose fields carry modes |n_i| <= K that is the same box
+A balance run evaluates its rows on the source's analysis grid.  For an
+engine (spectral or Yee) whose fields carry modes |n_i| <= K that is the same box
 on 4K + 2 nodes per axis, where every quadratic quantity above and its
 square are sampled without aliasing, so Q, the source work and r_l2
 equal their fine-grid values up to rounding; r_max is taken over the fine

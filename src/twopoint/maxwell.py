@@ -9,9 +9,11 @@ with c = mu0 = eps0 = 1.  Currents are prescribed functions of (x, t),
 separable as profile(x) * time_factor(t), and are transverse (divergence
 free) so E stays solenoidal and no charge density enters.
 
-Two steppers are provided: a pseudo-spectral classical RK4 (near machine
-precision on band-limited data) and a staggered Yee leapfrog (2nd order),
-so conservation-law residuals can be checked both at the noise floor and
+Two steppers are provided, both on the gathered rfftn coefficients of the
+field's active modes: a pseudo-spectral classical RK4 (near machine
+precision on band-limited data) and a staggered Yee leapfrog (2nd order,
+its periodic stencils applied as per-mode Fourier symbols), so
+conservation-law residuals can be checked both at the noise floor and
 through a convergence-order study.
 """
 
@@ -29,6 +31,7 @@ from .grid import (
     VectorField,
     _mode_numbers,
     _pull_array,
+    _wavenumbers,
     spectral_wavevectors,
 )
 
@@ -243,10 +246,10 @@ def _check_dt(grid, dt, stepper):
 #   advance()          one step; rebinds the internal arrays, never writes
 #                      into them, so old checkpoints stay valid
 #   checkpoint()       the current step index and internal arrays, no copy
-#   analysis_grid      the grid the balance rows are evaluated on: the engine's
-#                      own grid, or for a spectral engine the coarsest grid of
-#                      the same box on which every quadratic quantity of its
-#                      active modes is exact, where that grid is smaller
+#   analysis_grid      the grid the balance rows are evaluated on: the coarsest
+#                      grid of the same box on which every quadratic quantity
+#                      of the active modes is exact, where that grid is
+#                      smaller than the engine's own, else the own grid
 #   state(checkpoint=None, grid=None)
 #                      the collocated FieldState of a checkpoint (default: the
 #                      current step) on the own grid (default) or the analysis
@@ -286,42 +289,57 @@ class SpectralEngine:
     """
 
     def __init__(self, state: FieldState, current: CurrentSpec, dt: float):
-        grid = state.grid
-        self.grid = grid
-        self.current = current
-        self.dt = h = float(dt)
-        self.initial = state
-        self.step_index = 0
-        u0 = np.fft.rfftn(state.data, axes=(-3, -2, -1))
-        amp = np.max(np.abs(u0))
-        active = np.any(np.abs(u0) > _MASK_REL_TOL * amp, axis=0)
-        if not current.is_zero:
-            jh = np.fft.rfftn(current.spatial_profile(grid), axes=(-3, -2, -1))
-            jamp = np.max(np.abs(jh))
-            active |= np.any(np.abs(jh) > _MASK_REL_TOL * jamp, axis=0)
-        self.mask = active
-        self.u = np.ascontiguousarray(u0[:, active])
-        kx, ky, kz = (np.broadcast_to(k, active.shape)[active]
-                      for k in spectral_wavevectors(grid))
+        jh = self._gather(state, current, dt)
+        h = self.dt
+        kx, ky, kz = self._per_mode(_wavenumbers(self.grid.dims, self.grid.spacing))
         self._ka = np.stack([ky, kz, kx, kz, kx, ky])  # row factors of _curl_pair
         self._kb = np.stack([kz, kx, ky, ky, kz, kx])
         hk2 = (kx * kx + ky * ky + kz * kz) * h * h
         self._ib = 1j * h * (1.0 - hk2 / 6.0)  # i b, as L = i C
         self._c = h * h * (0.5 - hk2 / 24.0)
         self._drive = None
-        if not current.is_zero:
+        if jh is not None:
             # the current's share of k1 + 2 k2 + 2 k3 + k4 at t, t + h/2, t + h
             g = np.zeros_like(self.u)
-            g[:3] = -jh[:, active]
+            g[:3] = -jh
             cg = self._curl_pair(g)
             lg, llg = 1j * cg, -self._curl_pair(cg)
             self._drive = (h / 6.0 * (g + h * (1.0 - hk2 / 4.0) * lg + h * h / 2.0 * llg),
                            h / 6.0 * (4.0 * g + 2.0 * h * lg + h * h / 2.0 * llg),
                            h / 6.0 * g)
+
+    def _gather(self, state: FieldState, current: CurrentSpec, dt: float):
+        """Set what every mode-space engine shares: the active modes (those of
+        the state and of the current), the state's gathered coefficients as
+        `u`, the snapshot layouts and the analysis grid.  Returns the
+        current profile's gathered coefficients, or None for no current."""
+        grid = state.grid
+        self.grid = grid
+        self.current = current
+        self.dt = float(dt)
+        self.initial = state
+        self.step_index = 0
+        u0 = np.fft.rfftn(state.data, axes=(-3, -2, -1))
+        amp = np.max(np.abs(u0))
+        active = np.any(np.abs(u0) > _MASK_REL_TOL * amp, axis=0)
+        jh = None
+        if not current.is_zero:
+            jh = np.fft.rfftn(current.spatial_profile(grid), axes=(-3, -2, -1))
+            jamp = np.max(np.abs(jh))
+            active |= np.any(np.abs(jh) > _MASK_REL_TOL * jamp, axis=0)
+            jh = jh[:, active]
+        self.mask = active
+        self.u = np.ascontiguousarray(u0[:, active])
         # grid -> (flat rfftn index of each active mode, coefficient scale)
         self._layout = {grid: (np.flatnonzero(active), 1.0)}
         self.analysis_grid = grid
         self._coarsen(active)
+        return jh
+
+    def _per_mode(self, per_axis) -> np.ndarray:
+        """(3, modes) values of the active modes from one rfftn-layout
+        array per axis, in the order of the gathered coefficients."""
+        return np.stack([a[i] for a, i in zip(per_axis, np.nonzero(self.mask))])
 
     def _coarsen(self, active):
         """Add the coarsest grid on which the active modes' products are exact.
@@ -335,8 +353,8 @@ class SpectralEngine:
         the engine's; its coefficients are rescaled to sums over its nodes.
         """
         grid = self.grid
-        n = [modes[i] for modes, i in zip(_mode_numbers(grid.dims), np.nonzero(active))]
-        k_band = max((int(np.max(np.abs(a))) for a in n if a.size), default=0)
+        n = self._per_mode(_mode_numbers(grid.dims))
+        k_band = int(np.max(np.abs(n), initial=0))
         m = max(4 * k_band + 2, 4)
         if any(m >= d for d in grid.dims):
             return
@@ -404,117 +422,63 @@ class SpectralEngine:
 # ---------------------------------------------------------------------------
 
 
-def _shift_half(f: np.ndarray, axis: int, direction: int) -> np.ndarray:
-    """4th-order interpolation by half a cell along one axis (periodic).
-
-    direction=+1 produces values at i+1/2 from node samples, direction=-1
-    recovers node values from samples living at i+1/2.
-    """
-    if direction > 0:
-        return (
-            -np.roll(f, 1, axis) + 9.0 * f + 9.0 * np.roll(f, -1, axis) - np.roll(f, -2, axis)
-        ) / 16.0
-    return (
-        -np.roll(f, 2, axis) + 9.0 * np.roll(f, 1, axis) + 9.0 * f - np.roll(f, -1, axis)
-    ) / 16.0
+def _curl(d: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Curl of the gathered vector v for the per-axis derivative symbols d."""
+    return d[[1, 2, 0]] * v[[2, 0, 1]] - d[[2, 0, 1]] * v[[1, 2, 0]]
 
 
-# staggered site offsets: E_i sits half a cell along axis i, B_i along the
-# two transverse axes
-_E_AXES = ((0,), (1,), (2,))
-_B_AXES = ((1, 2), (0, 2), (0, 1))
+class YeeEngine(SpectralEngine):
+    """Staggered leapfrog on the active modes: B lives at half steps, E at
+    whole steps.
 
-
-def _stagger(data: np.ndarray, axes_per_comp, direction: int, out=None) -> np.ndarray:
-    out = np.empty_like(data) if out is None else out
-    for i in range(3):
-        comp = data[i]
-        for ax in axes_per_comp[i]:
-            comp = _shift_half(comp, ax, direction)
-        out[i] = comp
-    return out
-
-
-class YeeEngine:
-    """Staggered leapfrog: B lives at half steps, E at whole steps.
-
-    The staggered state persists across the whole run; node-collocated
-    snapshots are interpolated (4th order in space, B time-averaged to the
-    whole step) on demand, so repeated stepping never filters the state.
+    Every stencil of the scheme is a constant-coefficient periodic stencil,
+    so it is diagonal over the rfftn modes.  With z = exp(i k_a h_a) on axis
+    a, the curls of E and of B take the forward and backward differences
+    (z - 1) / h_a and (1 - 1/z) / h_a, and the 4th-order half-cell shift
+    onto the staggered sites and back is (-1/z + 9 + 9 z - z^2) / 16 and
+    (-1/z^2 + 9/z + 9 - z) / 16.  E_i sits half a cell along axis i, B_i
+    along the two other axes, and J is staggered like E.  The checkpoint
+    holds the staggered E and B(t - dt/2); snapshots shift them back to the
+    nodes on demand (B time-averaged to the whole step), so repeated
+    stepping never filters the state.  Every symbol leaves the k = 0 mode
+    as it is, so `means` reads the staggered coefficients.
     """
 
     def __init__(self, state: FieldState, current: CurrentSpec, dt: float):
-        grid = state.grid
-        self.grid = grid
-        self.current = current
-        self.dt = float(dt)
-        self.initial = state
-        self.step_index = 0
-        self.h = grid.spacing
-        self.E = _stagger(state.E.data, _E_AXES, +1)
-        b0 = _stagger(state.B.data, _B_AXES, +1)
+        jh = self._gather(state, current, dt)
+        dims = self.grid.dims
+        z = self._per_mode([np.exp(2j * np.pi * n / d) for n, d in zip(_mode_numbers(dims), dims)])
+        zi = 1.0 / z
+        dth = self.dt / np.reshape(self.grid.spacing, (3, 1))
+        self._dplus, self._dminus = dth * (z - 1.0), dth * (1.0 - zi)  # dt x differences
+        up = (-zi + 9.0 + 9.0 * z - z * z) / 16.0
+        down = (-zi * zi + 9.0 * zi + 9.0 - z) / 16.0
+        # per row of u: E_i is shifted along axis i, B_i along the two others
+        up, self._down = (np.concatenate((s, s[[1, 0, 0]] * s[[2, 2, 1]])) for s in (up, down))
+        self._u0 = self.u
+        self.u = up * self._u0
         # B is carried at t - dt/2; dB/dt = -curl E gives the backward half step
-        self.Bh = b0 + 0.5 * self.dt * self._curl_e(self.E)
-        self.analysis_grid = grid
-        if current.is_zero:
-            self.jE = None
-        else:
-            self.jE = _stagger(current.spatial_profile(grid), _E_AXES, +1)
-
-    def _dplus(self, f, axis):
-        return (np.roll(f, -1, axis) - f) / self.h[axis]
-
-    def _dminus(self, f, axis):
-        return (f - np.roll(f, 1, axis)) / self.h[axis]
-
-    def _curl_e(self, e):
-        out = np.empty_like(e)
-        out[0] = self._dplus(e[2], 1) - self._dplus(e[1], 2)
-        out[1] = self._dplus(e[0], 2) - self._dplus(e[2], 0)
-        out[2] = self._dplus(e[1], 0) - self._dplus(e[0], 1)
-        return out
-
-    def _curl_b(self, b):
-        out = np.empty_like(b)
-        out[0] = self._dminus(b[2], 1) - self._dminus(b[1], 2)
-        out[1] = self._dminus(b[0], 2) - self._dminus(b[2], 0)
-        out[2] = self._dminus(b[1], 0) - self._dminus(b[0], 1)
-        return out
+        self.u[3:] += 0.5 * _curl(self._dplus, self.u[:3])
+        self._drive = None if jh is None else self.dt * up[:3] * jh
 
     def advance(self):
-        dt = self.dt
-        t_half = self.initial.t + (self.step_index + 0.5) * dt
-        self.Bh = self.Bh - dt * self._curl_e(self.E)
-        dE = self._curl_b(self.Bh)
-        if self.jE is not None:
-            dE = dE - self.jE * self.current.time_factor(t_half)
-        self.E = self.E + dt * dE
+        t_half = self.initial.t + (self.step_index + 0.5) * self.dt
+        b = self.u[3:] - _curl(self._dplus, self.u[:3])
+        e = self.u[:3] + _curl(self._dminus, b)
+        if self._drive is not None:
+            e -= self.current.time_factor(t_half) * self._drive
+        self.u = np.concatenate((e, b))
         self.step_index += 1
-
-    def checkpoint(self) -> tuple:
-        return self.step_index, self.E, self.Bh
 
     def state(self, checkpoint: Optional[tuple] = None,
               grid: Optional[GridSpec] = None) -> FieldState:
-        # `grid` is None or the analysis grid, which is the engine's own
-        step, e, bh = self.checkpoint() if checkpoint is None else checkpoint
+        step, u = self.checkpoint() if checkpoint is None else checkpoint
         if step == 0:
-            return self.initial
-        b_next = bh - self.dt * self._curl_e(e)  # peek at t + dt/2
-        b_node = 0.5 * (bh + b_next)
-        data = np.empty((6, *self.grid.dims))
-        _stagger(e, _E_AXES, -1, out=data[:3])
-        _stagger(b_node, _B_AXES, -1, out=data[3:])
-        return _stepped_state(self.grid, data, step, self.initial.t + step * self.dt)
-
-    def means(self) -> np.ndarray:
-        """Sums of the staggered arrays (exact sums at step 0): the snapshot's
-        de-staggering preserves each mean, and the curl that time-centres B
-        sums to zero over the periodic box."""
-        if self.step_index == 0:
-            return _state_means(self.initial)
-        cv = self.grid.cell_volume
-        return np.array([np.sum(c) * cv for c in (*self.E, *self.Bh)])
+            nodes = self._u0  # the initial coefficients, never staggered
+        else:
+            b = u[3:] - 0.5 * _curl(self._dplus, u[:3])  # B at the whole step
+            nodes = self._down * np.concatenate((u[:3], b))
+        return super().state((step, nodes), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +537,9 @@ def evolve(
 ) -> Trajectory:
     """March nsteps steps and return all nsteps+1 states.
 
-    The Yee run keeps its staggered internal state for the whole trajectory
-    and only interpolates snapshots, so the leapfrog is never filtered by
-    the collocation resampling.  A state that is not finite raises Diverged
+    The Yee run keeps its staggered mode coefficients for the whole
+    trajectory and only shifts snapshots back to the nodes, so the leapfrog
+    is never filtered by the collocation resampling.  A state that is not finite raises Diverged
     naming its step, as does a last state grown beyond 1e6 x the initial
     magnitude.
     """

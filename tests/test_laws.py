@@ -320,17 +320,15 @@ class TestSparseKernels:
         assert counts[0] == counts[1]
 
 
-@pytest.mark.parametrize("stepper,engine,attr",
-                         [("spectral", SpectralEngine, "u"), ("yee", YeeEngine, "E")])
+@pytest.mark.parametrize("stepper,engine", [("spectral", SpectralEngine), ("yee", YeeEngine)])
 @pytest.mark.parametrize("current", ["zero", "uniform", "gaussian"])
-def test_non_finite_step_diverges_naming_it(grid, monkeypatch, stepper, engine, attr,
-                                            current):
+def test_non_finite_step_diverges_naming_it(grid, monkeypatch, stepper, engine, current):
     original = engine.advance
 
     def advance(self):
         original(self)
         if self.step_index == 3:
-            setattr(self, attr, np.full_like(getattr(self, attr), np.inf))
+            self.u = np.full_like(self.u, np.inf)
 
     monkeypatch.setattr(engine, "advance", advance)
     j = {"zero": ZeroCurrent(),
@@ -421,16 +419,10 @@ class TestResidual:
         law = law_inversion()
         stream = run_balance(s, j, dt, n, law, stepper=stepper)
         post = residual(evolve(s, j, dt, n, stepper=stepper), law)
-        if stepper == "yee" and current == "zero":
-            # both paths read the same snapshots
-            for name in ("Q", "source_cum", "defect", "r_max"):
-                assert np.array_equal(getattr(stream, name), getattr(post, name),
-                                      equal_nan=True), name
-        else:
-            # streaming evaluates spectral rows on the coarse analysis grid
-            # and takes the field means from the engine's own arrays; the
-            # stored path reads fine snapshots and sums them
-            assert_reports_agree(stream, post)
+        # streaming evaluates the rows on the coarse analysis grid and takes
+        # the field means from the engine's own arrays; the stored path reads
+        # fine snapshots and sums them
+        assert_reports_agree(stream, post)
 
     def test_sourced_defect_small_but_work_nonzero(self, grid):
         s = random_band_limited(grid, seed=13, kmax=1, mean_b=(0.0, 0.2, 0.1))
@@ -554,16 +546,17 @@ class TestAnalysisGrid:
         # a plane-wave current's mode widens the band
         j = PlaneWaveCurrent((0, 3, 0), (1.0, 0.0, 0.0), omega=1.0)
         assert SpectralEngine(s, j, 1e-3).analysis_grid == GridSpec.cube(1.0, 14)
+        # the Yee engine steps the same active modes
+        assert YeeEngine(s, ZeroCurrent(), 1e-3).analysis_grid == GridSpec.cube(1.0, 10)
         # every mode below the Nyquist mode is active: 62 coarse nodes >= 32
         full = random_band_limited(g, seed=1, kmax=15)
-        for engine in (SpectralEngine(full, ZeroCurrent(), 1e-3),
-                       YeeEngine(s, ZeroCurrent(), 1e-3)):
-            assert engine.analysis_grid == g
+        assert SpectralEngine(full, ZeroCurrent(), 1e-3).analysis_grid == g
 
-    def test_coarse_state_is_the_fine_state_resampled(self):
+    @pytest.mark.parametrize("engine_cls", [SpectralEngine, YeeEngine])
+    def test_coarse_state_is_the_fine_state_resampled(self, engine_cls):
         g = GridSpec.cube(1.0, 16)
         s = random_band_limited(g, seed=2, kmax=1, mean_b=(0.0, 0.1, 0.0))
-        engine = SpectralEngine(s, self.CURRENTS["planewave"], 1e-3)
+        engine = engine_cls(s, self.CURRENTS["planewave"], 1e-3)
         coarse_grid = engine.analysis_grid
         assert coarse_grid.dims == (10, 10, 10)
         for _ in range(3):

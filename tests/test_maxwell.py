@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from field_ops import dense_rk4, spectral_curl
+from field_ops import dense_rk4, spectral_curl, yee_leapfrog
 from twopoint.errors import StepTooLarge
 from twopoint.grid import (
     FieldState, GridSpec, ScalarField, VectorField, divergence, volume_integral,
@@ -12,6 +12,7 @@ from twopoint.maxwell import (
     SpectralEngine,
     Trajectory,
     UniformOscillating,
+    YeeEngine,
     ZeroCurrent,
     _state_means,
     cfl_max_dt,
@@ -169,6 +170,27 @@ class TestStepYee:
         zero = FieldState(VectorField.zeros(g), VectorField.zeros(g), 0.0)
         out = evolve(zero, ZeroCurrent(), 0.01, 1, stepper="yee").states[1]
         assert np.all(out.E.data == 0.0)
+
+    @pytest.mark.parametrize("dims", [(32, 32, 32), (16, 24, 12), (15, 16, 16)])
+    @pytest.mark.parametrize("current", ["zero", "uniform", "planewave", "gaussian"])
+    def test_engine_matches_real_space_leapfrog(self, dims, current):
+        g = GridSpec(dims, tuple(1.0 / n for n in dims))
+        j = {"zero": ZeroCurrent(),
+             "uniform": UniformOscillating((0.3, -0.2, 0.1), omega=2 * np.pi),
+             "planewave": PlaneWaveCurrent((1, -2, 1), (1.0, 0.5, 0.0), omega=3.0),
+             "gaussian": GaussianPulseCurrent((0.5, 0.4, 0.5), 0.2, (0.0, 0.0, 1.0),
+                                              t0=0.01, tau=0.02)}[current]
+        state = random_band_limited(g, seed=4, kmax=2, mean_b=(0.0, 0.2, 0.1))
+        dt, nsteps = 0.5 * cfl_max_dt(g, "yee"), 32
+        engine = YeeEngine(state, j, dt)
+        for _ in range(nsteps):
+            engine.advance()
+        expected = yee_leapfrog(state, j, dt, nsteps)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(engine.state().data - expected)) <= 1e-14 * scale
+        # the means come from the k = 0 coefficients, with no snapshot
+        assert np.allclose(engine.means(), np.sum(expected, axis=(1, 2, 3)) * g.cell_volume,
+                           rtol=0, atol=1e-14 * scale * g.volume)
 
     def test_plane_wave_error_refines_second_order(self):
         spec = PlaneWaveSpec(amplitude=1.0, k=2 * np.pi)
