@@ -48,7 +48,6 @@ from .waves import (
 )
 from .laws import (
     BalanceReport,
-    HistoryBuffer,
     TwoPointLawSpec,
     density,
     flux,

@@ -291,10 +291,10 @@ def build_source(cfg: Config, grid: GridSpec):
 def _check_resolved(source, dt: float):
     """An oscillating current must turn its phase by less than pi per step;
     a faster one is aliased by the stepper to another frequency."""
-    if isinstance(source, (UniformOscillating, PlaneWaveCurrent)):
-        if not abs(source.omega) * dt < np.pi:
-            raise ConfigError(f"source.omega = {source.omega!r} is not resolved by "
-                              f"dt = {dt!r}: |omega| dt must be < pi")
+    omega = getattr(source, "omega", 0.0)  # uniform and plane-wave currents have one
+    if not abs(omega) * dt < np.pi:
+        raise ConfigError(f"source.omega = {omega!r} is not resolved by "
+                          f"dt = {dt!r}: |omega| dt must be < pi")
 
 
 _AXES = {"x": 0, "y": 1, "z": 2}
@@ -414,7 +414,10 @@ def cmd_verify(cfg: Config) -> int:
     if stride < 1:
         raise ConfigError(f"analysis.stride must be >= 1, got {stride}")
     defect_tol = cfg.float("tolerance.defect_rel", 1e-7)
-    r_tol = cfg.float("tolerance.residual_max", 0.0) or None
+    r_tol = cfg.float("tolerance.residual_max", 0.0)
+    if min(defect_tol, r_tol) < 0.0:
+        raise ConfigError("tolerance.defect_rel and tolerance.residual_max must be >= 0")
+    r_tol = r_tol or None
 
     reports = run_balance(initial, source, dt, nsteps, laws,
                           stepper=stepper, analysis_stride=stride)
@@ -585,10 +588,14 @@ def cmd_forge(cfg: Config) -> int:
     points = np.array(cfg.floats("forge.points"))
     if not len(points):
         raise ConfigError("forge.points needs at least one point")
+    if len(np.unique(np.mod(points, pde.length))) < len(points):
+        raise ConfigError("forge.points repeats a point (modulo forge.length)")
     order = cfg.int("forge.order", 2)
     if not 1 <= order <= MAX_ORDER:
         raise ConfigError(f"forge.order must be in [1, {MAX_ORDER}], got {order}")
     horizon = cfg.float("forge.horizon", 1.0)
+    if horizon <= 0.0:
+        raise ConfigError(f"forge.horizon must be > 0, got {horizon!r}")
     f0 = _build_f0(cfg, pde)
     moments = time_derivative_samples(pde, f0, points, order)
     invariants = nullspace_invariants(moments)

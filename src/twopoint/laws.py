@@ -39,7 +39,10 @@ The tensors of the shipped laws are sparse (6 of 36 W entries, 12 of 108 K
 entries), so each law lists its nonzero terms (a, b, coef) once, and the
 pointwise kernels contract only those, node by node, in the dense
 contraction's order: the values are bit-identical to it.  A balance
-run builds the profiles of its driving current once, not per step.
+run builds the profiles of its driving current once, not per step, at
+each law's map and its inverse: the volume integral of S is a fixed
+pairing of the field with those profiles, which the engine evaluates on
+its own coefficients at every step, with no snapshot.
 
 A balance run evaluates its rows on the source's analysis grid.  For an
 engine (spectral or Yee) whose fields carry modes |n_i| <= K that is the same box
@@ -51,7 +54,6 @@ nodes, from the coarse residual resampled in Fourier space.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -71,13 +73,7 @@ from .grid import (
     divergence,
     volume_integral,
 )
-from .maxwell import (
-    CurrentSpec,
-    Trajectory,
-    UniformOscillating,
-    _engine,
-    _state_means,
-)
+from .maxwell import CurrentSpec, Trajectory, _engine
 
 _LEVI = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -306,32 +302,6 @@ def source_power(law: TwoPointLawSpec, state_now: FieldState,
 # ---------------------------------------------------------------------------
 
 
-class HistoryBuffer:
-    """Ring of the most recent stepped values, keyed by step index."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
-        self._items: OrderedDict = OrderedDict()
-
-    def push(self, step: int, value):
-        self._items[step] = value
-        while len(self._items) > self.capacity:
-            self._items.popitem(last=False)
-
-    def get(self, step: int):
-        try:
-            return self._items[step]
-        except KeyError:
-            raise HistoryUnderflow(
-                f"step {step} not in the retained window of {self.capacity}"
-            ) from None
-
-    def __len__(self):
-        return len(self._items)
-
-
 @dataclass(eq=False)
 class BalanceReport:
     """Time series of one law's global balance on one trajectory.
@@ -429,30 +399,6 @@ def _analysis_row(law, j, dt, get_state, a, nsteps, fine_grid, profiles=None):
     return q, r_l2, r_max
 
 
-def _uniform_work_series(law, j: UniformOscillating, mean6, dt, t0, nsteps):
-    """Per-step source power for a uniform current, from the k=0 modes.
-
-    A uniform J couples only to the volume means of the fields:
-    integral S dV = G_ab [ M_a(t) Js_b(t~) + Js_a(t) M~_b(t~) ], and the
-    mapped mean equals the plain mean because every map is a symmetry of
-    the box, which preserves volume.
-    """
-    m = law.time_shift_steps
-    n_w = nsteps - m + 1
-    t_now = t0 + dt * np.arange(n_w)
-    amp = np.asarray(j.amplitude)
-
-    def j6(tvals):
-        j3 = np.outer(np.sin(j.omega * tvals + j.phase), amp)
-        return np.concatenate([j3, j3], axis=1)
-
-    m_now = mean6[:n_w]
-    m_sh = mean6[m : m + n_w]
-    w = np.einsum("ab,na,nb->n", law.source, m_now, j6(t_now + m * dt))
-    w += np.einsum("ab,na,nb->n", law.source, j6(t_now), m_sh)
-    return w
-
-
 # ---------------------------------------------------------------------------
 # One balance loop: `residual` feeds it a stored trajectory, `run_balance`
 # a stepping engine; both reach it through the engine protocol of `maxwell`
@@ -460,8 +406,8 @@ def _uniform_work_series(law, j: UniformOscillating, mean6, dt, t0, nsteps):
 
 
 class _StoredSource:
-    """A stored trajectory behind the engine protocol of `maxwell`: its
-    checkpoints are the stored states themselves, on the trajectory's grid."""
+    """A stored trajectory behind the engine protocol of `maxwell`, on the
+    trajectory's own grid."""
 
     def __init__(self, traj: Trajectory):
         self.states = traj.states
@@ -471,39 +417,48 @@ class _StoredSource:
     def advance(self):
         self.step_index += 1
 
-    def checkpoint(self) -> FieldState:
+    def state(self, grid: Optional[GridSpec] = None) -> FieldState:
         return self.states[self.step_index]
 
-    def state(self, checkpoint: Optional[FieldState] = None,
-              grid: Optional[GridSpec] = None) -> FieldState:
-        return self.checkpoint() if checkpoint is None else checkpoint
+    def dual(self, q: np.ndarray) -> np.ndarray:
+        return q * self.analysis_grid.cell_volume
 
-    def means(self) -> np.ndarray:
-        return _state_means(self.checkpoint())
+    def pair(self, dual: np.ndarray) -> np.ndarray:
+        return np.einsum("axyz,cxyz->ac", self.state().data, dual)
 
 
 def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
-    """Balance reports of several laws over the nsteps steps of one source.
+    """Balance report of one law, or the list of reports of a list of laws,
+    over the nsteps steps of one source.
 
     `source` follows the engine protocol of `maxwell` (a stepping engine or
-    a stored trajectory).  One window of m_max + 3 steps holds each step's
-    checkpoint until the step is first read, and its snapshot on the
-    source's analysis grid after that, so the window materialises a
-    snapshot only if the analysis or the source work reads it, and at most
-    once.  Q and the residual norms are evaluated at `stride` multiples,
-    and the source power of a non-uniform current at every step, both from
-    current profiles built once for the run on the analysis grid; the work
-    of a uniform current comes from the per-step field means, so the
-    Simpson quadrature of the work integral keeps the stepper's order.  A
-    step whose snapshot or means are not finite raises Diverged naming it.
+    a stored trajectory).  Q and the residual norms are evaluated at
+    `stride` multiples, from snapshots on the source's analysis grid; a
+    window of the last m_max + 3 steps holds the snapshots of the steps
+    some row reads, taken as the source reaches them.  The source work is
+    evaluated at every step, so the Simpson quadrature of its integral
+    keeps the stepper's order.  S is bilinear in F and J, so its volume
+    integral is a fixed pairing of F with the current's profile P:
+
+        int S dV = sum over source terms (a, b, c) of
+                   c [ f(t + m dt) <F_a(t), P~_b> + f(t) <F_b(t + m dt), P^-1_a> ]
+
+    with P~ the profile at the law's mapped points and P^-1 the profile at
+    the inverse-mapped ones (every map is a volume-preserving symmetry of
+    the box), so each step of a driven run makes one `pair` call against
+    all the maps' profiles, built once for the run.  A step whose pairings
+    or snapshot are not finite raises Diverged naming it.
     """
+    single = isinstance(laws, TwoPointLawSpec)
+    laws = [laws] if single else list(laws)
+    if not laws:
+        raise ValueError("need at least one law")
     if stride < 1:
         raise ValueError(f"analysis stride must be >= 1, got {stride}")
     m_max = max(law.time_shift_steps for law in laws)
     if nsteps < m_max + 2:
-        raise HistoryUnderflow(
-            f"need at least {m_max + 2} steps for shift {m_max}, have {nsteps}"
-        )
+        raise HistoryUnderflow(f"need at least {m_max + 2} steps for shift {m_max}, "
+                               f"have {nsteps}")
     last_q = nsteps - m_max
     analysis = sorted(set(range(0, last_q + 1, stride)) | {last_q})
     initial = source.state()
@@ -516,90 +471,84 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
     if not np.isfinite(scale):
         raise Diverged("field energy is not finite at step 0")
 
-    uniform = isinstance(j, UniformOscillating)
-    mean6 = np.zeros((nsteps + 1, 6))
-    work = {id(law): np.zeros(nsteps - law.time_shift_steps + 1) for law in laws}
-    window = HistoryBuffer(m_max + 3)
+    cols = {}  # map -> first of its 3 columns in the dual
     profiles = {}  # law map -> (profile, mapped profile) of the current
+    dual = None
     if not j.is_zero:
-        spatial = j.spatial_profile(agrid)
+        mapped = {}
         for law in laws:
-            if law.map not in profiles:
-                profiles[law.map] = (spatial, j.profile_at(agrid, law.map))
+            for amap in (law.map, law.map.inverse()):
+                if amap not in cols:
+                    cols[amap] = 3 * len(cols)
+                    mapped[amap] = j.profile_at(agrid, amap)
+        spatial = j.spatial_profile(agrid)
+        profiles = {law.map: (spatial, mapped[law.map]) for law in laws}
+        dual = source.dual(np.concatenate(list(mapped.values())))
+    pairs = np.zeros((nsteps + 1, 6, len(cols) * 3))
 
-    def snapshot(step) -> FieldState:
-        entry = window.get(step)
-        if not isinstance(entry, FieldState):
-            entry = source.state(entry, agrid)
-            window.push(step, entry)  # same key: replaced in place, no eviction
-        return entry
+    reads = set()  # the steps some row reads, each law with its own m
+    for law in laws:
+        m = law.time_shift_steps
+        for a in analysis:
+            reads.update((a, a + m))
+            if 1 <= a <= nsteps - m - 1:
+                reads.update((a - 1, a + 1, a + m - 1, a + m + 1))
 
     def need(a: int) -> int:
         return a + m_max + (1 if 1 <= a <= nsteps - m_max - 1 else 0)
 
+    window = {}
     rows = {id(law): [] for law in laws}
     ai = 0
     for n_sim in range(0, nsteps + 1):
         if n_sim > 0:
             source.advance()
-        window.push(n_sim, source.checkpoint())
-        if uniform:
-            mean6[n_sim] = source.means()
-            if not np.all(np.isfinite(mean6[n_sim])):
-                raise Diverged(f"field means are not finite at step {n_sim}")
-        elif not j.is_zero:
-            for law in laws:
-                n = n_sim - law.time_shift_steps
-                if n >= 0:
-                    work[id(law)][n] = volume_integral(source_power(
-                        law, snapshot(n), snapshot(n_sim), j, profiles[law.map]
-                    ))
+        if dual is not None:
+            pairs[n_sim] = source.pair(dual)
+            if not np.all(np.isfinite(pairs[n_sim])):
+                raise Diverged(f"field is not finite at step {n_sim}")
+        window.pop(n_sim - m_max - 3, None)
+        if n_sim in reads:
+            window[n_sim] = source.state(agrid)
         while ai < len(analysis) and need(analysis[ai]) <= n_sim:
             a = analysis[ai]
             for law in laws:
                 rows[id(law)].append(_analysis_row(
-                    law, j, dt, snapshot, a, nsteps, initial.grid, profiles.get(law.map)
+                    law, j, dt, window.__getitem__, a, nsteps, initial.grid,
+                    profiles.get(law.map)
                 ))
             ai += 1
     assert ai == len(analysis)
 
+    f = np.array([j.time_factor(t) for t in t0 + dt * np.arange(nsteps + 1)])
     idx = np.asarray(analysis)
     reports = []
     for law in laws:
-        q = np.array([r[0] for r in rows[id(law)]])
-        r_l2 = np.array([r[1] for r in rows[id(law)]])
-        r_max = np.array([r[2] for r in rows[id(law)]])
-        if uniform:
-            w = _uniform_work_series(law, j, mean6, dt, t0, nsteps)
-        else:
-            w = work[id(law)]
+        m = law.time_shift_steps
+        n_w = nsteps - m + 1
+        w = np.zeros(n_w)
+        if dual is not None:
+            fwd, inv = cols[law.map], cols[law.map.inverse()]
+            for a, b, c in law._source_terms:
+                w += c * (f[m:] * pairs[:n_w, a, fwd + b % 3]
+                          + f[:n_w] * pairs[m:, b, inv + a % 3])
+        q, r_l2, r_max = (np.array(col) for col in zip(*rows[id(law)]))
         source_cum = cumulative_simpson(w, dt)[idx]
-        defect = q - q[0] - source_cum
-        reports.append(
-            BalanceReport(
-                label=law.label,
-                t=t0 + dt * idx,
-                Q=q,
-                source_cum=source_cum,
-                defect=defect,
-                r_l2=r_l2,
-                r_max=r_max,
-                norm_scale=scale,
-            )
-        )
-    return reports
+        reports.append(BalanceReport(law.label, t0 + dt * idx, q, source_cum,
+                                     q - q[0] - source_cum, r_l2, r_max, scale))
+    return reports[0] if single else reports
 
 
-def residual(traj: Trajectory, law: TwoPointLawSpec,
-             analysis_stride: int = 1) -> BalanceReport:
-    """Balance report of one law over a stored trajectory.
+def residual(traj: Trajectory, laws, analysis_stride: int = 1):
+    """Balance report of one law (a list of reports for a list of laws)
+    over a stored trajectory.
 
     The time derivative is a centered 2nd-order difference of the stored
     states, so the report measures the law against the trajectory the
     stepper actually produced.
     """
-    return _balance(_StoredSource(traj), [law], traj.source, traj.dt,
-                    len(traj) - 1, analysis_stride)[0]
+    return _balance(_StoredSource(traj), laws, traj.source, traj.dt, len(traj) - 1,
+                    analysis_stride)
 
 
 def run_balance(
@@ -611,18 +560,13 @@ def run_balance(
     stepper: str = "spectral",
     analysis_stride: int = 1,
 ):
-    """Evolve and verify several laws in one pass, storing only a window.
+    """Evolve and verify one law or a list of laws in one pass, storing
+    only a window.
 
     The same bookkeeping as `residual`, fed by a stepping engine instead of
     a stored trajectory.
     """
-    single = isinstance(laws, TwoPointLawSpec)
-    laws = [laws] if single else list(laws)
-    if not laws:
-        raise ValueError("need at least one law")
-    engine = _engine(stepper, initial, j, dt)
-    reports = _balance(engine, laws, j, dt, nsteps, analysis_stride)
-    return reports[0] if single else reports
+    return _balance(_engine(stepper, initial, j, dt), laws, j, dt, nsteps, analysis_stride)
 
 
 # ---------------------------------------------------------------------------

@@ -243,18 +243,18 @@ def _check_dt(grid, dt, stepper):
 # Engines
 #
 # Both steppers share one protocol, constructed as Engine(state, current, dt):
-#   advance()          one step; rebinds the internal arrays, never writes
-#                      into them, so old checkpoints stay valid
-#   checkpoint()       the current step index and internal arrays, no copy
+#   advance()          one step
 #   analysis_grid      the grid the balance rows are evaluated on: the coarsest
 #                      grid of the same box on which every quadratic quantity
 #                      of the active modes is exact, where that grid is
 #                      smaller than the engine's own, else the own grid
-#   state(checkpoint=None, grid=None)
-#                      the collocated FieldState of a checkpoint (default: the
-#                      current step) on the own grid (default) or the analysis
-#                      grid; on the own grid, step 0 is the initial state itself
-#   means()            volume integral of each of the 6 stacked components
+#   state(grid=None)   the collocated FieldState of the current step on the
+#                      own grid (default) or the analysis grid; on the own
+#                      grid, step 0 is the initial state itself
+#   dual(q)            a (c, ...) field on the analysis grid as the weights
+#                      that `pair` contracts the field's coefficients with
+#   pair(dual)         the (6, c) volume integrals of F_a q_c at the current
+#                      step, with no snapshot
 # ---------------------------------------------------------------------------
 
 
@@ -265,12 +265,6 @@ def _stepped_state(grid: GridSpec, data: np.ndarray, step: int, t: float) -> Fie
         return FieldState.from_data(grid, data, t)
     except NonFiniteField:
         raise Diverged(f"field is not finite at step {step}") from None
-
-
-def _state_means(state: FieldState) -> np.ndarray:
-    """Volume integral of each stacked component."""
-    cv = state.grid.cell_volume
-    return np.array([np.sum(c) * cv for c in state.data])
 
 
 class SpectralEngine:
@@ -346,7 +340,7 @@ class SpectralEngine:
 
         Every field carries integer modes |n_i| <= K, so a product of two has
         band 2K and the square of one 4K.  On M >= 4K + 1 nodes per axis the
-        samples of those products, their spectral divergence and their means
+        samples of those products, their spectral divergence and their integrals
         are exact; M = 4K + 2 (at least 4, the smallest grid) on every axis
         keeps each symmetry of the box a symmetry of the coarse grid.  The
         coarse grid is the analysis grid only where it has fewer nodes than
@@ -383,10 +377,11 @@ class SpectralEngine:
         self.u = u
         self.step_index += 1
 
-    # -- snapshots -----------------------------------------------------------
+    # -- snapshots and pairings ------------------------------------------------
 
-    def checkpoint(self) -> tuple:
-        return self.step_index, self.u
+    def _nodes(self) -> np.ndarray:
+        """The gathered coefficients of the collocated field at the current step."""
+        return self.u
 
     def dense_coefficients(self, u: np.ndarray, grid: GridSpec) -> np.ndarray:
         """The gathered coefficients u scattered into the rfftn array of
@@ -397,24 +392,34 @@ class SpectralEngine:
         out[:, index] = u * scale
         return out.reshape(6, nx, ny, nz // 2 + 1)
 
-    def state(self, checkpoint: Optional[tuple] = None,
-              grid: Optional[GridSpec] = None) -> FieldState:
-        step, u = self.checkpoint() if checkpoint is None else checkpoint
+    def state(self, grid: Optional[GridSpec] = None) -> FieldState:
         grid = self.grid if grid is None else grid
         if grid not in self._layout:
             raise ValueError(f"no snapshots on grid {grid.dims}")
+        step = self.step_index
         if step == 0 and grid == self.grid:
             return self.initial  # the exact data, not its FFT round trip
-        data = np.fft.irfftn(self.dense_coefficients(u, grid), s=grid.dims, axes=(-3, -2, -1))
+        data = np.fft.irfftn(self.dense_coefficients(self._nodes(), grid), s=grid.dims,
+                             axes=(-3, -2, -1))
         return _stepped_state(grid, data, step, self.initial.t + step * self.dt)
 
-    def means(self) -> np.ndarray:
-        """k = 0 coefficients times the cell volume (exact sums at step 0)."""
-        if self.step_index == 0:
-            return _state_means(self.initial)
-        # mode (0, 0, 0) is first in the C-order gather
-        zero = self.u[:, 0] if self.mask[0, 0, 0] else np.zeros(6)
-        return np.real(zero) * self.grid.cell_volume
+    def dual(self, q: np.ndarray) -> np.ndarray:
+        """Conjugate rfftn coefficients of q at the active modes, weighted so
+        that `pair` is Parseval's sum: 2 for a mode off the kz = 0 and
+        Nyquist planes (it stands for its mirror too), times the snapshot
+        scale and cell volume over the node count of the analysis grid."""
+        grid = self.analysis_grid
+        index, scale = self._layout[grid]
+        half = grid.dims[2] // 2 + 1
+        kz = index % half
+        mirrored = (kz != 0) & (2 * kz != grid.dims[2])
+        weight = np.where(mirrored, 2.0, 1.0) * (scale * grid.cell_volume / grid.num_nodes)
+        qh = np.fft.rfftn(q, axes=(-3, -2, -1)).reshape(len(q), -1)
+        return np.conj(qh[:, index]) * weight
+
+    def pair(self, dual: np.ndarray) -> np.ndarray:
+        """(6, c) volume integrals of F_a q_c at the current step."""
+        return np.real(self._nodes() @ dual.T)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +442,10 @@ class YeeEngine(SpectralEngine):
     (z - 1) / h_a and (1 - 1/z) / h_a, and the 4th-order half-cell shift
     onto the staggered sites and back is (-1/z + 9 + 9 z - z^2) / 16 and
     (-1/z^2 + 9/z + 9 - z) / 16.  E_i sits half a cell along axis i, B_i
-    along the two other axes, and J is staggered like E.  The checkpoint
-    holds the staggered E and B(t - dt/2); snapshots shift them back to the
-    nodes on demand (B time-averaged to the whole step), so repeated
-    stepping never filters the state.  Every symbol leaves the k = 0 mode
-    as it is, so `means` reads the staggered coefficients.
+    along the two other axes, and J is staggered like E.  `u` holds the
+    staggered E and B(t - dt/2); snapshots and pairings shift them back to
+    the nodes on demand (B time-averaged to the whole step), so
+    repeated stepping never filters the state.
     """
 
     def __init__(self, state: FieldState, current: CurrentSpec, dt: float):
@@ -470,15 +474,16 @@ class YeeEngine(SpectralEngine):
         self.u = np.concatenate((e, b))
         self.step_index += 1
 
-    def state(self, checkpoint: Optional[tuple] = None,
-              grid: Optional[GridSpec] = None) -> FieldState:
-        step, u = self.checkpoint() if checkpoint is None else checkpoint
-        if step == 0:
-            nodes = self._u0  # the initial coefficients, never staggered
-        else:
-            b = u[3:] - 0.5 * _curl(self._dplus, u[:3])  # B at the whole step
-            nodes = self._down * np.concatenate((u[:3], b))
-        return super().state((step, nodes), grid)
+    def _nodes(self) -> np.ndarray:
+        if self.step_index == 0:
+            return self._u0  # the initial coefficients, never staggered
+        b = self.u[3:] - 0.5 * _curl(self._dplus, self.u[:3])  # B at the whole step
+        return self._down * np.concatenate((self.u[:3], b))
+
+    def state(self, grid: Optional[GridSpec] = None) -> FieldState:
+        # bench/tracing.py times Yee snapshots by patching this class's own
+        # `state`, so the class keeps one
+        return super().state(grid)
 
 
 # ---------------------------------------------------------------------------

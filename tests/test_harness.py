@@ -183,36 +183,55 @@ class TestVerify:
            dims=st.sampled_from(["8 8 8", "8.7 8 8"]),
            amplitude=st.sampled_from(["1.0", "1e160", "inf", "nan"]),
            mean_b=st.sampled_from(["0 0 0", "0 nan 0"]),
-           huge_shift=st.booleans(), planewave=st.booleans())
-    # kmax, dims, amplitude, mean_b and huge_shift each alone on an otherwise
-    # runnable config (huge_shift also under a plane-wave current, whose
-    # mapped profile takes the shift); random draws seldom leave every other
-    # input valid
+           huge_shift=st.booleans(), planewave=st.booleans(),
+           tolerance=st.sampled_from(["defect_rel=1e-7", "defect_rel=-1e-7",
+                                      "residual_max=-1.0"]))
+    # kmax, dims, amplitude, mean_b, huge_shift and a negative tolerance each
+    # alone on an otherwise runnable config (huge_shift also under a
+    # plane-wave current, whose mapped profile takes the shift); random draws
+    # seldom leave every other input valid
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
-             mean_b="0 0 0", huge_shift=False, planewave=False)
+             mean_b="0 0 0", huge_shift=False, planewave=False,
+             tolerance="defect_rel=1e-7")
     @example(stride=2, nsteps=4, stepper="yee", kmax="0", dims="8 8 8", amplitude="1.0",
-             mean_b="0 0 0", huge_shift=False, planewave=False)
+             mean_b="0 0 0", huge_shift=False, planewave=False,
+             tolerance="defect_rel=1e-7")
     @example(stride=2, nsteps=4, stepper="spectral", kmax="4", dims="8 8 8", amplitude="1.0",
-             mean_b="0 0 0", huge_shift=False, planewave=False)
+             mean_b="0 0 0", huge_shift=False, planewave=False,
+             tolerance="defect_rel=1e-7")
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8.7 8 8",
-             amplitude="1.0", mean_b="0 0 0", huge_shift=False, planewave=False)
+             amplitude="1.0", mean_b="0 0 0", huge_shift=False, planewave=False,
+             tolerance="defect_rel=1e-7")
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8",
-             amplitude="1e160", mean_b="0 0 0", huge_shift=False, planewave=False)
+             amplitude="1e160", mean_b="0 0 0", huge_shift=False, planewave=False,
+             tolerance="defect_rel=1e-7")
     @example(stride=1, nsteps=3, stepper="yee", kmax="2", dims="8 8 8", amplitude="1e160",
-             mean_b="0 0 0", huge_shift=False, planewave=False)
+             mean_b="0 0 0", huge_shift=False, planewave=False,
+             tolerance="defect_rel=1e-7")
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="inf",
-             mean_b="0 0 0", huge_shift=False, planewave=False)
+             mean_b="0 0 0", huge_shift=False, planewave=False,
+             tolerance="defect_rel=1e-7")
     @example(stride=2, nsteps=4, stepper="yee", kmax="2", dims="8 8 8", amplitude="nan",
-             mean_b="0 0 0", huge_shift=False, planewave=False)
+             mean_b="0 0 0", huge_shift=False, planewave=False,
+             tolerance="defect_rel=1e-7")
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
-             mean_b="0 nan 0", huge_shift=False, planewave=False)
+             mean_b="0 nan 0", huge_shift=False, planewave=False,
+             tolerance="defect_rel=1e-7")
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
-             mean_b="0 0 0", huge_shift=True, planewave=False)
+             mean_b="0 0 0", huge_shift=True, planewave=False,
+             tolerance="defect_rel=1e-7")
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
-             mean_b="0 0 0", huge_shift=True, planewave=True)
+             mean_b="0 0 0", huge_shift=True, planewave=True,
+             tolerance="defect_rel=1e-7")
+    @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
+             mean_b="0 0 0", huge_shift=False, planewave=True,
+             tolerance="defect_rel=-1e-7")
+    @example(stride=2, nsteps=4, stepper="yee", kmax="2", dims="8 8 8", amplitude="1.0",
+             mean_b="0 0 0", huge_shift=False, planewave=False,
+             tolerance="residual_max=-1.0")
     def test_bad_balance_inputs_exit_cleanly(self, tmp_path_factory, stride, nsteps,
                                              stepper, kmax, dims, amplitude, mean_b,
-                                             huge_shift, planewave):
+                                             huge_shift, planewave, tolerance):
         tmp = tmp_path_factory.mktemp("v")
         text = VERIFY_SMALL + (PLANEWAVE_SOURCE if planewave else "")
         if huge_shift:  # a finite shift far outside the box, taken modulo the box
@@ -226,10 +245,10 @@ class TestVerify:
             "verify", cfg, f"analysis.stride={stride}", f"nsteps={nsteps}",
             f"stepper={stepper}", f"initial.kmax={kmax}", f"grid.dims={dims}",
             f"initial.amplitude={amplitude}", f"initial.mean_b={mean_b}",
-            f"output.dir={tmp / 'out'}"])
+            f"tolerance.{tolerance}", f"output.dir={tmp / 'out'}"])
         if (stride < 1 or nsteps < 0 or stepper not in ("spectral", "yee")
                 or kmax != "2" or dims != "8 8 8" or amplitude in ("inf", "nan")
-                or mean_b != "0 0 0"):
+                or mean_b != "0 0 0" or tolerance != "defect_rel=1e-7"):
             assert code == EXIT_CONFIG
         elif nsteps < 2:
             assert code == EXIT_INSUFFICIENT
@@ -584,33 +603,45 @@ class TestForgeAndPlaneWaveInputs:
     @given(pde=st.sampled_from(["advection", "burgers", "bogus"]),
            resolution=st.sampled_from(["32", "8", "40.5"]),
            order=st.sampled_from(["2", "9", "0"]),
-           points=st.sampled_from(["0.0 1.5 3.0 4.5", "", "0 x"]),
+           # repeated points: equal, and equal modulo forge.length = 2 pi
+           points=st.sampled_from(["0.0 1.5 3.0 4.5", "", "0 x", "0.5 0.5 1.0",
+                                   "0.0 1.5 6.283185307179586"]),
            nu=st.sampled_from(["0", "-1", "nan"]),
-           c=st.sampled_from(["1.0", "0"]))
-    # each of the five rejected values alone on an otherwise runnable config,
+           c=st.sampled_from(["1.0", "0"]),
+           horizon=st.sampled_from(["0.5", "0", "-1"]))
+    # each rejected value alone on an otherwise runnable config,
     # and advection at zero speed (no stability limit on the step)
     @example(pde="advection", resolution="8", order="2", points="0.0 1.5 3.0 4.5", nu="0",
-             c="1.0")
+             c="1.0", horizon="0.5")
     @example(pde="bogus", resolution="32", order="2", points="0.0 1.5 3.0 4.5", nu="0",
-             c="1.0")
+             c="1.0", horizon="0.5")
     @example(pde="advection", resolution="32", order="9", points="0.0 1.5 3.0 4.5", nu="0",
-             c="1.0")
-    @example(pde="advection", resolution="32", order="2", points="", nu="0", c="1.0")
+             c="1.0", horizon="0.5")
+    @example(pde="advection", resolution="32", order="2", points="", nu="0", c="1.0", horizon="0.5")
     @example(pde="advection", resolution="32", order="2", points="0.0 1.5 3.0 4.5", nu="0",
-             c="0")
+             c="0", horizon="0.5")
     @example(pde="burgers", resolution="32", order="2", points="0.0 1.5 3.0 4.5", nu="-1",
-             c="1.0")
+             c="1.0", horizon="0.5")
     @example(pde="burgers", resolution="32", order="2", points="0.0 1.5 3.0 4.5", nu="0",
-             c="1.0")
+             c="1.0", horizon="0.5")
+    @example(pde="advection", resolution="32", order="2", points="0.5 0.5 1.0", nu="0",
+             c="1.0", horizon="0.5")
+    @example(pde="advection", resolution="32", order="2", points="0.0 1.5 6.283185307179586",
+             nu="0", c="1.0", horizon="0.5")
+    @example(pde="advection", resolution="32", order="2", points="0.0 1.5 3.0 4.5", nu="0",
+             c="1.0", horizon="0")
+    @example(pde="burgers", resolution="32", order="2", points="0.0 1.5 3.0 4.5", nu="0",
+             c="1.0", horizon="-1")
     def test_bad_forge_inputs_exit_cleanly(self, tmp_path_factory, pde, resolution, order,
-                                           points, nu, c):
+                                           points, nu, c, horizon):
         tmp = tmp_path_factory.mktemp("f")
         cfg = write_config(tmp / "f.txt", FORGE_SMALL)
         code, _ = run_cleanly(["forge", cfg, f"forge.pde={pde}", f"forge.resolution={resolution}",
                                f"forge.order={order}", f"forge.points={points}",
-                               f"forge.nu={nu}", f"forge.c={c}", f"output.dir={tmp / 'out'}"])
+                               f"forge.nu={nu}", f"forge.c={c}", f"forge.horizon={horizon}",
+                               f"output.dir={tmp / 'out'}"])
         if (pde == "bogus" or resolution != "32" or order != "2"
-                or points != "0.0 1.5 3.0 4.5" or nu != "0"):
+                or points != "0.0 1.5 3.0 4.5" or nu != "0" or horizon != "0.5"):
             assert code == EXIT_CONFIG
         else:
             assert code == EXIT_OK

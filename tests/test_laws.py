@@ -17,7 +17,6 @@ from twopoint.grid import (
 )
 from twopoint.laws import (
     _LEVI,
-    HistoryBuffer,
     TwoPointLawSpec,
     _contract,
     _nonzero_terms,
@@ -424,6 +423,28 @@ class TestResidual:
         # fine snapshots and sums them
         assert_reports_agree(stream, post)
 
+    @pytest.mark.parametrize("stepper", ["spectral", "yee"])
+    def test_each_law_reads_the_steps_of_its_own_shift(self, grid, stepper):
+        # 20 steps at stride 6 with m_max = 2: the last analysis step is
+        # a = 18, an interior row of the m = 0 law, which reads step 17; no
+        # row of the m = 2 law reads it
+        s = random_band_limited(grid, seed=16, kmax=1, mean_b=(0.0, 0.1, 0.0))
+        j = PlaneWaveCurrent((1, 2, 0), (0.0, 0.0, 1.0), omega=2 * np.pi)
+        dt, n, stride = 1e-3, 20, 6
+        laws = [law_translation(grid, (0, 0, 3), 0), law_translation(grid, (0, 0, 3), 2)]
+        traj = evolve(s, j, dt, n, stepper=stepper)
+        runs = {"stream": lambda ls: run_balance(s, j, dt, n, ls, stepper, stride),
+                "stored": lambda ls: residual(traj, ls, stride)}
+        for name, run in runs.items():
+            together = run(laws)
+            assert np.isfinite(together[0].r_max[-1]), name  # an interior row
+            for rep, law in zip(together, laws):
+                alone = run(law)
+                k = len(rep.t)
+                for field in ("t", "Q", "source_cum", "defect", "r_l2", "r_max"):
+                    assert np.array_equal(getattr(rep, field), getattr(alone, field)[:k],
+                                          equal_nan=True), (name, law.label, field)
+
     def test_sourced_defect_small_but_work_nonzero(self, grid):
         s = random_band_limited(grid, seed=13, kmax=1, mean_b=(0.0, 0.2, 0.1))
         j = UniformOscillating((0.05, 0.03, 0.04), omega=2 * np.pi)
@@ -616,9 +637,14 @@ class TestAnalysisGrid:
             for law in laws:
                 rep = run_balance(s, j, 1e-3, 10, law, analysis_stride=3)
                 post = residual(traj, law, analysis_stride=3)
-                for field in ("Q", "source_cum", "defect", "r_l2", "r_max"):
+                for field in ("Q", "r_l2", "r_max"):
                     assert np.array_equal(getattr(rep, field), getattr(post, field),
                                           equal_nan=True), field
+                # the engine pairs its coefficients with the current in
+                # Fourier space, the stored path sums over the nodes
+                for field in ("source_cum", "defect"):
+                    assert np.allclose(getattr(rep, field), getattr(post, field), rtol=0,
+                                       atol=1e-18 * rep.norm_scale), field
 
     def test_map_is_checked_on_the_run_grid(self):
         # x and z have equal lengths but 16 and 8 nodes: the swap is not a
@@ -630,31 +656,28 @@ class TestAnalysisGrid:
         with pytest.raises(InvalidMap):
             run_balance(s, ZeroCurrent(), 1e-3, 4, symmetry_law(swap.alpha_matrix, swap.beta, 0))
 
-    def test_yee_means_need_no_snapshots(self, grid, monkeypatch):
+    @pytest.mark.parametrize("stepper", ["spectral", "yee"])
+    def test_driven_runs_take_no_more_snapshots_than_free_runs(self, grid, monkeypatch,
+                                                               stepper):
         calls = []
-        original = YeeEngine.state
+        original = SpectralEngine.state  # the Yee engine's snapshots go through it too
 
-        def counted(self, checkpoint=None, grid=None):
+        def counted(self, grid=None):
             calls.append(1)
-            return original(self, checkpoint, grid)
+            return original(self, grid)
 
-        monkeypatch.setattr(YeeEngine, "state", counted)
+        monkeypatch.setattr(SpectralEngine, "state", counted)
         s = random_band_limited(grid, seed=9, kmax=1, mean_b=(0.0, 0.2, 0.1))
-        dt = 0.3 * cfl_max_dt(grid, "yee")
-        counts = []
-        for name in ("zero", "uniform"):
+        dt = 0.3 * cfl_max_dt(grid, stepper)
+        laws = [law_inversion(), law_translation(grid, (0, 0, 3), 2)]
+        currents = dict(self.CURRENTS, gaussian=GaussianPulseCurrent(
+            (0.5, 0.4, 0.5), 0.2, (0.0, 0.0, 1.0)))
+        counts = {}
+        for name, j in currents.items():
             calls.clear()
-            run_balance(s, self.CURRENTS[name], dt, 16, law_inversion(),
-                        stepper="yee", analysis_stride=4)
-            counts.append(len(calls))
-        assert counts[0] == counts[1]
-        engine = YeeEngine(s, self.CURRENTS["uniform"], dt)
-        for _ in range(5):
-            engine.advance()
-        snapshot = engine.state()
-        cv = grid.cell_volume
-        sums = np.array([np.sum(c) * cv for c in snapshot.data])
-        assert np.allclose(engine.means(), sums, rtol=0, atol=1e-15)
+            run_balance(s, j, dt, 16, laws, stepper=stepper, analysis_stride=5)
+            counts[name] = len(calls)
+        assert all(n <= counts["zero"] for n in counts.values()), counts
 
 
 class TestPlaneWaveTwoPointTable:
@@ -671,17 +694,6 @@ class TestPlaneWaveTwoPointTable:
                 assert abs(q) <= 1e-10 * g.volume * spec.amplitude**2
             else:
                 assert q == pytest.approx(expected, rel=1e-8)
-
-
-class TestHistoryBuffer:
-    def test_eviction_and_underflow(self):
-        buf = HistoryBuffer(3)
-        for i in range(6):
-            buf.push(i, i * 10)
-        assert buf.get(5) == 50 and buf.get(3) == 30
-        assert len(buf) == 3
-        with pytest.raises(HistoryUnderflow):
-            buf.get(2)
 
 
 class TestCumulativeSimpson:

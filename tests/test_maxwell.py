@@ -14,7 +14,6 @@ from twopoint.maxwell import (
     UniformOscillating,
     YeeEngine,
     ZeroCurrent,
-    _state_means,
     cfl_max_dt,
     evolve,
 )
@@ -110,17 +109,39 @@ class TestStepSpectral:
         assert np.max(np.abs(a.E.data - b[:3])) <= 1e-13 * scale
         assert np.max(np.abs(a.B.data - b[3:])) <= 1e-13 * scale
 
-    @pytest.mark.parametrize("mean_b", [(0.0, 0.0, 0.0), (0.0, 0.2, 0.1)])
-    def test_masked_means_are_the_snapshot_means(self, mean_b):
+    def test_mean_mode_is_active_only_with_a_mean(self):
         g = GridSpec.cube(1.0, 16)
-        state = random_band_limited(g, seed=3, kmax=1, mean_b=mean_b)
-        engine = SpectralEngine(state, ZeroCurrent(), 0.002)
-        assert engine.mask[0, 0, 0] == any(mean_b)  # the mean mode is active
-        for _ in range(3):
-            engine.advance()
-        sums = _state_means(engine.state())
-        assert np.allclose(engine.means(), sums, rtol=0, atol=1e-15)
-        assert np.allclose(engine.means()[3:], np.array(mean_b) * g.volume, rtol=0, atol=1e-15)
+        for mean_b in ((0.0, 0.0, 0.0), (0.0, 0.2, 0.1)):
+            state = random_band_limited(g, seed=3, kmax=1, mean_b=mean_b)
+            assert SpectralEngine(state, ZeroCurrent(), 0.002).mask[0, 0, 0] == any(mean_b)
+
+
+class TestPairing:
+    CURRENTS = {
+        "zero": ZeroCurrent(),
+        "uniform": UniformOscillating((0.3, -0.2, 0.1), omega=2 * np.pi),
+        "planewave": PlaneWaveCurrent((1, -2, 1), (1.0, 0.5, 0.0), omega=3.0),
+        # narrow enough to carry Nyquist modes, so the run keeps its own grid
+        "gaussian": GaussianPulseCurrent((0.5, 0.4, 0.5), 0.1, (0.0, 0.0, 1.0)),
+    }
+
+    @pytest.mark.parametrize("engine_cls", [SpectralEngine, YeeEngine])
+    @pytest.mark.parametrize("dims", [(16, 16, 16), (16, 24, 12), (15, 16, 16), (16, 12, 15)])
+    @pytest.mark.parametrize("current", sorted(CURRENTS))
+    def test_pair_of_dual_is_the_snapshot_integral(self, engine_cls, dims, current):
+        g = GridSpec(dims, tuple(1.0 / n for n in dims))
+        state = random_band_limited(g, seed=5, kmax=2, mean_b=(0.0, 0.2, 0.1))
+        engine = engine_cls(state, self.CURRENTS[current], 0.3 * cfl_max_dt(g, "yee"))
+        agrid = engine.analysis_grid
+        assert (agrid == g) == (current == "gaussian")
+        q = np.random.default_rng(6).standard_normal((4, *agrid.dims))
+        dual = engine.dual(q)
+        for step in range(3):
+            if step:
+                engine.advance()
+            snapshot = engine.state(agrid).data
+            expected = np.einsum("axyz,cxyz->ac", snapshot, q) * agrid.cell_volume
+            assert np.max(np.abs(engine.pair(dual) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestRk4Polynomial:
@@ -188,8 +209,10 @@ class TestStepYee:
         expected = yee_leapfrog(state, j, dt, nsteps)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(engine.state().data - expected)) <= 1e-14 * scale
-        # the means come from the k = 0 coefficients, with no snapshot
-        assert np.allclose(engine.means(), np.sum(expected, axis=(1, 2, 3)) * g.cell_volume,
+        # paired with a uniform profile: the means, with no snapshot
+        ones = np.ones((1, *engine.analysis_grid.dims))
+        assert np.allclose(engine.pair(engine.dual(ones))[:, 0],
+                           np.sum(expected, axis=(1, 2, 3)) * g.cell_volume,
                            rtol=0, atol=1e-14 * scale * g.volume)
 
     def test_plane_wave_error_refines_second_order(self):
