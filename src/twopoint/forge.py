@@ -35,6 +35,7 @@ _STENCILS = {
 }
 
 MAX_ORDER = 6
+DRIFT_SAMPLES = 64  # samples of g(t) after t = 0 over a drift horizon
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,6 @@ class MomentMatrix:
     matrix: np.ndarray
     points: np.ndarray
     order: int
-    dt_probe: float
     extrapolation_suspect: bool = False
 
     def __post_init__(self):
@@ -210,7 +210,7 @@ def time_derivative_samples(
         noise_floor = 64.0 * np.finfo(float).eps * amp * np.sum(np.abs(coeffs)) / half**order
         if sig > 10.0 * noise_floor and np.max(np.abs(fine - coarse)) > 0.25 * sig:
             suspect = True
-    return MomentMatrix(rows, points, n_order, dt_probe, suspect)
+    return MomentMatrix(rows, points, n_order, suspect)
 
 
 @dataclass(eq=False)
@@ -219,8 +219,6 @@ class InvariantCoefficients:
 
     alphas: np.ndarray  # (n_invariants, P), unit rows
     points: np.ndarray
-    order: int
-    tol: float
 
     def __len__(self):
         return len(self.alphas)
@@ -253,7 +251,7 @@ def nullspace_invariants(m: MomentMatrix, tol: float = 1e-8) -> InvariantCoeffic
         alphas_sorted = vh[keep]
     inv = np.empty_like(perm)
     inv[perm] = np.arange(p)
-    return InvariantCoefficients(alphas_sorted[:, inv], m.points, m.order, tol)
+    return InvariantCoefficients(alphas_sorted[:, inv], m.points)
 
 
 @dataclass(eq=False)
@@ -271,13 +269,13 @@ def verify_invariant_drift(
     f0,
     coeffs: InvariantCoefficients,
     horizon: float,
-    nsamples: int = 64,
     fit_window=None,
     drift_floor: float = 1e-12,
 ):
     """Measure g(t) = sum_i alpha_i f(x_i, t) for every basis vector.
 
-    Returns a list of DriftResult aligned with coeffs.alphas.  The exponent
+    Returns a list of DriftResult aligned with coeffs.alphas, each sampled
+    at DRIFT_SAMPLES + 1 evenly spaced times from 0 to horizon.  The exponent
     is the log-log least-squares slope of the drift over fit_window
     (default [horizon/20, horizon/2]), restricted to samples above
     drift_floor; NaN when fewer than three samples qualify (e.g. exact
@@ -285,9 +283,9 @@ def verify_invariant_drift(
     """
     f0 = np.asarray(f0, dtype=float)
     dt_max = suggested_max_dt(pde, f0)
-    nsteps = max(int(np.ceil(horizon / dt_max)), nsamples)
-    per_sample = max(1, int(np.ceil(nsteps / nsamples)))
-    nsteps = per_sample * nsamples
+    nsteps = max(int(np.ceil(horizon / dt_max)), DRIFT_SAMPLES)
+    per_sample = max(1, int(np.ceil(nsteps / DRIFT_SAMPLES)))
+    nsteps = per_sample * DRIFT_SAMPLES
     dt = horizon / nsteps
     _, series = evolve_1d(pde, f0, dt, nsteps)
     idx = np.arange(0, nsteps + 1, per_sample)

@@ -28,7 +28,8 @@ class GridSpec:
     """Uniform periodic grid: node i sits at (i_x*hx, i_y*hy, i_z*hz).
 
     dims    -- node counts (Nx, Ny, Nz), each >= 4
-    spacing -- node spacings (hx, hy, hz), each > 0
+    spacing -- node spacings (hx, hy, hz), each > 0, with a finite sum of
+               h_i^-2, a nonzero cell volume and a finite box volume
     """
 
     dims: tuple[int, int, int]
@@ -41,10 +42,21 @@ class GridSpec:
             raise ValueError("GridSpec needs three dims and three spacings")
         if any(n < 4 for n in dims):
             raise ValueError(f"grid dims must be >= 4, got {dims}")
-        if any(not np.isfinite(h) or h <= 0.0 for h in spacing):
-            raise ValueError(f"grid spacings must be positive, got {spacing}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
+        try:  # nan fails every comparison, inf the box volume
+            ok = (min(spacing) > 0.0 and 0.0 < self.inv_h2 < np.inf
+                  and self.cell_volume > 0.0 and self.volume < np.inf)
+        except (OverflowError, ZeroDivisionError):  # h^2 or a length beyond float range
+            ok = False
+        if not ok:
+            raise ValueError(f"grid spacings {spacing} on {dims} nodes must be > 0 with a finite "
+                             "sum of h^-2, a nonzero cell volume and a finite box volume")
+
+    @property
+    def inv_h2(self) -> float:
+        """sum of h_i^-2, the denominator of the CFL limit."""
+        return sum(1.0 / h**2 for h in self.spacing)
 
     @property
     def lengths(self) -> tuple[float, float, float]:

@@ -12,8 +12,9 @@ Configs are flat `key = value` text (number lists are space separated, '#'
 starts a comment); command-line overrides are applied after the file, and
 keys the command never reads are named in a warning on stderr.  The output
 directory comes from `output.dir`, overridable with the environment
-variable TWOPOINT_OUTPUT_DIR.  All CSV files start with a `# schema=1`
-comment line, and identical configs and seeds reproduce them byte for byte.
+variable TWOPOINT_OUTPUT_DIR.  Every CSV file is written by
+`laws.write_csv` and every run summary by `_report` (which also prints
+it); identical configs and seeds reproduce both byte for byte.
 
 Exit codes: 0 success, 1 tolerance failure, 2 config error, 3 numerical
 divergence, 4 insufficient data.
@@ -55,6 +56,7 @@ from .laws import (
     load_law,
     run_balance,
     save_law,
+    write_csv,
 )
 from .maxwell import (
     CFL_SAFETY,
@@ -194,13 +196,14 @@ def _scale(cfg: Config, key: str, default=None) -> float:
     return value
 
 
-def build_grid(cfg: Config) -> GridSpec:
+def build_grid(cfg: Config, scale: int = 1) -> GridSpec:
+    """The configured grid, refined `scale` times on every axis."""
     dims = _three(cfg.ints, "grid.dims")
     spacing = _three(cfg.floats, "grid.spacing")
     try:
-        return GridSpec(dims, spacing)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        return GridSpec(tuple(n * scale for n in dims), tuple(h / scale for h in spacing))
+    except (ValueError, OverflowError) as exc:  # an integer beyond float range included
+        raise ConfigError(f"bad grid: {exc}") from exc
 
 
 def build_count(cfg: Config, key: str, default=None) -> int:
@@ -395,6 +398,14 @@ def _slug(label: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "-" for c in label)
 
 
+def _report(path, lines, ok=True) -> int:
+    """Write a run summary's lines to `path`, print them, return the exit code of `ok`."""
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    print("\n".join(lines))
+    return EXIT_OK if ok else EXIT_TOLERANCE
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -421,9 +432,13 @@ def cmd_verify(cfg: Config) -> int:
 
     reports = run_balance(initial, source, dt, nsteps, laws,
                           stepper=stepper, analysis_stride=stride)
+    unchecked = [rep.label for rep in reports if np.isnan(rep.max_r)]
+    if r_tol is not None and unchecked:
+        raise InsufficientData("tolerance.residual_max has no residual to check: no analysis "
+                               f"row of {', '.join(unchecked)} is interior")
     all_pass = True
     lines = [f"verify: stepper={stepper} dt={dt!r} nsteps={nsteps} grid={grid.dims}"]
-    for law, rep in zip(laws, reports):
+    for rep in reports:
         rep.to_csv(os.path.join(out, f"balance_{_slug(rep.label)}.csv"))
         rel_defect = rep.max_defect / max(rep.norm_scale, 1e-300)
         ok = rel_defect <= defect_tol
@@ -434,10 +449,7 @@ def cmd_verify(cfg: Config) -> int:
             f"law={rep.label} max_defect_rel={rel_defect!r} max_r={rep.max_r!r} "
             f"tol={defect_tol!r} {'PASS' if ok else 'FAIL'}"
         )
-    with open(os.path.join(out, "summary.txt"), "w") as f:
-        f.write("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    return EXIT_OK if all_pass else EXIT_TOLERANCE
+    return _report(os.path.join(out, "summary.txt"), lines, all_pass)
 
 
 # ---------------------------------------------------------------------------
@@ -458,26 +470,20 @@ def cmd_converge(cfg: Config) -> int:
     if levels < 3:
         raise ConfigError("refinement.levels must be >= 3")
     stepper = build_stepper(cfg)
-    base_grid = build_grid(cfg)
-    base_dt = resolve_dt(cfg, base_grid, stepper)
-    base_nsteps = build_count(cfg, "nsteps")
     factor = cfg.int("refinement.factor", 2)
     if factor < 2:
         raise ConfigError(f"refinement.factor must be >= 2, got {factor}")
-    metric = "residual" if stepper == "yee" else "defect"
-    min_order = 1.8 if stepper == "yee" else 3.5
+    # the Yee ladder refines the grid; every level's grid is checked up front
+    grids = [build_grid(cfg, factor**level if stepper == "yee" else 1)
+             for level in range(levels)]
+    base_dt = resolve_dt(cfg, grids[0], stepper)
+    base_nsteps = build_count(cfg, "nsteps")
+    # the fitted metric, its column in the rows of orders.csv and its least order
+    metric, column, min_order = ("residual", 4, 1.8) if stepper == "yee" else ("defect", 5, 3.5)
 
     rows = []
-    metrics = {}
-    for level in range(levels):
+    for level, grid in enumerate(grids):
         scale = factor**level
-        if stepper == "yee":
-            grid = GridSpec(
-                tuple(n * scale for n in base_grid.dims),
-                tuple(h / scale for h in base_grid.spacing),
-            )
-        else:
-            grid = base_grid
         dt = base_dt / scale
         nsteps = base_nsteps * scale
         initial = build_initial(cfg, grid)
@@ -487,33 +493,23 @@ def cmd_converge(cfg: Config) -> int:
         stride = max(1, nsteps // 8)
         reports = run_balance(initial, source, dt, nsteps, laws,
                               stepper=stepper, analysis_stride=stride)
-        for rep in reports:
-            metrics.setdefault(rep.label, {"residual": [], "defect": []})
-            metrics[rep.label]["residual"].append(rep.max_r)
-            metrics[rep.label]["defect"].append(rep.max_defect)
-            rows.append((rep.label, level, float(grid.spacing[0]), float(dt),
-                         float(rep.max_r), float(rep.max_defect)))
+        rows += [(rep.label, level, grid.spacing[0], dt, rep.max_r, rep.max_defect)
+                 for rep in reports]
 
-    with open(os.path.join(out, "orders.csv"), "w", newline="") as f:
-        f.write("# schema=1\n")
-        f.write("law,level,h,dt,r_max,defect\n")
-        for r in rows:
-            f.write(f"{r[0]},{r[1]},{r[2]!r},{r[3]!r},{r[4]!r},{r[5]!r}\n")
+    write_csv(os.path.join(out, "orders.csv"),
+              ("law", "level", "h", "dt", "r_max", "defect"), rows)
 
     all_pass = True
     lines = [f"converge: stepper={stepper} levels={levels} metric={metric}"]
-    for label, series in metrics.items():
-        order = _fit_order(series[metric])
+    for label in dict.fromkeys(row[0] for row in rows):
+        order = _fit_order([row[column] for row in rows if row[0] == label])
         ok = order >= min_order
         all_pass = all_pass and ok
         lines.append(
             f"law={label} fitted_order={order!r} min={min_order!r} "
             f"{'PASS' if ok else 'FAIL'}"
         )
-    with open(os.path.join(out, "orders_summary.txt"), "w") as f:
-        f.write("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    return EXIT_OK if all_pass else EXIT_TOLERANCE
+    return _report(os.path.join(out, "orders_summary.txt"), lines, all_pass)
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +546,7 @@ def cmd_discover(cfg: Config) -> int:
         f"singular_gap={result.singular_gap!r}",
         f"projection[{result.reference.label}]={result.projection_of(result.reference)!r}",
     ]
-    with open(os.path.join(out, "discovery_report.txt"), "w") as f:
-        f.write("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    return EXIT_OK
+    return _report(os.path.join(out, "discovery_report.txt"), lines)
 
 
 # ---------------------------------------------------------------------------
@@ -601,17 +594,12 @@ def cmd_forge(cfg: Config) -> int:
     invariants = nullspace_invariants(moments)
     results = verify_invariant_drift(pde, f0, invariants, horizon)
 
-    with open(os.path.join(out, "coefficients.csv"), "w", newline="") as f:
-        f.write("# schema=1\n")
-        f.write("invariant," + ",".join(f"alpha_{i}" for i in range(len(points))) + "\n")
-        for i, alpha in enumerate(invariants.alphas):
-            f.write(f"{i}," + ",".join(repr(float(a)) for a in alpha) + "\n")
+    write_csv(os.path.join(out, "coefficients.csv"),
+              ["invariant"] + [f"alpha_{i}" for i in range(len(points))],
+              ((i, *alpha) for i, alpha in enumerate(invariants.alphas)))
     for i, res in enumerate(results):
-        with open(os.path.join(out, f"drift_{i:02d}.csv"), "w", newline="") as f:
-            f.write("# schema=1\n")
-            f.write("t,g_value,drift\n")
-            for t, g, d in zip(res.times, res.values, res.drift):
-                f.write(f"{t!r},{g!r},{d!r}\n")
+        write_csv(os.path.join(out, f"drift_{i:02d}.csv"), ("t", "g_value", "drift"),
+                  zip(res.times, res.values, res.drift))
 
     lines = [
         f"forge: pde={pde.kind} P={len(points)} N_order={order} "
@@ -623,10 +611,7 @@ def cmd_forge(cfg: Config) -> int:
             f"invariant={i} max_drift={float(np.max(res.drift))!r} "
             f"fitted_exponent={res.exponent!r}"
         )
-    with open(os.path.join(out, "forge_summary.txt"), "w") as f:
-        f.write("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    return EXIT_OK
+    return _report(os.path.join(out, "forge_summary.txt"), lines)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +629,6 @@ def cmd_planewave(cfg: Config) -> int:
     d_nodes = cfg.ints("planewave.d_nodes", "0")
     scale = grid.volume * e0 * e0
     rows = []
-    all_pass = True
     for nodes in d_nodes:
         d = nodes * grid.spacing[2]
         law = law_translation(grid, (0, 0, nodes), 0)
@@ -655,19 +639,16 @@ def cmd_planewave(cfg: Config) -> int:
             ok = err <= 1e-8 * abs(expected)
         else:
             ok = err <= 1e-10 * scale  # absolute branch where cos(kd) ~ 0
-        all_pass = all_pass and ok
         rows.append((nodes, d, expected, q, err, ok))
-    with open(os.path.join(out, "planewave.csv"), "w", newline="") as f:
-        f.write("# schema=1\n")
-        f.write("d_nodes,d,Q_analytic,Q_numeric,abs_err\n")
-        for nodes, d, expected, q, err, _ in rows:
-            f.write(f"{nodes},{d!r},{expected!r},{q!r},{err!r}\n")
+    write_csv(os.path.join(out, "planewave.csv"),
+              ("d_nodes", "d", "Q_analytic", "Q_numeric", "abs_err"),
+              (row[:5] for row in rows))
     header = f"{'d_nodes':>8} {'d':>12} {'Q_analytic':>16} {'Q_numeric':>16} {'status':>8}"
     print(header)
     for nodes, d, expected, q, err, ok in rows:
         print(f"{nodes:8d} {d:12.6f} {expected:16.9e} {q:16.9e} "
               f"{'ok' if ok else 'FAIL':>8}")
-    return EXIT_OK if all_pass else EXIT_TOLERANCE
+    return EXIT_OK if all(ok for *_, ok in rows) else EXIT_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +684,8 @@ def main(argv=None) -> int:
             print(f"config warning: keys not read by {args.command}: {' '.join(unread)}",
                   file=sys.stderr)
         return code
-    except (ConfigError, InvalidMap, InvalidWavenumber) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, InvalidMap, InvalidWavenumber, MemoryError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)  # MemoryError: a grid too large
         return EXIT_CONFIG
     except (InsufficientData, HistoryUnderflow) as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)

@@ -241,18 +241,19 @@ def _pulled6(state: FieldState, amap: AffineMap) -> np.ndarray:
     return _pull_array(_stack6(state), state.grid, amap)
 
 
-def _check_pair(law, state_now, state_shifted):
+def _paired(state_now: FieldState, state_shifted: Optional[FieldState], amap: AffineMap):
+    """F of state_now and the pulled-back F of state_shifted (state_now
+    when None), which must live on the same grid."""
+    state_shifted = state_now if state_shifted is None else state_shifted
     if state_now.grid != state_shifted.grid:
         raise GridMismatch("paired states live on different grids")
+    return _stack6(state_now), _pulled6(state_shifted, amap)
 
 
 def density(law: TwoPointLawSpec, state_now: FieldState,
             state_shifted: Optional[FieldState] = None) -> ScalarField:
     """rho(x) = W_ab F_a(x) F_b(A x) with F_b drawn from the shifted state."""
-    state_shifted = state_now if state_shifted is None else state_shifted
-    _check_pair(law, state_now, state_shifted)
-    f = _stack6(state_now)
-    g = _pulled6(state_shifted, law.map)
+    f, g = _paired(state_now, state_shifted, law.map)
     with np.errstate(over="ignore"):  # ScalarField reports it as NonFiniteField
         rho = _contract(law._w_terms, f, g)
     return ScalarField(state_now.grid, rho, copy=False)
@@ -261,10 +262,7 @@ def density(law: TwoPointLawSpec, state_now: FieldState,
 def flux(law: TwoPointLawSpec, state_now: FieldState,
          state_shifted: Optional[FieldState] = None):
     """J_i(x) = K_iab F_a(x) F_b(A x)."""
-    state_shifted = state_now if state_shifted is None else state_shifted
-    _check_pair(law, state_now, state_shifted)
-    f = _stack6(state_now)
-    g = _pulled6(state_shifted, law.map)
+    f, g = _paired(state_now, state_shifted, law.map)
     j = np.zeros((3, *f.shape[1:]))
     for i, terms in enumerate(law._k_terms):
         _contract(terms, f, g, out=j[i])
@@ -280,17 +278,15 @@ def source_power(law: TwoPointLawSpec, state_now: FieldState,
     law.map)) when the caller has built it already.  Row b of the stacked
     current Js is row b % 3 of the profile.
     """
-    state_shifted = state_now if state_shifted is None else state_shifted
-    _check_pair(law, state_now, state_shifted)
+    f, g = _paired(state_now, state_shifted, law.map)
     grid = state_now.grid
     if j.is_zero:
         return ScalarField(grid, np.zeros(grid.dims), copy=False)
     if profiles is None:
         profiles = (j.spatial_profile(grid), j.profile_at(grid, law.map))
-    f = _stack6(state_now)
-    g = _pulled6(state_shifted, law.map)
+    t_shifted = state_now.t if state_shifted is None else state_shifted.t
     jn = profiles[0] * j.time_factor(state_now.t)
-    jm = profiles[1] * j.time_factor(state_shifted.t)
+    jm = profiles[1] * j.time_factor(t_shifted)
     terms = law._source_terms
     s = _contract([(a, b % 3, c) for a, b, c in terms], f, jm)
     s += _contract([(a % 3, b, c) for a, b, c in terms], jn, g)
@@ -334,26 +330,28 @@ class BalanceReport:
         return float(np.max(vals)) if len(vals) else float("nan")
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as f:
-            f.write("# schema=1\n")
-            f.write("t,Q,source_cum,defect,r_l2,r_max\n")
-            for row in zip(self.t, self.Q, self.source_cum, self.defect,
-                           self.r_l2, self.r_max):
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_csv(path, ("t", "Q", "source_cum", "defect", "r_l2", "r_max"),
+                  zip(self.t, self.Q, self.source_cum, self.defect, self.r_l2, self.r_max))
+
+
+def write_csv(path, header, rows):
+    """Write a CSV file in the package's one format: the schema line below,
+    the header, then one line per row, int and str cells as they are and any
+    other as repr(float(v)), so every number reads back with float() exactly."""
+    with open(path, "w", newline="") as f:
+        f.write("# schema=1\n" + ",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(str(v) if isinstance(v, (int, str)) else repr(float(v))
+                             for v in row) + "\n")
 
 
 def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative integral of evenly spaced samples, 4th order throughout:
-    composite Simpson at even indices, a cubic (Adams-Moulton style)
-    one-interval correction at odd ones."""
+    """Cumulative integral of n >= 3 evenly spaced samples, 4th order: composite
+    Simpson at even indices, a cubic (Adams-Moulton style) one-interval
+    correction at odd ones (a quadratic one at index 1 when n = 3)."""
     y = np.asarray(y, dtype=float)
     n = len(y)
     out = np.zeros(n)
-    if n < 2:
-        return out
-    if n == 2:
-        out[1] = 0.5 * dx * (y[0] + y[1])
-        return out
     inc = (dx / 3.0) * (y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
     out[2::2] = np.cumsum(inc)
     if n >= 4:

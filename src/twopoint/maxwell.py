@@ -28,7 +28,6 @@ from .errors import Diverged, NonFiniteField, StepTooLarge
 from .grid import (
     FieldState,
     GridSpec,
-    VectorField,
     _mode_numbers,
     _pull_array,
     _wavenumbers,
@@ -63,11 +62,6 @@ class CurrentSpec:
         if amap is None:
             return self.spatial_profile(grid)
         return _pull_array(self.spatial_profile(grid), grid, amap)
-
-    def sample(self, grid: GridSpec, t: float, amap=None) -> VectorField:
-        """J (or J composed with an affine map) sampled on the grid nodes."""
-        data = self.profile_at(grid, amap) * self.time_factor(t)
-        return VectorField(grid, data, copy=False)
 
 
 @dataclass(frozen=True)
@@ -111,7 +105,7 @@ class UniformOscillating(CurrentSpec):
 
 @dataclass(frozen=True)
 class PlaneWaveCurrent(CurrentSpec):
-    """J = p_perp cos(k . x + phase_x) sin(omega t + phase_t).
+    """J = p_perp cos(k . x) sin(omega t + phase_t).
 
     The wavevector is specified by integer mode numbers, k = 2 pi n / L per
     axis, so it is automatically compatible with the periodic box, and the
@@ -121,7 +115,6 @@ class PlaneWaveCurrent(CurrentSpec):
     mode: tuple
     polarization: tuple
     omega: float
-    phase_x: float = 0.0
     phase_t: float = 0.0
 
     def __post_init__(self):
@@ -143,7 +136,7 @@ class PlaneWaveCurrent(CurrentSpec):
     def spatial_profile(self, grid):
         k = self._kvec(grid)
         x, y, z = grid.meshgrid()
-        c = np.cos(k[0] * x + k[1] * y + k[2] * z + self.phase_x)
+        c = np.cos(k[0] * x + k[1] * y + k[2] * z)
         return np.stack([p * c for p in self.polarization])
 
     def profile_at(self, grid, amap=None):
@@ -155,7 +148,7 @@ class PlaneWaveCurrent(CurrentSpec):
         arg = k[0] * y[0] + k[1] * y[1] + k[2] * y[2]
         # beta modulo the box: k . L is a whole number of turns, and a huge
         # beta would otherwise overflow the phase
-        arg += k @ np.remainder(amap.beta_vector, grid.lengths) + self.phase_x
+        arg += k @ np.remainder(amap.beta_vector, grid.lengths)
         c = np.cos(arg)
         return np.stack([p * c for p in self.polarization])
 
@@ -227,8 +220,7 @@ def cfl_max_dt(grid: GridSpec, stepper: str = "yee") -> float:
     """
     if stepper not in CFL_SAFETY:
         raise ValueError(f"unknown stepper {stepper!r}")
-    inv = sum(1.0 / h**2 for h in grid.spacing)
-    return CFL_SAFETY[stepper] / np.sqrt(inv)
+    return CFL_SAFETY[stepper] / np.sqrt(grid.inv_h2)
 
 
 def _check_dt(grid, dt, stepper):
@@ -498,7 +490,6 @@ class Trajectory:
     states: list
     dt: float
     source: CurrentSpec
-    stepper: str
 
     def __post_init__(self):
         if not self.states:
@@ -558,4 +549,4 @@ def evolve(
         states.append(engine.state())
     if nsteps:
         _check_growth(states[-1], scale, nsteps)
-    return Trajectory(states, dt, j, stepper)
+    return Trajectory(states, dt, j)

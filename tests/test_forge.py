@@ -138,13 +138,13 @@ class TestNullspace:
             rows = rng.integers(1, 6)
             p = rng.integers(2, 9)
             mat = rng.standard_normal((rows, p))
-            m = MomentMatrix(mat, np.arange(p, dtype=float), rows, 0.01)
+            m = MomentMatrix(mat, np.arange(p, dtype=float), rows)
             inv = nullspace_invariants(m, tol=1e-10)
             rank = np.linalg.matrix_rank(mat, tol=1e-10 * np.linalg.norm(mat, 2))
             assert len(inv) == p - rank
 
     def test_zero_matrix_full_basis(self):
-        m = MomentMatrix(np.zeros((3, 5)), np.arange(5.0), 3, 0.01)
+        m = MomentMatrix(np.zeros((3, 5)), np.arange(5.0), 3)
         inv = nullspace_invariants(m)
         assert len(inv) == 5
         assert np.allclose(inv.alphas @ inv.alphas.T, np.eye(5))

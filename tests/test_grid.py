@@ -18,6 +18,7 @@ from twopoint.grid import (
     volume_integral,
 )
 from twopoint.laws import _stack6
+from twopoint.maxwell import cfl_max_dt
 
 
 @pytest.fixture
@@ -65,6 +66,18 @@ class TestGridSpec:
     def test_rejects_bad_spacing(self):
         with pytest.raises(ValueError):
             GridSpec((8, 8, 8), (0.1, -0.1, 0.1))
+
+    @settings(derandomize=True, max_examples=300)
+    @given(spacing=st.tuples(*[st.one_of(st.floats(), st.floats(1e-170, 1e-140),
+                                         st.floats(1e100, 1e160))] * 3))
+    def test_accepted_spacings_keep_the_cfl_limit_and_volumes_in_range(self, spacing):
+        try:
+            g = GridSpec((8, 8, 8), spacing)
+        except ValueError:  # only spacings far outside [1e-100, 1e50] are rejected
+            assert not all(1e-100 <= h <= 1e50 for h in spacing)
+            return
+        assert 0.0 < cfl_max_dt(g, "spectral") < np.inf
+        assert 0.0 < g.cell_volume and g.volume < np.inf
 
 
 class TestFields:

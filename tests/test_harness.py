@@ -185,55 +185,74 @@ class TestVerify:
            mean_b=st.sampled_from(["0 0 0", "0 nan 0"]),
            huge_shift=st.booleans(), planewave=st.booleans(),
            tolerance=st.sampled_from(["defect_rel=1e-7", "defect_rel=-1e-7",
-                                      "residual_max=-1.0"]))
-    # kmax, dims, amplitude, mean_b, huge_shift and a negative tolerance each
-    # alone on an otherwise runnable config (huge_shift also under a
+                                      "residual_max=-1.0"]),
+           # on all three axes: 1e-200 and 1e-160 overflow sum h^-2 (1/h^2 is inf,
+           # or h^2 is 0), 1e300 the box volume, 1e-150 underflows the cell volume
+           spacing=st.sampled_from(["0.125", "1e-200", "1e300", "1e-160", "1e-150"]),
+           step=st.sampled_from(["dt=0.001", "cfl_fraction=0.5"]))
+    # kmax, dims, amplitude, mean_b, huge_shift, a negative tolerance and each
+    # spacing alone on an otherwise runnable config (huge_shift also under a
     # plane-wave current, whose mapped profile takes the shift); random draws
     # seldom leave every other input valid
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
              mean_b="0 0 0", huge_shift=False, planewave=False,
-             tolerance="defect_rel=1e-7")
+             tolerance="defect_rel=1e-7", spacing="0.125", step="dt=0.001")
     @example(stride=2, nsteps=4, stepper="yee", kmax="0", dims="8 8 8", amplitude="1.0",
              mean_b="0 0 0", huge_shift=False, planewave=False,
-             tolerance="defect_rel=1e-7")
+             tolerance="defect_rel=1e-7", spacing="0.125", step="dt=0.001")
     @example(stride=2, nsteps=4, stepper="spectral", kmax="4", dims="8 8 8", amplitude="1.0",
              mean_b="0 0 0", huge_shift=False, planewave=False,
-             tolerance="defect_rel=1e-7")
+             tolerance="defect_rel=1e-7", spacing="0.125", step="dt=0.001")
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8.7 8 8",
              amplitude="1.0", mean_b="0 0 0", huge_shift=False, planewave=False,
-             tolerance="defect_rel=1e-7")
+             tolerance="defect_rel=1e-7", spacing="0.125", step="dt=0.001")
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8",
              amplitude="1e160", mean_b="0 0 0", huge_shift=False, planewave=False,
-             tolerance="defect_rel=1e-7")
+             tolerance="defect_rel=1e-7", spacing="0.125", step="dt=0.001")
     @example(stride=1, nsteps=3, stepper="yee", kmax="2", dims="8 8 8", amplitude="1e160",
              mean_b="0 0 0", huge_shift=False, planewave=False,
-             tolerance="defect_rel=1e-7")
+             tolerance="defect_rel=1e-7", spacing="0.125", step="dt=0.001")
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="inf",
              mean_b="0 0 0", huge_shift=False, planewave=False,
-             tolerance="defect_rel=1e-7")
+             tolerance="defect_rel=1e-7", spacing="0.125", step="dt=0.001")
     @example(stride=2, nsteps=4, stepper="yee", kmax="2", dims="8 8 8", amplitude="nan",
              mean_b="0 0 0", huge_shift=False, planewave=False,
-             tolerance="defect_rel=1e-7")
+             tolerance="defect_rel=1e-7", spacing="0.125", step="dt=0.001")
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
              mean_b="0 nan 0", huge_shift=False, planewave=False,
-             tolerance="defect_rel=1e-7")
+             tolerance="defect_rel=1e-7", spacing="0.125", step="dt=0.001")
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
              mean_b="0 0 0", huge_shift=True, planewave=False,
-             tolerance="defect_rel=1e-7")
+             tolerance="defect_rel=1e-7", spacing="0.125", step="dt=0.001")
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
              mean_b="0 0 0", huge_shift=True, planewave=True,
-             tolerance="defect_rel=1e-7")
+             tolerance="defect_rel=1e-7", spacing="0.125", step="dt=0.001")
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
              mean_b="0 0 0", huge_shift=False, planewave=True,
-             tolerance="defect_rel=-1e-7")
+             tolerance="defect_rel=-1e-7", spacing="0.125", step="dt=0.001")
     @example(stride=2, nsteps=4, stepper="yee", kmax="2", dims="8 8 8", amplitude="1.0",
              mean_b="0 0 0", huge_shift=False, planewave=False,
-             tolerance="residual_max=-1.0")
+             tolerance="residual_max=-1.0", spacing="0.125", step="dt=0.001")
+    @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
+             mean_b="0 0 0", huge_shift=False, planewave=False,
+             tolerance="defect_rel=1e-7", spacing="1e-200", step="dt=0.001")
+    @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
+             mean_b="0 0 0", huge_shift=False, planewave=False,
+             tolerance="defect_rel=1e-7", spacing="1e300", step="dt=0.001")
+    @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
+             mean_b="0 0 0", huge_shift=False, planewave=False,
+             tolerance="defect_rel=1e-7", spacing="1e-160", step="dt=0.001")
+    @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
+             mean_b="0 0 0", huge_shift=False, planewave=False,
+             tolerance="defect_rel=1e-7", spacing="1e-150", step="cfl_fraction=0.5")
+    @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1.0",
+             mean_b="0 0 0", huge_shift=False, planewave=False,
+             tolerance="defect_rel=1e-7", spacing="0.125", step="cfl_fraction=0.5")
     def test_bad_balance_inputs_exit_cleanly(self, tmp_path_factory, stride, nsteps,
                                              stepper, kmax, dims, amplitude, mean_b,
-                                             huge_shift, planewave, tolerance):
+                                             huge_shift, planewave, tolerance, spacing, step):
         tmp = tmp_path_factory.mktemp("v")
-        text = VERIFY_SMALL + (PLANEWAVE_SOURCE if planewave else "")
+        text = VERIFY_SMALL.replace("dt = 0.001\n", "") + (PLANEWAVE_SOURCE if planewave else "")
         if huge_shift:  # a finite shift far outside the box, taken modulo the box
             good = law_local_energy()
             law_path = tmp / "far.law"
@@ -245,10 +264,11 @@ class TestVerify:
             "verify", cfg, f"analysis.stride={stride}", f"nsteps={nsteps}",
             f"stepper={stepper}", f"initial.kmax={kmax}", f"grid.dims={dims}",
             f"initial.amplitude={amplitude}", f"initial.mean_b={mean_b}",
-            f"tolerance.{tolerance}", f"output.dir={tmp / 'out'}"])
+            f"tolerance.{tolerance}", f"grid.spacing={spacing} {spacing} {spacing}", step,
+            f"output.dir={tmp / 'out'}"])
         if (stride < 1 or nsteps < 0 or stepper not in ("spectral", "yee")
                 or kmax != "2" or dims != "8 8 8" or amplitude in ("inf", "nan")
-                or mean_b != "0 0 0" or tolerance != "defect_rel=1e-7"):
+                or mean_b != "0 0 0" or tolerance != "defect_rel=1e-7" or spacing != "0.125"):
             assert code == EXIT_CONFIG
         elif nsteps < 2:
             assert code == EXIT_INSUFFICIENT
@@ -257,14 +277,46 @@ class TestVerify:
         elif huge_shift:
             assert code in (EXIT_OK, EXIT_TOLERANCE) and "law=far" in printed
 
-    def test_random_state_starts_at_initial_time(self, tmp_path):
+    # the energy of unit-amplitude data on the unit box: random data is
+    # scaled to it, a standing wave superposes two travelling ones
+    @pytest.mark.parametrize("kind,energy", [("random", 1.0), ("planewave", 1.0),
+                                             ("standingwave", 2.0)])
+    def test_every_initial_kind_starts_at_initial_time(self, tmp_path, kind, energy):
         cfg = write_config(tmp_path / "v.txt", VERIFY_SMALL + PLANEWAVE_SOURCE)
         code = main(["verify", cfg, "nsteps=4", "analysis.stride=2", "initial.time=5.0",
-                     f"output.dir={tmp_path / 'out'}"])
+                     f"initial.kind={kind}", f"output.dir={tmp_path / 'out'}"])
         assert code == EXIT_OK
         for path in (tmp_path / "out").glob("balance_*.csv"):
             first_row = path.read_text().splitlines()[2]
             assert float(first_row.split(",")[0]) == 5.0, path.name
+        first_row = (tmp_path / "out" / "balance_local-energy.csv").read_text().splitlines()[2]
+        assert float(first_row.split(",")[1]) == pytest.approx(energy, rel=1e-12)
+
+    @pytest.mark.parametrize("overrides,expected", [
+        (["tolerance.residual_max=1"], EXIT_INSUFFICIENT),
+        ([], EXIT_OK),
+    ])
+    def test_residual_tolerance_with_no_interior_row_exits_4(self, tmp_path, overrides,
+                                                              expected):
+        # stride = nsteps: rows at steps 0 and 10, and neither has both neighbours
+        cfg = write_config(tmp_path / "v.txt", VERIFY_SMALL)
+        out = tmp_path / "out"
+        code, printed = run_cleanly(["verify", cfg, "nsteps=10", "analysis.stride=10",
+                                     *overrides, f"output.dir={out}"])
+        assert code == expected, printed
+        if expected == EXIT_INSUFFICIENT:
+            assert printed.startswith("insufficient data:") and printed.count("\n") == 1
+            assert "local-energy" in printed
+            assert not list(out.iterdir())
+
+    def test_grid_beyond_the_address_space_exits_2(self, tmp_path):
+        # 1e15 nodes: the first array would take petabytes, which no machine
+        # can map, so it is refused at once and nothing is allocated
+        cfg = write_config(tmp_path / "v.txt", VERIFY_SMALL)
+        code, printed = run_cleanly(["verify", cfg, "grid.dims=100000 100000 100000",
+                                     f"output.dir={tmp_path / 'out'}"])
+        assert code == EXIT_CONFIG
+        assert printed.startswith("config error:") and printed.count("\n") == 1
 
     def test_map_of_another_grid_exits_2(self, tmp_path, capsys):
         # x and z have equal lengths but not equal node counts; the spectral
@@ -433,6 +485,17 @@ refinement.levels = 3
             if line.startswith("law="):
                 order = float(line.split("fitted_order=")[1].split()[0])
                 assert 3.5 <= order <= 4.5
+
+    def test_refined_grid_out_of_float_range_exits_2(self, tmp_path):
+        # h = 3e-108 has a cell volume of 2.5e-323, which h/4, the finest of
+        # three Yee levels, underflows to 0; the base grid itself is valid
+        cfg = write_config(tmp_path / "c.txt", VERIFY_SMALL + "refinement.levels = 3\n")
+        args = [cfg, "stepper=yee", "grid.spacing=3e-108 3e-108 3e-108", "nsteps=8"]
+        code, printed = run_cleanly(["verify", *args, f"output.dir={tmp_path / 'v'}"])
+        assert code == EXIT_DIVERGED and "CFL" in printed  # dt = 0.001 is far too large
+        code, printed = run_cleanly(["converge", *args, f"output.dir={tmp_path / 'c'}"])
+        assert code == EXIT_CONFIG and printed.startswith("config error:")
+        assert not list((tmp_path / "c").iterdir())
 
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(levels=st.sampled_from(["3", "2", "x"]), factor=st.sampled_from(["2", "1", "-2"]),
@@ -650,20 +713,24 @@ class TestForgeAndPlaneWaveInputs:
     @given(amplitude=st.sampled_from(["1.25", "1e200", "inf"]),
            k_mode=st.sampled_from(["1", "0", "4"]),  # 4 is the Nyquist mode of 8 nodes
            d_nodes=st.sampled_from(["0 1 -2", "x"]),
-           dims=st.sampled_from(["8 8 8", "8 8"]))
-    @example(amplitude="1e200", k_mode="1", d_nodes="0 1 -2", dims="8 8 8")
-    @example(amplitude="1.25", k_mode="1", d_nodes="0 1 -2", dims="8 8 8")
+           dims=st.sampled_from(["8 8 8", "8 8"]),
+           spacing=st.sampled_from(["0.125", "1e150"]))  # 1e150: the box volume overflows
+    @example(amplitude="1e200", k_mode="1", d_nodes="0 1 -2", dims="8 8 8", spacing="0.125")
+    @example(amplitude="1.25", k_mode="1", d_nodes="0 1 -2", dims="8 8 8", spacing="0.125")
+    @example(amplitude="1.25", k_mode="1", d_nodes="0 1 -2", dims="8 8 8", spacing="1e150")
     def test_bad_planewave_inputs_exit_cleanly(self, tmp_path_factory, amplitude, k_mode,
-                                               d_nodes, dims):
+                                               d_nodes, dims, spacing):
         tmp = tmp_path_factory.mktemp("p")
         cfg = write_config(tmp / "p.txt", VERIFY_SMALL)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")  # each would print to the CLI's stderr
             code, _ = run_cleanly(["planewave", cfg, f"initial.amplitude={amplitude}",
                                    f"initial.k_mode={k_mode}", f"planewave.d_nodes={d_nodes}",
-                                   f"grid.dims={dims}", f"output.dir={tmp / 'out'}"])
+                                   f"grid.dims={dims}", f"grid.spacing={spacing} {spacing} {spacing}",
+                                   f"output.dir={tmp / 'out'}"])
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        if amplitude == "inf" or k_mode != "1" or d_nodes != "0 1 -2" or dims != "8 8 8":
+        if (amplitude == "inf" or k_mode != "1" or d_nodes != "0 1 -2" or dims != "8 8 8"
+                or spacing != "0.125"):
             assert code == EXIT_CONFIG
         elif amplitude == "1e200":  # the two-point energy overflows
             assert code == EXIT_DIVERGED
@@ -688,6 +755,45 @@ planewave.d_nodes = 0 4 8 16
         assert "FAIL" not in out
         body = (tmp_path / "out" / "planewave.csv").read_text().splitlines()
         assert body[1] == "d_nodes,d,Q_analytic,Q_numeric,abs_err"
+
+
+# command -> (config, overrides, header of each CSV file it writes)
+OUTPUT_RUNS = {
+    "verify": (VERIFY_SMALL, ["nsteps=4", "analysis.stride=2"], {
+        f"balance_{label}.csv": "t,Q,source_cum,defect,r_l2,r_max"
+        for label in ("local-energy", "inversion", "rotation", "translation-0-0-3-m0")}),
+    "converge": (VERIFY_SMALL + "refinement.levels = 3\n", ["stepper=yee", "nsteps=8"],
+                 {"orders.csv": "law,level,h,dt,r_max,defect"}),
+    "discover": ("grid.dims = 8 8 4\ngrid.spacing = 0.125 0.125 0.25\n",
+                 ["discover.map=inversion", "discover.ensemble=20", "discover.kmax=1"], {}),
+    "forge": (FORGE_SMALL, [], {"coefficients.csv": "invariant,alpha_0,alpha_1,alpha_2,alpha_3",
+                                "drift_00.csv": "t,g_value,drift",
+                                "drift_01.csv": "t,g_value,drift"}),
+    "planewave": (VERIFY_SMALL, ["initial.k_mode=1", "planewave.d_nodes=0 1 -2"],
+                  {"planewave.csv": "d_nodes,d,Q_analytic,Q_numeric,abs_err"}),
+}
+INTEGER_COLUMNS = {"level", "invariant", "d_nodes"}
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("command", sorted(OUTPUT_RUNS))
+    def test_every_csv_cell_parses(self, tmp_path, command):
+        text, overrides, headers = OUTPUT_RUNS[command]
+        out = tmp_path / "out"
+        run_cleanly([command, write_config(tmp_path / "c.txt", text), *overrides,
+                     f"output.dir={out}"])
+        tables = {p.name: p.read_text().splitlines() for p in out.glob("*.csv")}
+        assert {name: lines[:2] for name, lines in tables.items()} == {
+            name: ["# schema=1", header] for name, header in headers.items()}
+        for name, lines in tables.items():
+            columns = lines[1].split(",")
+            assert len(lines) > 2, name
+            for line in lines[2:]:
+                for column, cell in zip(columns, line.split(","), strict=True):
+                    if column in INTEGER_COLUMNS:
+                        int(cell)
+                    elif column != "law":
+                        float(cell)
 
 
 class TestDeterminism:

@@ -697,12 +697,19 @@ class TestPlaneWaveTwoPointTable:
 
 
 class TestCumulativeSimpson:
-    def test_exact_on_cubics(self):
-        x = np.linspace(0.0, 2.0, 21)
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 21])  # 4-8: every branch's first use
+    def test_exact_on_cubics(self, n):
+        x = np.linspace(0.0, 2.0, n)
         y = 3 * x**3 - x + 2
         exact = 0.75 * x**4 - 0.5 * x**2 + 2 * x
         out = cumulative_simpson(y, x[1] - x[0])
         assert np.max(np.abs(out - exact)) <= 1e-12
+
+    def test_three_samples_exact_on_quadratics(self):
+        # the shortest series a balance run integrates (nsteps = m + 2)
+        x = np.array([0.0, 0.25, 0.5])
+        out = cumulative_simpson(5 * x**2 - 2 * x + 1, 0.25)
+        assert np.max(np.abs(out - (5 / 3 * x**3 - x**2 + x))) <= 1e-15
 
     def test_fourth_order_on_sine(self):
         errs = []
