@@ -42,6 +42,10 @@ class GridSpec:
             raise ValueError("GridSpec needs three dims and three spacings")
         if any(n < 4 for n in dims):
             raise ValueError(f"grid dims must be >= 4, got {dims}")
+        top = np.iinfo(np.intp).max // 48  # nodes of the largest addressable (6, N) float64 array
+        if dims[0] * dims[1] * dims[2] > top:
+            raise ValueError(f"grid of more than {top} nodes: its (6, N) float64 field is "
+                             "beyond the address space")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
         try:  # nan fails every comparison, inf the box volume
@@ -173,7 +177,15 @@ class FieldState:
     Both fields live in one frozen, C-contiguous (6, Nx, Ny, Nz) array
     `data`, E in rows 0-2 and B in rows 3-5; `E` and `B` are read-only
     views of it, so the stacked layout the laws contract needs no copy.
+
+    `modes` is None for sampled data.  A generator that builds the state
+    from its spectrum sets it to (index, coeffs): distinct flat indices
+    into the rfftn array of `data`, in any order, and their exact (6, n)
+    coefficients, zero at every other index (and possibly at some of
+    these), which an engine adopts in place of an rfftn.
     """
+
+    modes = None
 
     def __init__(self, E: VectorField, B: VectorField, t: float):
         if E.grid != B.grid:
@@ -181,11 +193,14 @@ class FieldState:
         self._own(E.grid, _freeze(np.concatenate([E.data, B.data])), t)
 
     @classmethod
-    def from_data(cls, grid: GridSpec, data, t: float) -> "FieldState":
+    def from_data(cls, grid: GridSpec, data, t: float, modes=None) -> "FieldState":
         """State over a stacked (6, Nx, Ny, Nz) array, adopted without a copy
-        when it is float64 and C-contiguous (the caller must not write to it)."""
+        when it is float64 and C-contiguous (the caller must not write to it),
+        with the (index, coeffs) of its spectrum when the caller has them."""
         state = cls.__new__(cls)
         state._own(grid, _prep(data, (6, *grid.dims), copy=False), t)
+        if modes is not None:
+            state.modes = tuple(_freeze(np.asarray(a)) for a in modes)
         return state
 
     def _own(self, grid: GridSpec, data: np.ndarray, t: float):
@@ -359,22 +374,41 @@ def divergence(v: VectorField) -> ScalarField:
     return ScalarField(g, out, copy=False)
 
 
+def _roots(modes: np.ndarray, n: int) -> np.ndarray:
+    """(n, len(modes)) table exp(2 pi i x m / n) / n over the nodes x, its
+    phases reduced to the exact roots of unity (x m mod n) / n first."""
+    return np.exp(2j * np.pi * (np.outer(np.arange(n), modes) % n / n)) / n
+
+
+def _synthesize(block: np.ndarray, modes, dims) -> np.ndarray:
+    """Samples on `dims` nodes of the half spectrum that holds `block`,
+    shape (..., mx, my, mz), at the integer modes modes = (nx, ny, nz) and
+    is zero elsewhere: its irfftn, for |nx|, |ny| below half the node count
+    and nz = 0, 1, ..., mz - 1.
+
+    A band-limited spectrum fills a small block of the rfftn array, so the
+    x and y transforms are two mode-by-node products and only the z
+    transform, one batched irfft, runs over every node.
+    """
+    nx, ny, _ = modes
+    # einsum, not matmul: BLAS would wake a second thread whose spin-wait
+    # after each small product doubles the CPU time
+    g = np.einsum("yj,...ijz->...iyz", _roots(ny, dims[1]), block)
+    g = np.einsum("xi,...iyz->...xyz", _roots(nx, dims[0]), g)
+    return np.fft.irfft(g, n=dims[2], axis=-1)
+
+
 def _refine(data: np.ndarray, grid: GridSpec, fine: GridSpec) -> np.ndarray:
     """Samples on `fine` of the band-limited (Nx, Ny, Nz) array `data` on
-    `grid`, a coarser grid of the same box: its rfftn, zero-padded.
+    `grid`, a coarser grid of the same box: its rfftn, synthesised there.
 
     Modes at or above half of the coarse node count are dropped, so the
     data should have none.
     """
-    fh = np.fft.rfftn(data)
-    out = np.zeros((*fine.dims[:2], fine.dims[2] // 2 + 1), dtype=complex)
-    src, dst = [], []
-    for modes, m, n in zip(_mode_numbers(grid.dims), grid.dims, fine.dims):
-        keep = np.flatnonzero(2 * np.abs(modes) < m)
-        src.append(keep)
-        dst.append(modes[keep] % n)
-    out[np.ix_(*dst)] = fh[np.ix_(*src)] * (fine.num_nodes / grid.num_nodes)
-    return np.fft.irfftn(out, s=fine.dims, axes=(0, 1, 2))
+    modes = _mode_numbers(grid.dims)
+    keep = [np.flatnonzero(2 * np.abs(m) < n) for m, n in zip(modes, grid.dims)]
+    block = np.fft.rfftn(data)[np.ix_(*keep)] * (fine.num_nodes / grid.num_nodes)
+    return _synthesize(block, [m[k] for m, k in zip(modes, keep)], fine.dims)
 
 
 def volume_integral(s: ScalarField) -> float:

@@ -46,7 +46,7 @@ from .forge import (
     time_derivative_samples,
     verify_invariant_drift,
 )
-from .grid import AffineMap, FieldState, GridSpec, volume_integral
+from .grid import AffineMap, GridSpec, volume_integral
 from .laws import (
     density,
     law_inversion,
@@ -244,14 +244,14 @@ def build_initial(cfg: Config, grid: GridSpec):
     if kind == "random":
         if not cfg.has("initial.seed"):
             raise ConfigError("random initial data requires initial.seed")
-        state = random_band_limited(
+        return random_band_limited(
             grid,
             seed=build_count(cfg, "initial.seed"),
             kmax=build_kmax(cfg, "initial.kmax", grid),
             amplitude=cfg.float("initial.amplitude", 1.0),
             mean_b=_three(cfg.floats, "initial.mean_b", "0 0 0"),
+            t=t0,
         )
-        return FieldState.from_data(grid, state.data, t0)
     raise ConfigError(f"unknown initial.kind {kind!r}")
 
 

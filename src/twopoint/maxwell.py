@@ -36,9 +36,33 @@ from .grid import (
 
 CFL_SAFETY = {"yee": 0.9, "spectral": 0.5}
 
-# Relative coefficient magnitude below which the spectral engine counts a
-# mode as inactive (FFT round-trip noise sits near 1e-17).
+# Relative coefficient magnitude below which the engine counts a mode of
+# sampled data (a state without `modes`, a Gaussian current's profile) as
+# inactive: FFT round-trip noise sits near 1e-17.  Generators and closed-form
+# currents hand over their exact coefficients and need no threshold.
 _MASK_REL_TOL = 1e-15
+
+
+def _sampled_modes(data: np.ndarray):
+    """(sorted flat rfftn indices, (c, n) coefficients) of the modes of a
+    sampled (c, Nx, Ny, Nz) array above the FFT round-trip noise."""
+    dense = np.fft.rfftn(data, axes=(-3, -2, -1)).reshape(len(data), -1)
+    index = np.flatnonzero(np.any(np.abs(dense) > _MASK_REL_TOL * np.max(np.abs(dense)), axis=0))
+    return index, dense[:, index]
+
+
+def _nonzero(index: np.ndarray, coeffs: np.ndarray):
+    """The modes of (index, coeffs) whose coefficients are not all 0."""
+    keep = np.any(coeffs != 0.0, axis=0)
+    return index[keep], coeffs[:, keep]
+
+
+def _on(index: np.ndarray, sub: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """(c, len(index)) coefficients holding `coeffs` at the distinct modes
+    `sub`, a subset of the sorted `index`, and 0 at the others."""
+    out = np.zeros((len(coeffs), len(index)), dtype=complex)
+    out[:, np.searchsorted(index, sub)] = coeffs
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +86,11 @@ class CurrentSpec:
         if amap is None:
             return self.spatial_profile(grid)
         return _pull_array(self.spatial_profile(grid), grid, amap)
+
+    def modes(self, grid: GridSpec):
+        """(distinct flat rfftn indices, (3, n) coefficients) of the
+        profile's modes on `grid`; here those of its samples above the noise."""
+        return _sampled_modes(self.spatial_profile(grid))
 
 
 @dataclass(frozen=True)
@@ -98,6 +127,9 @@ class UniformOscillating(CurrentSpec):
 
     def profile_at(self, grid, amap=None):
         return self.spatial_profile(grid)
+
+    def modes(self, grid):
+        return np.array([0]), np.array(self.amplitude, dtype=complex)[:, None] * grid.num_nodes
 
     def time_factor(self, t):
         return float(np.sin(self.omega * t + self.phase))
@@ -151,6 +183,18 @@ class PlaneWaveCurrent(CurrentSpec):
         arg += k @ np.remainder(amap.beta_vector, grid.lengths)
         c = np.cos(arg)
         return np.stack([p * c for p in self.polarization])
+
+    def modes(self, grid):
+        """cos(k . x) on N nodes holds N/2 at the modes n and -n of the full
+        spectrum (N where they alias to one); the half spectrum keeps those
+        with nz <= Nz / 2."""
+        nx, ny, nz = grid.dims
+        full = np.array([[s * m % d for m, d in zip(self.mode, grid.dims)] for s in (1, -1)])
+        count = np.bincount(np.ravel_multi_index(full[full[:, 2] <= nz // 2].T,
+                                                 (nx, ny, nz // 2 + 1)))
+        index = np.flatnonzero(count)
+        return index, np.array(self.polarization, dtype=complex)[:, None] * (
+            0.5 * grid.num_nodes * count[index])
 
     def time_factor(self, t):
         return float(np.sin(self.omega * t + self.phase_t))
@@ -268,10 +312,11 @@ class SpectralEngine:
     a current J = profile * f(t) adds three fixed vectors weighted by f at
     t, t + h/2 and t + h.  This regroups stage-by-stage RK4's arithmetic, so
     the two agree up to rounding (1.3e-15 of the largest coefficient after
-    400 steps at 64^3).  Modes below ~1e-15 of the initial amplitude (FFT
-    round-trip noise) and not touched by the current are decoupled from the
-    rest and not stepped; their share of any snapshot stays at the noise
-    level because |R(i w dt)| <= 1 for stable steps.
+    400 steps at 64^3).  Only the active modes are stepped: those with a
+    nonzero coefficient in the state's or the current's `modes` (exact from
+    a generator or a closed form; from an rfftn above ~1e-15 of the largest
+    for sampled data, whose FFT round-trip noise is decoupled from the rest
+    and, as |R(i w dt)| <= 1 for stable steps, stays at the noise level).
     """
 
     def __init__(self, state: FieldState, current: CurrentSpec, dt: float):
@@ -298,28 +343,27 @@ class SpectralEngine:
         """Set what every mode-space engine shares: the active modes (those of
         the state and of the current), the state's gathered coefficients as
         `u`, the snapshot layouts and the analysis grid.  Returns the
-        current profile's gathered coefficients, or None for no current."""
+        current profile's gathered coefficients, or None for no current.
+        Nothing here is scattered into an rfftn array of the grid."""
         grid = state.grid
         self.grid = grid
         self.current = current
         self.dt = float(dt)
         self.initial = state
         self.step_index = 0
-        u0 = np.fft.rfftn(state.data, axes=(-3, -2, -1))
-        amp = np.max(np.abs(u0))
-        active = np.any(np.abs(u0) > _MASK_REL_TOL * amp, axis=0)
-        jh = None
+        self.mask = np.zeros((*grid.dims[:2], grid.dims[2] // 2 + 1), dtype=bool)
+        s_index, s_coeffs = _nonzero(*(state.modes or _sampled_modes(state.data)))
+        self.mask.flat[s_index] = True
         if not current.is_zero:
-            jh = np.fft.rfftn(current.spatial_profile(grid), axes=(-3, -2, -1))
-            jamp = np.max(np.abs(jh))
-            active |= np.any(np.abs(jh) > _MASK_REL_TOL * jamp, axis=0)
-            jh = jh[:, active]
-        self.mask = active
-        self.u = np.ascontiguousarray(u0[:, active])
+            j_index, j_coeffs = _nonzero(*current.modes(grid))
+            self.mask.flat[j_index] = True
+        index = np.flatnonzero(self.mask)
+        self.u = _on(index, s_index, s_coeffs)
+        jh = None if current.is_zero else _on(index, j_index, j_coeffs)
         # grid -> (flat rfftn index of each active mode, coefficient scale)
-        self._layout = {grid: (np.flatnonzero(active), 1.0)}
+        self._layout = {grid: (index, 1.0)}
         self.analysis_grid = grid
-        self._coarsen(active)
+        self._coarsen()
         return jh
 
     def _per_mode(self, per_axis) -> np.ndarray:
@@ -327,7 +371,7 @@ class SpectralEngine:
         array per axis, in the order of the gathered coefficients."""
         return np.stack([a[i] for a, i in zip(per_axis, np.nonzero(self.mask))])
 
-    def _coarsen(self, active):
+    def _coarsen(self):
         """Add the coarsest grid on which the active modes' products are exact.
 
         Every field carries integer modes |n_i| <= K, so a product of two has

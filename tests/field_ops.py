@@ -1,11 +1,11 @@
 """Oracles for the tests: the spectral curl, a dense RK4 stepper and a
 real-space Yee leapfrog of the field equations dE/dt = curl B - J,
-dB/dt = -curl E on periodic data, and random band-limited data built in
-the full spectrum."""
+dB/dt = -curl E on periodic data, random band-limited data built in the
+full spectrum, and band-limited resampling by zero padding."""
 
 import numpy as np
 
-from twopoint.grid import VectorField, spectral_wavevectors
+from twopoint.grid import VectorField, _mode_numbers, spectral_wavevectors
 
 
 def spectral_curl(v: VectorField) -> np.ndarray:
@@ -130,3 +130,20 @@ def full_spectrum_band_limited(grid, seed, kmax=2, amplitude=1.0, mean_b=(0.0, 0
         data *= amplitude / np.sqrt(energy)
     data[3:] += np.reshape(mean_b, (3, 1, 1, 1))
     return data
+
+
+def zero_padded_refine(data, grid, fine):
+    """Samples on `fine` of the band-limited (Nx, Ny, Nz) array `data` on
+    the coarser `grid` of the same box, the long way: its rfftn copied into
+    a zero rfftn array of `fine` (modes at or above half of the coarse node
+    count dropped), then one irfftn over every fine node.  The reference
+    for `grid._refine`, which synthesises only the coarse modes' block."""
+    fh = np.fft.rfftn(data)
+    out = np.zeros((*fine.dims[:2], fine.dims[2] // 2 + 1), dtype=complex)
+    src, dst = [], []
+    for modes, m, n in zip(_mode_numbers(grid.dims), grid.dims, fine.dims):
+        keep = np.flatnonzero(2 * np.abs(modes) < m)
+        src.append(keep)
+        dst.append(modes[keep] % n)
+    out[np.ix_(*dst)] = fh[np.ix_(*src)] * (fine.num_nodes / grid.num_nodes)
+    return np.fft.irfftn(out, s=fine.dims, axes=(0, 1, 2))

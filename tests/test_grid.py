@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from field_ops import spectral_curl
+from field_ops import spectral_curl, zero_padded_refine
 from twopoint.errors import InvalidMap
 from twopoint.grid import (
     AffineMap,
@@ -13,6 +13,7 @@ from twopoint.grid import (
     GridSpec,
     ScalarField,
     VectorField,
+    _refine,
     divergence,
     pullback,
     volume_integral,
@@ -365,3 +366,17 @@ class TestRotationIdentity:
         rhs = np.cross(rotate(a.data), rotate(b.data), axis=0)
         scale = np.max(np.abs(lhs))
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * max(scale, 1.0)
+
+
+@pytest.mark.parametrize("coarse,fine,lengths", [
+    ((10, 10, 10), (64, 64, 64), (1.0, 1.0, 1.0)),
+    ((6, 8, 10), (16, 12, 20), (1.6, 2.4, 1.0)),
+    ((5, 7, 9), (15, 13, 17), (1.5, 1.3, 1.7)),
+], ids=["cube", "non-cubic", "odd-axes"])
+def test_refine_matches_the_zero_padded_oracle(coarse, fine, lengths):
+    # the synthesis kernel evaluates the same trigonometric interpolant as
+    # zero padding plus a dense irfftn, from the coarse modes' block alone
+    g, fg = (GridSpec(d, tuple(L / n for L, n in zip(lengths, d))) for d in (coarse, fine))
+    data = np.random.default_rng(11).standard_normal(coarse)
+    oracle = zero_padded_refine(data, g, fg)
+    assert np.max(np.abs(_refine(data, g, fg) - oracle)) <= 1e-15 * np.max(np.abs(oracle))

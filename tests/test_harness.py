@@ -309,14 +309,18 @@ class TestVerify:
             assert "local-energy" in printed
             assert not list(out.iterdir())
 
-    def test_grid_beyond_the_address_space_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("dims", ["100000 100000 100000", "8 8 " + "9" * 300],
+                             ids=["petabytes", "300-digit"])
+    def test_grid_beyond_the_address_space_exits_2(self, tmp_path, dims):
         # 1e15 nodes: the first array would take petabytes, which no machine
-        # can map, so it is refused at once and nothing is allocated
+        # can map, so it is refused at once and nothing is allocated; a
+        # (6, N) float64 array of 64 * 10^300 nodes cannot even be addressed
         cfg = write_config(tmp_path / "v.txt", VERIFY_SMALL)
-        code, printed = run_cleanly(["verify", cfg, "grid.dims=100000 100000 100000",
+        code, printed = run_cleanly(["verify", cfg, f"grid.dims={dims}",
                                      f"output.dir={tmp_path / 'out'}"])
         assert code == EXIT_CONFIG
         assert printed.startswith("config error:") and printed.count("\n") == 1
+        assert len(printed) < 200
 
     def test_map_of_another_grid_exits_2(self, tmp_path, capsys):
         # x and z have equal lengths but not equal node counts; the spectral
@@ -485,6 +489,16 @@ refinement.levels = 3
             if line.startswith("law="):
                 order = float(line.split("fitted_order=")[1].split()[0])
                 assert 3.5 <= order <= 4.5
+
+    def test_huge_refinement_factor_exits_2_with_a_short_message(self, tmp_path):
+        # the Yee ladder's refined grids are beyond the address space; the
+        # message abbreviates their node counts
+        cfg = write_config(tmp_path / "c.txt", VERIFY_SMALL + "refinement.levels = 3\n")
+        code, printed = run_cleanly(["converge", cfg, "stepper=yee",
+                                     "refinement.factor=1" + "0" * 300,
+                                     f"output.dir={tmp_path / 'out'}"])
+        assert code == EXIT_CONFIG and printed.startswith("config error:")
+        assert len(printed) < 200
 
     def test_refined_grid_out_of_float_range_exits_2(self, tmp_path):
         # h = 3e-108 has a cell volume of 2.5e-323, which h/4, the finest of

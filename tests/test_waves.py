@@ -82,6 +82,20 @@ class TestStandingWave:
         assert np.max(np.abs(s.B.data[1] - b_exact)) <= 1e-13
 
 
+@pytest.mark.parametrize("maker", [plane_wave, standing_wave])
+@pytest.mark.parametrize("t", [0.0, 0.37])
+def test_every_wave_steps_its_one_mode(maker, t):
+    # the exact coefficient leaves no FFT-noise mode to widen the analysis
+    # grid: 4n + 2 nodes per axis wherever that is below the 64 of the run
+    g = GridSpec.cube(1.0, 64)
+    for n in range(1, 32):
+        engine = SpectralEngine(maker(PlaneWaveSpec(1.0, 2 * np.pi * n), g, t),
+                                ZeroCurrent(), 1e-4)
+        assert engine.mask.sum() == 1, n
+        m = 4 * n + 2
+        assert engine.analysis_grid == (GridSpec.cube(1.0, m) if m < 64 else g), n
+
+
 class TestTwoPointEnergyAnalytic:
     def test_zero_shift_gives_usual_energy(self):
         assert twopoint_energy_analytic(2.0, 3.0, 5.0, 0.0) == pytest.approx(12.0)
@@ -160,3 +174,6 @@ class TestRandomBandLimited:
         assert np.array_equal(engine.mask, ref.mask)
         assert engine.mask.sum() == 75
         assert engine.analysis_grid.dims == ref.analysis_grid.dims == (10, 10, 10)
+        # the engine adopts the generator's coefficients, which its samples reproduce
+        dense = np.fft.rfftn(s.data, axes=(-3, -2, -1))[:, engine.mask]
+        assert np.max(np.abs(engine.u - dense)) <= 1e-15 * np.max(np.abs(dense))
