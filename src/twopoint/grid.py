@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import GridMismatch, InvalidMap, NonFiniteField
 
+MAX_NODES = np.iinfo(np.intp).max // 48  # nodes of the largest addressable (6, N) float64 array
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -42,9 +44,8 @@ class GridSpec:
             raise ValueError("GridSpec needs three dims and three spacings")
         if any(n < 4 for n in dims):
             raise ValueError(f"grid dims must be >= 4, got {dims}")
-        top = np.iinfo(np.intp).max // 48  # nodes of the largest addressable (6, N) float64 array
-        if dims[0] * dims[1] * dims[2] > top:
-            raise ValueError(f"grid of more than {top} nodes: its (6, N) float64 field is "
+        if dims[0] * dims[1] * dims[2] > MAX_NODES:
+            raise ValueError(f"grid of more than {MAX_NODES} nodes: its (6, N) float64 field is "
                              "beyond the address space")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)

@@ -46,7 +46,7 @@ from .forge import (
     time_derivative_samples,
     verify_invariant_drift,
 )
-from .grid import AffineMap, GridSpec, volume_integral
+from .grid import MAX_NODES, AffineMap, GridSpec, volume_integral
 from .laws import (
     density,
     law_inversion,
@@ -473,11 +473,13 @@ def cmd_converge(cfg: Config) -> int:
     factor = cfg.int("refinement.factor", 2)
     if factor < 2:
         raise ConfigError(f"refinement.factor must be >= 2, got {factor}")
-    # the Yee ladder refines the grid; every level's grid is checked up front
+    # the Yee ladder refines the grid; every level's grid and steps are checked up front
     grids = [build_grid(cfg, factor**level if stepper == "yee" else 1)
              for level in range(levels)]
     base_dt = resolve_dt(cfg, grids[0], stepper)
     base_nsteps = build_count(cfg, "nsteps")
+    if base_nsteps * factor ** (levels - 1) > MAX_NODES:  # a run keeps pairings of every step
+        raise ConfigError(f"nsteps x refinement.factor^{levels - 1} is beyond {MAX_NODES} steps")
     # the fitted metric, its column in the rows of orders.csv and its least order
     metric, column, min_order = ("residual", 4, 1.8) if stepper == "yee" else ("defect", 5, 3.5)
 

@@ -38,11 +38,11 @@ translation (alpha = I), rotation (det alpha = +1, beta = 0) and inversion
 The tensors of the shipped laws are sparse (6 of 36 W entries, 12 of 108 K
 entries), so each law lists its nonzero terms (a, b, coef) once, and the
 pointwise kernels contract only those, node by node, in the dense
-contraction's order: the values are bit-identical to it.  A balance
-run builds the profiles of its driving current once, not per step, at
-each law's map and its inverse: the volume integral of S is a fixed
-pairing of the field with those profiles, which the engine evaluates on
-its own coefficients at every step, with no snapshot.
+contraction's order: the values are bit-identical to it.  The volume
+integral of S is a fixed pairing of the field with the current's profile
+at each law's map and its inverse, which an engine builds once per run
+from the current's coefficients and evaluates on its own at every step,
+with no snapshot.
 
 A balance run evaluates its rows on the source's analysis grid.  For an
 engine (spectral or Yee) whose fields carry modes |n_i| <= K that is the same box
@@ -253,20 +253,13 @@ def _paired(state_now: FieldState, state_shifted: Optional[FieldState], amap: Af
 def density(law: TwoPointLawSpec, state_now: FieldState,
             state_shifted: Optional[FieldState] = None) -> ScalarField:
     """rho(x) = W_ab F_a(x) F_b(A x) with F_b drawn from the shifted state."""
-    f, g = _paired(state_now, state_shifted, law.map)
-    with np.errstate(over="ignore"):  # ScalarField reports it as NonFiniteField
-        rho = _contract(law._w_terms, f, g)
-    return ScalarField(state_now.grid, rho, copy=False)
+    return _density(law, state_now.grid, *_paired(state_now, state_shifted, law.map))
 
 
 def flux(law: TwoPointLawSpec, state_now: FieldState,
          state_shifted: Optional[FieldState] = None):
     """J_i(x) = K_iab F_a(x) F_b(A x)."""
-    f, g = _paired(state_now, state_shifted, law.map)
-    j = np.zeros((3, *f.shape[1:]))
-    for i, terms in enumerate(law._k_terms):
-        _contract(terms, f, g, out=j[i])
-    return VectorField(state_now.grid, j, copy=False)
+    return _flux(law, state_now.grid, *_paired(state_now, state_shifted, law.map))
 
 
 def source_power(law: TwoPointLawSpec, state_now: FieldState,
@@ -278,15 +271,33 @@ def source_power(law: TwoPointLawSpec, state_now: FieldState,
     law.map)) when the caller has built it already.  Row b of the stacked
     current Js is row b % 3 of the profile.
     """
-    f, g = _paired(state_now, state_shifted, law.map)
-    grid = state_now.grid
+    times = (state_now.t, (state_shifted or state_now).t)
+    return _source(law, state_now.grid, *_paired(state_now, state_shifted, law.map), j,
+                   times, profiles)
+
+
+# The three on F and the pulled-back F, which an analysis row shares
+
+def _density(law, grid, f, g) -> ScalarField:
+    with np.errstate(over="ignore"):  # ScalarField reports it as NonFiniteField
+        rho = _contract(law._w_terms, f, g)
+    return ScalarField(grid, rho, copy=False)
+
+
+def _flux(law, grid, f, g) -> VectorField:
+    j = np.zeros((3, *f.shape[1:]))
+    for i, terms in enumerate(law._k_terms):
+        _contract(terms, f, g, out=j[i])
+    return VectorField(grid, j, copy=False)
+
+
+def _source(law, grid, f, g, j, times, profiles) -> ScalarField:
     if j.is_zero:
         return ScalarField(grid, np.zeros(grid.dims), copy=False)
     if profiles is None:
         profiles = (j.spatial_profile(grid), j.profile_at(grid, law.map))
-    t_shifted = state_now.t if state_shifted is None else state_shifted.t
-    jn = profiles[0] * j.time_factor(state_now.t)
-    jm = profiles[1] * j.time_factor(t_shifted)
+    jn = profiles[0] * j.time_factor(times[0])
+    jm = profiles[1] * j.time_factor(times[1])
     terms = law._source_terms
     s = _contract([(a, b % 3, c) for a, b, c in terms], f, jm)
     s += _contract([(a % 3, b, c) for a, b, c in terms], jn, g)
@@ -371,22 +382,27 @@ def _analysis_row(law, j, dt, get_state, a, nsteps, fine_grid, profiles=None):
     """Q and residual norms of one law at analysis step a (`profiles` as
     for `source_power`).
 
-    The states may live on a coarser grid than `fine_grid`, the grid of the
-    run, if it holds their band-limited products exactly; r_max is still
-    the largest |r| over the fine nodes.
+    Each state a row reads is pulled back once, and its density, flux and
+    source share it.  The states may live on a coarser grid than
+    `fine_grid`, the grid of the run, if it holds their band-limited
+    products exactly; r_max is still the largest |r| over the fine nodes.
     """
     m = law.time_shift_steps
     s_now = get_state(a)
-    s_sh = get_state(a + m)
-    q = volume_integral(density(law, s_now, s_sh))
+    grid = s_now.grid
+
+    def paired(b):
+        return _paired(get_state(b), get_state(b + m), law.map)
+
+    f, g = paired(a)
+    q = volume_integral(_density(law, grid, f, g))
     if 1 <= a <= nsteps - m - 1:
-        rho_next = density(law, get_state(a + 1), get_state(a + m + 1)).data
-        rho_prev = density(law, get_state(a - 1), get_state(a + m - 1)).data
+        rho_next = _density(law, grid, *paired(a + 1)).data
+        rho_prev = _density(law, grid, *paired(a - 1)).data
         r = (rho_next - rho_prev) / (2.0 * dt)
-        r = r + divergence(flux(law, s_now, s_sh)).data
+        r = r + divergence(_flux(law, grid, f, g)).data
         if not j.is_zero:
-            r = r - source_power(law, s_now, s_sh, j, profiles).data
-        grid = s_now.grid
+            r = r - _source(law, grid, f, g, j, (s_now.t, get_state(a + m).t), profiles).data
         r_l2 = float(np.sqrt(volume_integral(ScalarField(grid, r * r, copy=False))))
         if grid != fine_grid:
             r = _refine(r, grid, fine_grid)
@@ -405,10 +421,11 @@ def _analysis_row(law, j, dt, get_state, a, nsteps, fine_grid, profiles=None):
 
 class _StoredSource:
     """A stored trajectory behind the engine protocol of `maxwell`, on the
-    trajectory's own grid."""
+    trajectory's own grid, pairing real-space profiles of its current."""
 
     def __init__(self, traj: Trajectory):
         self.states = traj.states
+        self.current = traj.source
         self.analysis_grid = traj.grid
         self.step_index = 0
 
@@ -418,8 +435,15 @@ class _StoredSource:
     def state(self, grid: Optional[GridSpec] = None) -> FieldState:
         return self.states[self.step_index]
 
-    def dual(self, q: np.ndarray) -> np.ndarray:
-        return q * self.analysis_grid.cell_volume
+    def profiles(self, maps) -> tuple:
+        grid = self.analysis_grid
+        return (self.current.spatial_profile(grid),
+                [self.current.profile_at(grid, amap) for amap in maps])
+
+    def dual(self, maps) -> np.ndarray:
+        grid = self.analysis_grid
+        return np.concatenate([self.current.profile_at(grid, amap) for amap in maps]
+                              ) * grid.cell_volume
 
     def pair(self, dual: np.ndarray) -> np.ndarray:
         return np.einsum("axyz,cxyz->ac", self.state().data, dual)
@@ -444,8 +468,9 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
     with P~ the profile at the law's mapped points and P^-1 the profile at
     the inverse-mapped ones (every map is a volume-preserving symmetry of
     the box), so each step of a driven run makes one `pair` call against
-    all the maps' profiles, built once for the run.  A step whose pairings
-    or snapshot are not finite raises Diverged naming it.
+    the `dual` of all the maps, built once for the run, as are the rows'
+    profiles.  A step whose pairings or snapshot are not finite raises
+    Diverged naming it.
     """
     single = isinstance(laws, TwoPointLawSpec)
     laws = [laws] if single else list(laws)
@@ -473,15 +498,12 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
     profiles = {}  # law map -> (profile, mapped profile) of the current
     dual = None
     if not j.is_zero:
-        mapped = {}
         for law in laws:
             for amap in (law.map, law.map.inverse()):
-                if amap not in cols:
-                    cols[amap] = 3 * len(cols)
-                    mapped[amap] = j.profile_at(agrid, amap)
-        spatial = j.spatial_profile(agrid)
-        profiles = {law.map: (spatial, mapped[law.map]) for law in laws}
-        dual = source.dual(np.concatenate(list(mapped.values())))
+                cols.setdefault(amap, 3 * len(cols))
+        dual = source.dual(list(cols))
+        spatial, mapped = source.profiles([law.map for law in laws])
+        profiles = {law.map: (spatial, p) for law, p in zip(laws, mapped)}
     pairs = np.zeros((nsteps + 1, 6, len(cols) * 3))
 
     reads = set()  # the steps some row reads, each law with its own m

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import Diverged, NonFiniteField, StepTooLarge
 from .grid import (
+    AffineMap,
     FieldState,
     GridSpec,
     _mode_numbers,
@@ -43,10 +44,10 @@ CFL_SAFETY = {"yee": 0.9, "spectral": 0.5}
 _MASK_REL_TOL = 1e-15
 
 
-def _sampled_modes(data: np.ndarray):
-    """(sorted flat rfftn indices, (c, n) coefficients) of the modes of a
-    sampled (c, Nx, Ny, Nz) array above the FFT round-trip noise."""
-    dense = np.fft.rfftn(data, axes=(-3, -2, -1)).reshape(len(data), -1)
+def _sampled_modes(spectrum: np.ndarray):
+    """(sorted flat rfftn indices, (c, n) coefficients) of the modes of
+    sampled data above the FFT round-trip noise, from its (c, ...) rfftn."""
+    dense = spectrum.reshape(len(spectrum), -1)
     index = np.flatnonzero(np.any(np.abs(dense) > _MASK_REL_TOL * np.max(np.abs(dense)), axis=0))
     return index, dense[:, index]
 
@@ -71,7 +72,14 @@ def _on(index: np.ndarray, sub: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 class CurrentSpec:
-    """Closed-form descriptor of J(x, t) = profile(x) * time_factor(t)."""
+    """Closed-form descriptor of J(x, t) = profile(x) * time_factor(t).
+
+    An engine reads the profile only through `modes`, its rfftn coefficients
+    on the engine's grid, once per run: its steps, the source work's
+    weights at every law map (`dual`) and the rows' profile come from them.
+    `spatial_profile` and `profile_at` sample it in real space, for stored
+    trajectories (`laws.residual`) and tests.
+    """
 
     is_zero = False
 
@@ -82,7 +90,8 @@ class CurrentSpec:
         raise NotImplementedError
 
     def profile_at(self, grid: GridSpec, amap=None) -> np.ndarray:
-        """Profile evaluated at alpha x + beta (exact, from the closed form)."""
+        """Profile evaluated at alpha x + beta: its samples pulled back (through
+        the band-limited interpolant for a shift off the nodes)."""
         if amap is None:
             return self.spatial_profile(grid)
         return _pull_array(self.spatial_profile(grid), grid, amap)
@@ -90,7 +99,7 @@ class CurrentSpec:
     def modes(self, grid: GridSpec):
         """(distinct flat rfftn indices, (3, n) coefficients) of the
         profile's modes on `grid`; here those of its samples above the noise."""
-        return _sampled_modes(self.spatial_profile(grid))
+        return _sampled_modes(np.fft.rfftn(self.spatial_profile(grid), axes=(-3, -2, -1)))
 
 
 @dataclass(frozen=True)
@@ -166,22 +175,17 @@ class PlaneWaveCurrent(CurrentSpec):
         )
 
     def spatial_profile(self, grid):
-        k = self._kvec(grid)
-        x, y, z = grid.meshgrid()
-        c = np.cos(k[0] * x + k[1] * y + k[2] * z)
-        return np.stack([p * c for p in self.polarization])
+        return self.profile_at(grid, AffineMap.identity())
 
     def profile_at(self, grid, amap=None):
+        """The closed form at alpha x + beta, beta taken modulo the box: k . L
+        is a whole number of turns, and a huge beta would overflow the phase."""
         if amap is None:
             return self.spatial_profile(grid)
         k = self._kvec(grid)
-        x = np.stack(grid.meshgrid(), axis=0)
-        y = np.einsum("ij,j...->i...", amap.alpha_matrix, x)
-        arg = k[0] * y[0] + k[1] * y[1] + k[2] * y[2]
-        # beta modulo the box: k . L is a whole number of turns, and a huge
-        # beta would otherwise overflow the phase
-        arg += k @ np.remainder(amap.beta_vector, grid.lengths)
-        c = np.cos(arg)
+        y = np.einsum("ij,j...->i...", amap.alpha_matrix, np.stack(grid.meshgrid()))
+        c = np.cos(k[0] * y[0] + k[1] * y[1] + k[2] * y[2]
+                   + k @ np.remainder(amap.beta_vector, grid.lengths))
         return np.stack([p * c for p in self.polarization])
 
     def modes(self, grid):
@@ -205,9 +209,8 @@ class GaussianPulseCurrent(CurrentSpec):
     """Localized pulse: polarization * gaussian(x - center) * gaussian(t - t0).
 
     The raw separable profile is not divergence free, so it is projected
-    solenoidal in Fourier space on the grid it is sampled on; mapped
-    evaluation is a gather of that projected profile (through the
-    interpolant only for a shift that is not a whole number of nodes).
+    solenoidal in Fourier space on the grid it is sampled on (`_spectrum`);
+    `modes` reads that spectrum, `spatial_profile` is its irfftn.
     """
 
     center: tuple
@@ -220,34 +223,39 @@ class GaussianPulseCurrent(CurrentSpec):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "polarization", tuple(float(p) for p in self.polarization))
 
-    def spatial_profile(self, grid):
-        mesh = grid.meshgrid()
+    def _spectrum(self, grid: GridSpec) -> np.ndarray:
+        """rfftn of the projected profile from one sampling and one rfftn:
+        per mode, the polarization projected transverse to k times the
+        Gaussian's coefficient, made that of a real profile on the kz = 0
+        and Nyquist planes, whose mirrored modes share a Nyquist k."""
         r2 = np.zeros(grid.dims)
-        for x, c, L in zip(mesh, self.center, grid.lengths):
+        for x, c, L in zip(grid.meshgrid(), self.center, grid.lengths):
             d = np.remainder(x - c + 0.5 * L, L) - 0.5 * L
             r2 += d * d
         with np.errstate(over="ignore"):  # a float64 square overflows to inf, not an error
-            bump = np.exp(-r2 / (2.0 * np.float64(self.width) ** 2))
-        raw = np.stack([p * bump for p in self.polarization])
-        return _project_transverse(raw, grid)
+            bump = np.fft.rfftn(np.exp(-r2 / (2.0 * np.float64(self.width) ** 2)))
+        k = spectral_wavevectors(grid)
+        k2 = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+        p = self.polarization
+        kp = (k[0] * p[0] + k[1] * p[1] + k[2] * p[2]) / np.where(k2 == 0.0, 1.0, k2)
+        spectrum = np.stack([(pi - ki * kp) * bump for pi, ki in zip(p, k)])
+        nx, ny, nz = grid.dims
+        planes = [0, nz // 2] if nz % 2 == 0 else [0]
+        plane = spectrum[..., planes]
+        mirror = plane[:, -np.arange(nx) % nx][:, :, -np.arange(ny) % ny]
+        spectrum[..., planes] = 0.5 * (plane + np.conj(mirror))
+        return spectrum
+
+    def spatial_profile(self, grid):
+        return np.fft.irfftn(self._spectrum(grid), s=grid.dims, axes=(-3, -2, -1))
+
+    def modes(self, grid):
+        return _sampled_modes(self._spectrum(grid))
 
     def time_factor(self, t):
-        with np.errstate(over="ignore"):  # as in spatial_profile
+        with np.errstate(over="ignore"):  # as in _spectrum
             return float(np.exp(-(np.float64(t - self.t0) ** 2)
                                 / (2.0 * np.float64(self.tau) ** 2)))
-
-
-def _project_transverse(data: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Remove the longitudinal (curl-free) part of a vector sample."""
-    kx, ky, kz = spectral_wavevectors(grid)
-    k2 = kx**2 + ky**2 + kz**2
-    k2safe = np.where(k2 == 0.0, 1.0, k2)
-    vh = np.fft.rfftn(data, axes=(-3, -2, -1))
-    kdotv = kx * vh[0] + ky * vh[1] + kz * vh[2]
-    vh[0] -= kx * kdotv / k2safe
-    vh[1] -= ky * kdotv / k2safe
-    vh[2] -= kz * kdotv / k2safe
-    return np.fft.irfftn(vh, s=grid.dims, axes=(-3, -2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +295,12 @@ def _check_dt(grid, dt, stepper):
 #   state(grid=None)   the collocated FieldState of the current step on the
 #                      own grid (default) or the analysis grid; on the own
 #                      grid, step 0 is the initial state itself
-#   dual(q)            a (c, ...) field on the analysis grid as the weights
-#                      that `pair` contracts the field's coefficients with
+#   dual(maps)         the current's profile at each map (3 columns each)
+#                      as the weights that `pair` contracts the field with
 #   pair(dual)         the (6, c) volume integrals of F_a q_c at the current
 #                      step, with no snapshot
+#   profiles(maps)     the current's profile on the analysis grid and its
+#                      copies at each map
 # ---------------------------------------------------------------------------
 
 
@@ -303,48 +313,61 @@ def _stepped_state(grid: GridSpec, data: np.ndarray, step: int, t: float) -> Fie
         raise Diverged(f"field is not finite at step {step}") from None
 
 
+def _curl(d: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Curl of the gathered vector v for the per-axis derivative symbols d."""
+    return d[[1, 2, 0]] * v[[2, 0, 1]] - d[[2, 0, 1]] * v[[1, 2, 0]]
+
+
 class SpectralEngine:
     """Classical RK4 on the active rfftn coefficients of the stacked (E, B) field.
 
     The update is diagonal over wavevectors: per mode the free field obeys
-    u' = L u with L u = i (k x B, -k x E), and L^3 = -|k|^2 L, so one step is
-    RK4's stability polynomial u + b L u + c L^2 u with real per-mode b, c;
-    a current J = profile * f(t) adds three fixed vectors weighted by f at
-    t, t + h/2 and t + h.  This regroups stage-by-stage RK4's arithmetic, so
-    the two agree up to rounding (1.3e-15 of the largest coefficient after
-    400 steps at 64^3).  Only the active modes are stepped: those with a
-    nonzero coefficient in the state's or the current's `modes` (exact from
-    a generator or a closed form; from an rfftn above ~1e-15 of the largest
-    for sampled data, whose FFT round-trip noise is decoupled from the rest
-    and, as |R(i w dt)| <= 1 for stable steps, stays at the noise level).
+    u' = L u with L u = i C u, C u = (k x B, -k x E), and L^3 = -|k|^2 L, so
+    one step is RK4's stability polynomial u + i b C u - c C^2 u with real
+    per-mode b, c, and C^2 u = |k|^2 u - k (k . u) blockwise takes no second
+    curl; a current J = profile * f(t) adds J, L J and L^2 J weighted by f at
+    t, t + h/2 and t + h.  This regroups stage-by-stage RK4's
+    arithmetic, so the two agree up to rounding (1.3e-15 of the largest
+    coefficient after 400 steps at 64^3).  Only the active modes are
+    stepped: those with a nonzero coefficient in the state's or the
+    current's `modes` (exact from a generator or a closed form; from an
+    rfftn above ~1e-15 of the largest for sampled data, whose FFT round-trip
+    noise is decoupled from the rest and, as |R(i w dt)| <= 1 for stable
+    steps, stays at the noise level).  A step makes no BLAS call: a woken
+    second BLAS thread would spin after each small product.
     """
 
     def __init__(self, state: FieldState, current: CurrentSpec, dt: float):
-        jh = self._gather(state, current, dt)
+        self._gather(state, current, dt)
         h = self.dt
-        kx, ky, kz = self._per_mode(_wavenumbers(self.grid.dims, self.grid.spacing))
-        self._ka = np.stack([ky, kz, kx, kz, kx, ky])  # row factors of _curl_pair
+        k = self._per_mode(_wavenumbers(self.grid.dims, self.grid.spacing))
+        kx, ky, kz = k
+        k2 = kx * kx + ky * ky + kz * kz
+        hk2 = k2 * h * h
+        self._ka = np.stack([ky, kz, kx, kz, kx, ky])  # row factors of C u
         self._kb = np.stack([kz, kx, ky, ky, kz, kx])
-        hk2 = (kx * kx + ky * ky + kz * kz) * h * h
         self._ib = 1j * h * (1.0 - hk2 / 6.0)  # i b, as L = i C
-        self._c = h * h * (0.5 - hk2 / 24.0)
+        c = h * h * (0.5 - hk2 / 24.0)
+        self._a = 1.0 - c * k2  # - c C^2 u = - c |k|^2 u + c k (k . u)
+        # k and c k per real and imaginary part, for real contractions
+        self._k, self._ck = np.repeat(k, 2, axis=1), np.repeat(c * k, 2, axis=1)
         self._drive = None
-        if jh is not None:
-            # the current's share of k1 + 2 k2 + 2 k3 + k4 at t, t + h/2, t + h
-            g = np.zeros_like(self.u)
-            g[:3] = -jh
-            cg = self._curl_pair(g)
-            lg, llg = 1j * cg, -self._curl_pair(cg)
-            self._drive = (h / 6.0 * (g + h * (1.0 - hk2 / 4.0) * lg + h * h / 2.0 * llg),
-                           h / 6.0 * (4.0 * g + 2.0 * h * lg + h * h / 2.0 * llg),
-                           h / 6.0 * g)
+        if self._jh is not None:
+            # the current's share of k1 + 2 k2 + 2 k3 + k4, with f at t, t + h/2, t + h:
+            # h/6 [(f0 + 4 f1 + f2) g + h (f0 (1 - |k|^2 h^2 / 4) + 2 f1) L g
+            # + h^2/2 (f0 + f1) L^2 g] for g = (-J, 0), L g = (0, i k x J) and
+            # L^2 g = (|k|^2 J - k (k . J), 0); `advance` weighs these four rows
+            jh = self._jh
+            lg = 1j * _curl(k, jh)
+            self._drive = np.stack([[-jh, k2 * jh - k * np.sum(k * jh, axis=0)],
+                                    [lg, hk2 * lg]]).view(float)
 
     def _gather(self, state: FieldState, current: CurrentSpec, dt: float):
         """Set what every mode-space engine shares: the active modes (those of
         the state and of the current), the state's gathered coefficients as
-        `u`, the snapshot layouts and the analysis grid.  Returns the
-        current profile's gathered coefficients, or None for no current.
-        Nothing here is scattered into an rfftn array of the grid."""
+        `u`, the current profile's as `_jh` (None for no current), the
+        snapshot layouts and the analysis grid.  Nothing here is scattered
+        into an rfftn array of the grid."""
         grid = state.grid
         self.grid = grid
         self.current = current
@@ -352,19 +375,19 @@ class SpectralEngine:
         self.initial = state
         self.step_index = 0
         self.mask = np.zeros((*grid.dims[:2], grid.dims[2] // 2 + 1), dtype=bool)
-        s_index, s_coeffs = _nonzero(*(state.modes or _sampled_modes(state.data)))
+        s_index, s_coeffs = _nonzero(*(state.modes or _sampled_modes(
+            np.fft.rfftn(state.data, axes=(-3, -2, -1)))))
         self.mask.flat[s_index] = True
         if not current.is_zero:
             j_index, j_coeffs = _nonzero(*current.modes(grid))
             self.mask.flat[j_index] = True
         index = np.flatnonzero(self.mask)
         self.u = _on(index, s_index, s_coeffs)
-        jh = None if current.is_zero else _on(index, j_index, j_coeffs)
+        self._jh = None if current.is_zero else _on(index, j_index, j_coeffs)
         # grid -> (flat rfftn index of each active mode, coefficient scale)
         self._layout = {grid: (index, 1.0)}
         self.analysis_grid = grid
         self._coarsen()
-        return jh
 
     def _per_mode(self, per_axis) -> np.ndarray:
         """(3, modes) values of the active modes from one rfftn-layout
@@ -396,21 +419,22 @@ class SpectralEngine:
 
     # -- dynamics ----------------------------------------------------------
 
-    def _curl_pair(self, u: np.ndarray) -> np.ndarray:
-        """C u = (k x B, -k x E) of u = (E, B), row by row; L u = i C u."""
-        return self._ka * u[[5, 3, 4, 1, 2, 0]] - self._kb * u[[4, 5, 3, 2, 0, 1]]
-
     def advance(self):
         h = self.dt
         t = self.initial.t + self.step_index * h
         u = self.u
-        cu = self._curl_pair(u)
-        u = u + self._ib * cu - self._c * self._curl_pair(cu)  # L^2 = -C^2
+        out = self._ka * u[[5, 3, 4, 1, 2, 0]]
+        out -= self._kb * u[[4, 5, 3, 2, 0, 1]]
+        out *= self._ib  # i b C u
+        out += self._a * u
+        ku = np.einsum("ix,bix->bx", self._k, u.view(float).reshape(2, 3, -1))
+        out += (self._ck * ku[:, None]).view(complex).reshape(6, -1)
         if self._drive is not None:
-            f = self.current.time_factor
-            p, q, r = self._drive
-            u += f(t) * p + f(t + 0.5 * h) * q + f(t + h) * r
-        self.u = u
+            f0, f1, f2 = (self.current.time_factor(s) for s in (t, t + 0.5 * h, t + h))
+            w = [[h / 6.0 * (f0 + 4.0 * f1 + f2), h**3 / 12.0 * (f0 + f1)],
+                 [h * h / 6.0 * (f0 + 2.0 * f1), -h * h / 24.0 * f0]]
+            out += np.einsum("bs,bsix->bix", w, self._drive).view(complex).reshape(6, -1)
+        self.u = out
         self.step_index += 1
 
     # -- snapshots and pairings ------------------------------------------------
@@ -424,9 +448,9 @@ class SpectralEngine:
         `grid` (the own grid or the analysis grid)."""
         index, scale = self._layout[grid]
         nx, ny, nz = grid.dims
-        out = np.zeros((6, nx * ny * (nz // 2 + 1)), dtype=complex)
+        out = np.zeros((len(u), nx * ny * (nz // 2 + 1)), dtype=complex)
         out[:, index] = u * scale
-        return out.reshape(6, nx, ny, nz // 2 + 1)
+        return out.reshape(len(u), nx, ny, nz // 2 + 1)
 
     def state(self, grid: Optional[GridSpec] = None) -> FieldState:
         grid = self.grid if grid is None else grid
@@ -439,33 +463,51 @@ class SpectralEngine:
                              axes=(-3, -2, -1))
         return _stepped_state(grid, data, step, self.initial.t + step * self.dt)
 
-    def dual(self, q: np.ndarray) -> np.ndarray:
-        """Conjugate rfftn coefficients of q at the active modes, weighted so
-        that `pair` is Parseval's sum: 2 for a mode off the kz = 0 and
-        Nyquist planes (it stands for its mirror too), times the snapshot
-        scale and cell volume over the node count of the analysis grid."""
-        grid = self.analysis_grid
-        index, scale = self._layout[grid]
-        half = grid.dims[2] // 2 + 1
-        kz = index % half
-        mirrored = (kz != 0) & (2 * kz != grid.dims[2])
-        weight = np.where(mirrored, 2.0, 1.0) * (scale * grid.cell_volume / grid.num_nodes)
-        qh = np.fft.rfftn(q, axes=(-3, -2, -1)).reshape(len(q), -1)
-        return np.conj(qh[:, index]) * weight
+    def dual(self, maps) -> np.ndarray:
+        """Per map x -> alpha x + beta, the conjugate coefficients of the
+        current's profile at the mapped points, times Parseval's weights (2
+        off the kz = 0 and Nyquist planes, where a mode stands for its mirror
+        too, times cell volume over node count).  No FFT: at mode m that
+        profile holds the current's coefficient at alpha m, turned by k . beta
+        as the band-limited interpolant shifts it (`grid.pullback`), which on
+        those planes turns a Nyquist component by the cosine of its share."""
+        grid = self.grid
+        dims = np.reshape(grid.dims, (3, 1))
+        n = self._per_mode(_mode_numbers(grid.dims))
+        k = self._per_mode(_wavenumbers(grid.dims, grid.spacing))
+        nyquist = 2 * np.abs(n) == dims
+        plane = (n[2] == 0) | nyquist[2]
+        index = np.flatnonzero(self.mask)
+        weight = np.where(plane, 1.0, 2.0) * (grid.cell_volume / grid.num_nodes)
+        out = []
+        for amap in maps:
+            turn = k * np.remainder(amap.beta_vector, grid.lengths)[:, None]
+            nyq = np.sum(turn, axis=0, where=nyquist)
+            shifted = self._jh * (np.exp(1j * np.sum(turn, axis=0, where=~nyquist))
+                                  * np.where(plane, np.cos(nyq), np.exp(1j * nyq)))
+            src = amap.alpha_matrix.astype(int) @ n
+            mirror = src[2] % grid.dims[2] > grid.dims[2] // 2  # read as its mirror's conjugate
+            flat = np.ravel_multi_index(np.where(mirror, -src, src) % dims, self.mask.shape)
+            pos = np.minimum(np.searchsorted(index, flat), len(index) - 1)
+            q = np.where(index[pos] == flat, shifted[:, pos], 0.0)  # 0 where J has no mode
+            out.append(np.where(mirror, q, np.conj(q)) * weight)
+        return np.concatenate(out)
 
     def pair(self, dual: np.ndarray) -> np.ndarray:
         """(6, c) volume integrals of F_a q_c at the current step."""
         return np.real(self._nodes() @ dual.T)
 
+    def profiles(self, maps) -> tuple:
+        """The current's (3, ...) profile on the analysis grid, synthesised
+        from its coefficients, and its copies at `maps`, one gather each."""
+        grid = self.analysis_grid
+        p = np.fft.irfftn(self.dense_coefficients(self._jh, grid), s=grid.dims, axes=(-3, -2, -1))
+        return p, [_pull_array(p, grid, amap) for amap in maps]
+
 
 # ---------------------------------------------------------------------------
 # Yee leapfrog engine
 # ---------------------------------------------------------------------------
-
-
-def _curl(d: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Curl of the gathered vector v for the per-axis derivative symbols d."""
-    return d[[1, 2, 0]] * v[[2, 0, 1]] - d[[2, 0, 1]] * v[[1, 2, 0]]
 
 
 class YeeEngine(SpectralEngine):
@@ -485,7 +527,7 @@ class YeeEngine(SpectralEngine):
     """
 
     def __init__(self, state: FieldState, current: CurrentSpec, dt: float):
-        jh = self._gather(state, current, dt)
+        self._gather(state, current, dt)
         dims = self.grid.dims
         z = self._per_mode([np.exp(2j * np.pi * n / d) for n, d in zip(_mode_numbers(dims), dims)])
         zi = 1.0 / z
@@ -499,7 +541,7 @@ class YeeEngine(SpectralEngine):
         self.u = up * self._u0
         # B is carried at t - dt/2; dB/dt = -curl E gives the backward half step
         self.u[3:] += 0.5 * _curl(self._dplus, self.u[:3])
-        self._drive = None if jh is None else self.dt * up[:3] * jh
+        self._drive = None if self._jh is None else self.dt * up[:3] * self._jh
 
     def advance(self):
         t_half = self.initial.t + (self.step_index + 0.5) * self.dt

@@ -1,7 +1,9 @@
 """Oracles for the tests: the spectral curl, a dense RK4 stepper and a
 real-space Yee leapfrog of the field equations dE/dt = curl B - J,
 dB/dt = -curl E on periodic data, random band-limited data built in the
-full spectrum, and band-limited resampling by zero padding."""
+full spectrum, band-limited resampling by zero padding, a Gaussian
+current's profile projected transverse by an FFT round trip, and an
+engine's pairing weights taken from an rfftn of real-space data."""
 
 import numpy as np
 
@@ -147,3 +149,41 @@ def zero_padded_refine(data, grid, fine):
         dst.append(modes[keep] % n)
     out[np.ix_(*dst)] = fh[np.ix_(*src)] * (fine.num_nodes / grid.num_nodes)
     return np.fft.irfftn(out, s=fine.dims, axes=(0, 1, 2))
+
+
+def real_space_dual(engine, q):
+    """Weights that `engine.pair` contracts its coefficients with for the
+    (c, ...) array q on the engine's analysis grid, the long way: the
+    conjugate rfftn coefficients of q at the active modes, times Parseval's
+    weights (2 for a mode off the kz = 0 and Nyquist planes, which stands
+    for its mirror too, times the snapshot scale and the cell volume over
+    the node count of the analysis grid).  The reference for the engine's
+    `dual`, which builds the current's weights at mapped points from its
+    coefficients with no FFT."""
+    grid = engine.analysis_grid
+    index, scale = engine._layout[grid]
+    half = grid.dims[2] // 2 + 1
+    kz = index % half
+    mirrored = (kz != 0) & (2 * kz != grid.dims[2])
+    weight = np.where(mirrored, 2.0, 1.0) * (scale * grid.cell_volume / grid.num_nodes)
+    qh = np.fft.rfftn(q, axes=(-3, -2, -1)).reshape(len(q), -1)
+    return np.conj(qh[:, index]) * weight
+
+
+def projected_gaussian(current, grid) -> np.ndarray:
+    """(3, Nx, Ny, Nz) profile of a GaussianPulseCurrent, the long way: each
+    component of polarization * bump sampled on the nodes, its rfftn
+    projected transverse to k, then one irfftn.  The reference for the
+    current's `modes` and `spatial_profile`, which transform the bump once
+    and make the projected spectrum that of a real profile directly."""
+    r2 = np.zeros(grid.dims)
+    for x, c, L in zip(grid.meshgrid(), current.center, grid.lengths):
+        d = np.remainder(x - c + 0.5 * L, L) - 0.5 * L
+        r2 += d * d
+    bump = np.exp(-r2 / (2.0 * current.width**2))
+    vh = np.fft.rfftn(np.stack([p * bump for p in current.polarization]), axes=(-3, -2, -1))
+    kx, ky, kz = spectral_wavevectors(grid)
+    k2 = kx**2 + ky**2 + kz**2
+    kdotv = (kx * vh[0] + ky * vh[1] + kz * vh[2]) / np.where(k2 == 0.0, 1.0, k2)
+    vh = np.stack([vh[0] - kx * kdotv, vh[1] - ky * kdotv, vh[2] - kz * kdotv])
+    return np.fft.irfftn(vh, s=grid.dims, axes=(-3, -2, -1))

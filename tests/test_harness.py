@@ -500,6 +500,19 @@ refinement.levels = 3
         assert code == EXIT_CONFIG and printed.startswith("config error:")
         assert len(printed) < 200
 
+    @pytest.mark.parametrize("source", [[], ["source.kind=uniform", "source.amplitude=0.1 0 0",
+                                              "source.omega=1.0"]], ids=["zero", "uniform"])
+    def test_huge_refinement_factor_of_the_spectral_ladder_exits_2(self, tmp_path, source):
+        # the spectral ladder keeps its grid, but its finest level's step
+        # count is beyond the address space; refused before any level runs
+        cfg = write_config(tmp_path / "c.txt", VERIFY_SMALL + "refinement.levels = 3\n")
+        code, printed = run_cleanly(["converge", cfg, "stepper=spectral", *source,
+                                     "refinement.factor=1" + "0" * 300,
+                                     f"output.dir={tmp_path / 'out'}"])
+        assert code == EXIT_CONFIG and printed.startswith("config error:")
+        assert "steps" in printed and len(printed) < 200
+        assert not list((tmp_path / "out").iterdir())
+
     def test_refined_grid_out_of_float_range_exits_2(self, tmp_path):
         # h = 3e-108 has a cell volume of 2.5e-323, which h/4, the finest of
         # three Yee levels, underflows to 0; the base grid itself is valid

@@ -299,24 +299,36 @@ class TestSparseKernels:
         assert np.array_equal(_pulled6(s, shifted), s.data)
 
     def test_gaussian_profile_built_a_fixed_number_of_times(self, grid, monkeypatch):
-        calls = []
-        original = GaussianPulseCurrent.spatial_profile
+        # the Gaussian is sampled once per run, for the engine's `modes`;
+        # the duals and the rows' profiles come from its coefficients.  A
+        # run makes 1 + 1 + nsteps + 2 x rows transforms: the sampled bump,
+        # the profile on the analysis grid, one per snapshot and two per
+        # interior row's divergence (5 rows at 4 steps, 17 at 12)
+        calls = {"sampled": 0, "spatial_profile": 0, "fft": 0}
 
-        def counted(self, g):
-            calls.append(1)
-            return original(self, g)
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(GaussianPulseCurrent, "spatial_profile", counted)
+        monkeypatch.setattr(GaussianPulseCurrent, "_spectrum",
+                            counted("sampled", GaussianPulseCurrent._spectrum))
+        monkeypatch.setattr(GaussianPulseCurrent, "spatial_profile",
+                            counted("spatial_profile", GaussianPulseCurrent.spatial_profile))
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, counted("fft", getattr(np.fft, name)))
         small = GridSpec.cube(1.0, 8)
         s = random_band_limited(small, seed=4, kmax=1)
         j = GaussianPulseCurrent((0.5, 0.5, 0.5), 0.2, (0.0, 1.0, 0.0), t0=0.002, tau=0.003)
         laws = [law_local_energy(), law_inversion(), law_translation(small, (0, 1, 0), 1)]
         counts = []
         for nsteps in (4, 12):
-            calls.clear()
+            calls.update(dict.fromkeys(calls, 0))
             run_balance(s, j, 1e-3, nsteps, laws, analysis_stride=2)
-            counts.append(len(calls))
-        assert counts[0] == counts[1]
+            counts.append(dict(calls))
+        assert counts == [{"sampled": 1, "spatial_profile": 0, "fft": 16},
+                          {"sampled": 1, "spatial_profile": 0, "fft": 48}]
 
 
 @pytest.mark.parametrize("stepper,engine", [("spectral", SpectralEngine), ("yee", YeeEngine)])

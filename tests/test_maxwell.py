@@ -1,10 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from field_ops import dense_rk4, spectral_curl, yee_leapfrog
-from twopoint.errors import StepTooLarge
+from field_ops import (
+    dense_rk4, projected_gaussian, real_space_dual, spectral_curl, yee_leapfrog,
+)
+from twopoint.errors import InvalidMap, StepTooLarge
 from twopoint.grid import (
-    FieldState, GridSpec, ScalarField, VectorField, divergence, volume_integral,
+    AffineMap, FieldState, GridSpec, ScalarField, VectorField, _gather_open_indices,
+    _pull_array, divergence, volume_integral,
 )
 from twopoint.maxwell import (
     GaussianPulseCurrent,
@@ -135,13 +140,66 @@ class TestPairing:
         agrid = engine.analysis_grid
         assert (agrid == g) == (current == "gaussian")
         q = np.random.default_rng(6).standard_normal((4, *agrid.dims))
-        dual = engine.dual(q)
+        dual = real_space_dual(engine, q)
         for step in range(3):
             if step:
                 engine.advance()
             snapshot = engine.state(agrid).data
             expected = np.einsum("axyz,cxyz->ac", snapshot, q) * agrid.cell_volume
             assert np.max(np.abs(engine.pair(dual) - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @staticmethod
+    def nyquist_currents(dims):
+        """Plane-wave currents whose mode has a Nyquist component: alone
+        ("nyquist") and beside a component 1 ("mixed")."""
+        axis = next(i for i, n in enumerate(dims) if n % 2 == 0)
+        pure = [0, 0, 0]
+        pure[axis] = dims[axis] // 2
+        mixed = list(pure)
+        mixed[(axis + 1) % 3] = 1
+        return {name: PlaneWaveCurrent(tuple(mode), tuple(np.cross(mode, (0.3, 0.5, 0.7))),
+                                       omega=3.0)
+                for name, mode in (("nyquist", pure), ("mixed", mixed))}
+
+    @pytest.mark.parametrize("engine_cls", [SpectralEngine, YeeEngine])
+    @pytest.mark.parametrize("dims", [(16, 16, 16), (16, 24, 12), (15, 16, 16), (16, 12, 15)])
+    @pytest.mark.parametrize("current", ["uniform", "planewave", "nyquist", "mixed", "gaussian"])
+    @pytest.mark.parametrize("shift", ["zero", "whole", "sub"])
+    def test_dual_is_the_real_space_dual_of_the_mapped_profile(self, engine_cls, dims, current,
+                                                                shift):
+        # every signed permutation that is a symmetry of the grid, at one shift
+        g = GridSpec(dims, tuple(1.0 / n for n in dims))
+        h = g.spacing
+        beta = {"zero": (0.0, 0.0, 0.0), "whole": (3 * h[0], -2 * h[1], 5 * h[2]),
+                "sub": (0.13, 0.4, 0.07)}[shift]
+        maps = []
+        for perm in itertools.permutations(range(3)):
+            for signs in itertools.product((1.0, -1.0), repeat=3):
+                amap = AffineMap(tuple((np.eye(3)[list(perm)] * np.array(signs)[:, None]).ravel()),
+                                 beta)
+                try:
+                    _gather_open_indices(g, amap)
+                except InvalidMap:
+                    continue
+                maps.append(amap)
+        assert len(maps) == {(16, 16, 16): 48, (15, 16, 16): 16}.get(dims, 8)
+        j = dict(self.CURRENTS, **self.nyquist_currents(dims))[current]
+        state = random_band_limited(g, seed=5, kmax=1, mean_b=(0.0, 0.2, 0.1))
+        engine = engine_cls(state, j, 0.3 * cfl_max_dt(g, "yee"))
+        agrid = engine.analysis_grid
+        # the Gaussian and the Nyquist modes keep the own grid: the sub-node
+        # shift of a Nyquist plane
+        assert (agrid == g) == (current in ("gaussian", "nyquist", "mixed"))
+        if current == "mixed" and shift == "sub":
+            # the closed form shifts cos(k . x) with its own k; the dual, like
+            # `pullback`, shifts the sampled profile's band-limited interpolant,
+            # which turns a Nyquist component by a cosine on the kz = 0 plane
+            mapped = [_pull_array(j.spatial_profile(agrid), agrid, amap) for amap in maps]
+        else:
+            mapped = [j.profile_at(agrid, amap) for amap in maps]
+        expected = np.concatenate([real_space_dual(engine, q) for q in mapped])
+        dual = engine.dual(maps)
+        assert np.max(np.abs(dual - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestRk4Polynomial:
@@ -211,7 +269,7 @@ class TestStepYee:
         assert np.max(np.abs(engine.state().data - expected)) <= 1e-14 * scale
         # paired with a uniform profile: the means, with no snapshot
         ones = np.ones((1, *engine.analysis_grid.dims))
-        assert np.allclose(engine.pair(engine.dual(ones))[:, 0],
+        assert np.allclose(engine.pair(real_space_dual(engine, ones))[:, 0],
                            np.sum(expected, axis=(1, 2, 3)) * g.cell_volume,
                            rtol=0, atol=1e-14 * scale * g.volume)
 
@@ -333,6 +391,19 @@ class TestCurrents:
         field = sampled(j, g, t=0.4)
         d = divergence(field)
         assert np.max(np.abs(d.data)) <= 1e-10
+
+    @pytest.mark.parametrize("dims", [(16, 16, 16), (16, 24, 12), (15, 16, 16), (16, 12, 15)])
+    def test_gaussian_modes_are_the_spectrum_of_the_sampled_profile(self, dims):
+        # narrow enough to fill the kz = 0 and Nyquist planes
+        g = GridSpec(dims, tuple(1.0 / n for n in dims))
+        j = GaussianPulseCurrent(center=(0.3, 0.5, 0.6), width=0.08, polarization=(1.0, 2.0, 3.0))
+        expected = np.fft.rfftn(projected_gaussian(j, g), axes=(-3, -2, -1)).reshape(3, -1)
+        index, coeffs = j.modes(g)
+        dense = np.zeros_like(expected)
+        dense[:, index] = coeffs  # a mode left out is below 1e-15 of the largest
+        assert np.max(np.abs(dense - expected)) <= 1e-15 * np.max(np.abs(expected))
+        profile = projected_gaussian(j, g)
+        assert np.max(np.abs(j.spatial_profile(g) - profile)) <= 1e-15 * np.max(np.abs(profile))
 
     def test_gaussian_current_is_projected_transverse(self):
         g = GridSpec.cube(1.0, 16)
