@@ -421,6 +421,8 @@ def cmd_verify(cfg: Config) -> int:
     dt = resolve_dt(cfg, grid, stepper)
     _check_resolved(source, dt)
     nsteps = build_count(cfg, "nsteps")
+    if nsteps > MAX_NODES:  # a driven run keeps pairings of every step
+        raise ConfigError(f"nsteps is beyond {MAX_NODES} steps")
     stride = cfg.int("analysis.stride", 1)
     if stride < 1:
         raise ConfigError(f"analysis.stride must be >= 1, got {stride}")

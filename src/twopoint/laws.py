@@ -406,7 +406,9 @@ def _analysis_row(law, j, dt, get_state, a, nsteps, fine_grid, profiles=None):
         r_l2 = float(np.sqrt(volume_integral(ScalarField(grid, r * r, copy=False))))
         if grid != fine_grid:
             r = _refine(r, grid, fine_grid)
-        r_max = float(np.max(np.abs(r)))
+        # no |r| temporary of the fine grid: a fresh 2 MiB array per row at
+        # 64^3 is page-faulted in again whenever malloc has trimmed its heap
+        r_max = abs(float(max(np.max(r), -np.min(r))))
     else:
         r_l2 = float("nan")
         r_max = float("nan")
@@ -429,11 +431,15 @@ class _StoredSource:
         self.analysis_grid = traj.grid
         self.step_index = 0
 
-    def advance(self):
-        self.step_index += 1
+    def advance(self, k: int = 1):
+        self.step_index += k
 
     def state(self, grid: Optional[GridSpec] = None) -> FieldState:
         return self.states[self.step_index]
+
+    def energy(self) -> float:
+        s = self.state()
+        return float(np.sum(s.E.data**2 + s.B.data**2) * s.grid.cell_volume)
 
     def profiles(self, maps) -> tuple:
         grid = self.analysis_grid
@@ -455,22 +461,23 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
 
     `source` follows the engine protocol of `maxwell` (a stepping engine or
     a stored trajectory).  Q and the residual norms are evaluated at
-    `stride` multiples, from snapshots on the source's analysis grid; a
-    window of the last m_max + 3 steps holds the snapshots of the steps
-    some row reads, taken as the source reaches them.  The source work is
-    evaluated at every step, so the Simpson quadrature of its integral
-    keeps the stepper's order.  S is bilinear in F and J, so its volume
-    integral is a fixed pairing of F with the current's profile P:
+    `stride` multiples, from snapshots on the source's analysis grid of
+    the steps some row reads, held until no pending row reads them.  A
+    free run leaps from one such step to the next (`advance(k)`), so its
+    cost does not grow with nsteps.  A driven run visits every step for
+    its source work: S is bilinear in F and J, so its volume integral is a
+    fixed pairing of F with the current's profile P:
 
         int S dV = sum over source terms (a, b, c) of
                    c [ f(t + m dt) <F_a(t), P~_b> + f(t) <F_b(t + m dt), P^-1_a> ]
 
     with P~ the profile at the law's mapped points and P^-1 the profile at
     the inverse-mapped ones (every map is a volume-preserving symmetry of
-    the box), so each step of a driven run makes one `pair` call against
-    the `dual` of all the maps, built once for the run, as are the rows'
-    profiles.  A step whose pairings or snapshot are not finite raises
-    Diverged naming it.
+    the box), so each step makes one `pair` call against the `dual` of all
+    the maps, built once for the run, as are the rows' profiles; its
+    Simpson quadrature keeps the stepper's order.  A step whose pairings or
+    snapshot are not finite raises Diverged naming it (a leap, the step it
+    lands on).  `norm_scale` is the field energy at step 0.
     """
     single = isinstance(laws, TwoPointLawSpec)
     laws = [laws] if single else list(laws)
@@ -483,14 +490,14 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
         raise HistoryUnderflow(f"need at least {m_max + 2} steps for shift {m_max}, "
                                f"have {nsteps}")
     last_q = nsteps - m_max
-    analysis = sorted(set(range(0, last_q + 1, stride)) | {last_q})
+    analysis = [*range(0, last_q, stride), last_q]
     initial = source.state()
     for law in laws:  # each map must be a symmetry of the run's own grid
         _gather_open_indices(initial.grid, law.map)
     agrid = source.analysis_grid
     t0 = initial.t
     with np.errstate(over="ignore"):
-        scale = float(np.sum(initial.E.data**2 + initial.B.data**2) * initial.grid.cell_volume)
+        scale = source.energy()
     if not np.isfinite(scale):
         raise Diverged("field energy is not finite at step 0")
 
@@ -504,7 +511,8 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
         dual = source.dual(list(cols))
         spatial, mapped = source.profiles([law.map for law in laws])
         profiles = {law.map: (spatial, p) for law, p in zip(laws, mapped)}
-    pairs = np.zeros((nsteps + 1, 6, len(cols) * 3))
+        pairs = np.zeros((nsteps + 1, 6, len(cols) * 3))
+        f = np.array([j.time_factor(t) for t in t0 + dt * np.arange(nsteps + 1)])
 
     reads = set()  # the steps some row reads, each law with its own m
     for law in laws:
@@ -520,14 +528,13 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
     window = {}
     rows = {id(law): [] for law in laws}
     ai = 0
-    for n_sim in range(0, nsteps + 1):
-        if n_sim > 0:
-            source.advance()
+    for n_sim in sorted(reads) if dual is None else range(nsteps + 1):
+        if n_sim > source.step_index:
+            source.advance(n_sim - source.step_index)
         if dual is not None:
             pairs[n_sim] = source.pair(dual)
             if not np.all(np.isfinite(pairs[n_sim])):
                 raise Diverged(f"field is not finite at step {n_sim}")
-        window.pop(n_sim - m_max - 3, None)
         if n_sim in reads:
             window[n_sim] = source.state(agrid)
         while ai < len(analysis) and need(analysis[ai]) <= n_sim:
@@ -538,22 +545,24 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
                     profiles.get(law.map)
                 ))
             ai += 1
+            oldest = analysis[ai] - 1 if ai < len(analysis) else n_sim + 1  # read by a pending row
+            window = {n: s for n, s in window.items() if n >= oldest}
     assert ai == len(analysis)
 
-    f = np.array([j.time_factor(t) for t in t0 + dt * np.arange(nsteps + 1)])
     idx = np.asarray(analysis)
     reports = []
     for law in laws:
-        m = law.time_shift_steps
-        n_w = nsteps - m + 1
-        w = np.zeros(n_w)
+        q, r_l2, r_max = (np.array(col) for col in zip(*rows[id(law)]))
+        source_cum = np.zeros(len(idx))
         if dual is not None:
+            m = law.time_shift_steps
+            n_w = nsteps - m + 1
+            w = np.zeros(n_w)
             fwd, inv = cols[law.map], cols[law.map.inverse()]
             for a, b, c in law._source_terms:
                 w += c * (f[m:] * pairs[:n_w, a, fwd + b % 3]
                           + f[:n_w] * pairs[m:, b, inv + a % 3])
-        q, r_l2, r_max = (np.array(col) for col in zip(*rows[id(law)]))
-        source_cum = cumulative_simpson(w, dt)[idx]
+            source_cum = cumulative_simpson(w, dt)[idx]
         reports.append(BalanceReport(law.label, t0 + dt * idx, q, source_cum,
                                      q - q[0] - source_cum, r_l2, r_max, scale))
     return reports[0] if single else reports

@@ -287,7 +287,9 @@ def _check_dt(grid, dt, stepper):
 # Engines
 #
 # Both steppers share one protocol, constructed as Engine(state, current, dt):
-#   advance()          one step
+#   advance(k=1)       k steps: one stepper step at k = 1; for k > 1 (a free
+#                      engine only) the k-th power of the step in closed form
+#   energy()           int (|E|^2 + |B|^2) dV at the current step
 #   analysis_grid      the grid the balance rows are evaluated on: the coarsest
 #                      grid of the same box on which every quadratic quantity
 #                      of the active modes is exact, where that grid is
@@ -342,7 +344,7 @@ class SpectralEngine:
         h = self.dt
         k = self._per_mode(_wavenumbers(self.grid.dims, self.grid.spacing))
         kx, ky, kz = k
-        k2 = kx * kx + ky * ky + kz * kz
+        self._k2 = k2 = kx * kx + ky * ky + kz * kz
         hk2 = k2 * h * h
         self._ka = np.stack([ky, kz, kx, kz, kx, ky])  # row factors of C u
         self._kb = np.stack([kz, kx, ky, ky, kz, kx])
@@ -419,29 +421,50 @@ class SpectralEngine:
 
     # -- dynamics ----------------------------------------------------------
 
-    def advance(self):
+    def advance(self, k: int = 1):
+        ib, a, ck = (self._ib, self._a, self._ck) if k == 1 else self._power(k)
         h = self.dt
         t = self.initial.t + self.step_index * h
         u = self.u
         out = self._ka * u[[5, 3, 4, 1, 2, 0]]
         out -= self._kb * u[[4, 5, 3, 2, 0, 1]]
-        out *= self._ib  # i b C u
-        out += self._a * u
+        out *= ib  # i b C u
+        out += a * u
         ku = np.einsum("ix,bix->bx", self._k, u.view(float).reshape(2, 3, -1))
-        out += (self._ck * ku[:, None]).view(complex).reshape(6, -1)
+        out += (ck * ku[:, None]).view(complex).reshape(6, -1)
         if self._drive is not None:
             f0, f1, f2 = (self.current.time_factor(s) for s in (t, t + 0.5 * h, t + h))
             w = [[h / 6.0 * (f0 + 4.0 * f1 + f2), h**3 / 12.0 * (f0 + f1)],
                  [h * h / 6.0 * (f0 + 2.0 * f1), -h * h / 24.0 * f0]]
             out += np.einsum("bs,bsix->bix", w, self._drive).view(complex).reshape(6, -1)
         self.u = out
-        self.step_index += 1
+        self.step_index += k
+
+    def _power(self, k: int) -> tuple:
+        """(i b, 1 - c |k|^2, c k) of k free steps: C has eigenvalues 0 and
+        +-|k|, so they are u + i Im(l^k)/|k| C u + (Re l^k - 1)/|k|^2 C^2 u,
+        one step's form, with l = 1 - c |k|^2 + i b |k|."""
+        if self._drive is not None:
+            raise ValueError(f"a driven engine steps one step at a time, not {k}")
+        kappa = np.sqrt(self._k2)
+        lk = (self._a + self._ib * kappa) ** k
+        kappa[kappa == 0.0] = 1.0  # l = 1 at the mean mode, so both factors are 0
+        c = (1.0 - lk.real) / kappa**2
+        return 1j * lk.imag / kappa, 1.0 - c * self._k2, self._k * np.repeat(c, 2)
 
     # -- snapshots and pairings ------------------------------------------------
 
     def _nodes(self) -> np.ndarray:
         """The gathered coefficients of the collocated field at the current step."""
         return self.u
+
+    def energy(self) -> float:
+        """int (|E|^2 + |B|^2) dV at the current step: Parseval over the
+        active modes, weighted as in `dual`."""
+        u, kz = self._nodes(), np.nonzero(self.mask)[2]
+        weight = np.where((kz == 0) | (2 * kz == self.grid.dims[2]), 1.0, 2.0)
+        power = float(np.sum(weight * np.sum(u.real**2 + u.imag**2, axis=0)))
+        return power * (self.grid.cell_volume / self.grid.num_nodes)
 
     def dense_coefficients(self, u: np.ndarray, grid: GridSpec) -> np.ndarray:
         """The gathered coefficients u scattered into the rfftn array of
@@ -543,7 +566,10 @@ class YeeEngine(SpectralEngine):
         self.u[3:] += 0.5 * _curl(self._dplus, self.u[:3])
         self._drive = None if self._jh is None else self.dt * up[:3] * self._jh
 
-    def advance(self):
+    def advance(self, k: int = 1):
+        if k != 1:
+            self.u, self.step_index = self._power(k), self.step_index + k
+            return
         t_half = self.initial.t + (self.step_index + 0.5) * self.dt
         b = self.u[3:] - _curl(self._dplus, self.u[:3])
         e = self.u[:3] + _curl(self._dminus, b)
@@ -551,6 +577,28 @@ class YeeEngine(SpectralEngine):
             e -= self.current.time_factor(t_half) * self._drive
         self.u = np.concatenate((e, b))
         self.step_index += 1
+
+    def _power(self, k: int) -> np.ndarray:
+        """M^k u for the free step M, which obeys M^2 = T M - I, T = 2 -
+        curl- curl+ on E and 2 - curl+ curl- on B.  T/2 is 1 on the
+        longitudinal part L u (E along d+, B along d-), which M keeps, and
+        cos(theta) = 1 - s/2, s = sum |dt d+|^2, on the rest v, where the
+        Chebyshev form of M^k is cos(k theta) v + sin(k theta)/sin(theta)
+        (M - cos(theta)) v, with (M - cos(theta)) v = (curl- v_B - s/2 v_E,
+        s/2 v_B - curl+ v_E)."""
+        if self._drive is not None:
+            raise ValueError(f"a driven engine steps one step at a time, not {k}")
+        u, dp, dm = self.u, self._dplus, self._dminus
+        s = np.sum(dp.real**2 + dp.imag**2, axis=0)
+        mean = s == 0.0  # no curl: the whole mode is longitudinal
+        s[mean] = 1.0
+        lu = np.concatenate((dp * np.sum(dm * u[:3], axis=0),
+                             dm * np.sum(dp * u[3:], axis=0))) / -s  # d- . d+ = -s
+        lu[:, mean] = u[:, mean]
+        v, half = u - lu, 0.5 * s
+        nv = np.concatenate((_curl(dm, v[3:]) - half * v[:3], half * v[3:] - _curl(dp, v[:3])))
+        theta = 2.0 * np.arcsin(np.sqrt(0.5 * half))
+        return lu + np.cos(k * theta) * v + np.sin(k * theta) / np.sin(theta) * nv
 
     def _nodes(self) -> np.ndarray:
         if self.step_index == 0:

@@ -2,6 +2,7 @@ import contextlib
 import filecmp
 import io
 import os
+import time
 import warnings
 from pathlib import Path
 
@@ -169,6 +170,29 @@ class TestVerify:
     def test_config_error_exit(self, tmp_path):
         cfg = write_config(tmp_path / "c.txt", "grid.dims = 16 16\n")
         assert main(["verify", cfg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("source", [[], ["source.kind=uniform", "source.amplitude=0.1 0 0",
+                                              "source.omega=1.0"]], ids=["zero", "uniform"])
+    def test_step_count_beyond_the_address_space_exits_2_at_once(self, tmp_path, source):
+        cfg = write_config(tmp_path / "c.txt", VERIFY_SMALL)  # analysis.stride = 20
+        start = time.perf_counter()
+        code, printed = run_cleanly(["verify", cfg, *source, "nsteps=1" + "0" * 30,
+                                     f"output.dir={tmp_path / 'out'}"])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CONFIG and "steps" in printed
+        assert not list((tmp_path / "out").iterdir())
+
+    def test_free_run_of_a_trillion_steps_ends_with_a_verdict(self, tmp_path):
+        # a free run leaps between the steps its rows read and allocates
+        # nothing per step; RK4's damping over 1e12 steps may fail the
+        # tolerance, so only the verdict is asked for
+        cfg = write_config(tmp_path / "c.txt", VERIFY_SMALL)
+        start = time.perf_counter()
+        code, printed = run_cleanly(["verify", cfg, "nsteps=1000000000000",
+                                     "analysis.stride=100000000000",
+                                     f"output.dir={tmp_path / 'out'}"])
+        assert time.perf_counter() - start < 2.0
+        assert code in (EXIT_OK, EXIT_TOLERANCE) and printed.count("law=") == 4
 
     def test_cfl_violation_exits_diverged(self, tmp_path):
         text = VERIFY_BASE.replace("dt = 0.001", "dt = 1.0")

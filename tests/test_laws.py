@@ -336,8 +336,8 @@ class TestSparseKernels:
 def test_non_finite_step_diverges_naming_it(grid, monkeypatch, stepper, engine, current):
     original = engine.advance
 
-    def advance(self):
-        original(self)
+    def advance(self, k=1):
+        original(self, k)
         if self.step_index == 3:
             self.u = np.full_like(self.u, np.inf)
 
@@ -352,6 +352,38 @@ def test_non_finite_step_diverges_naming_it(grid, monkeypatch, stepper, engine, 
             run_balance(s, j, dt, 8, [law_local_energy(), law_inversion()], stepper=stepper)
         with pytest.raises(Diverged, match="at step 3$"):
             evolve(s, j, dt, 8, stepper=stepper)
+
+
+@pytest.mark.parametrize("stepper,engine", [("spectral", SpectralEngine), ("yee", YeeEngine)])
+def test_free_runs_leap_between_the_steps_rows_read(grid, monkeypatch, stepper, engine):
+    leaps = []
+    original = engine.advance
+
+    def advance(self, k=1):
+        leaps.append(k)
+        original(self, k)
+
+    monkeypatch.setattr(engine, "advance", advance)
+    s = random_band_limited(grid, seed=2, kmax=2, mean_b=(0.0, 0.2, 0.1))
+    laws = [law_local_energy(), law_inversion(), law_translation(grid, (0, 0, 3), 0)]
+    # the rows at 0, 200 and 400 read steps 0, 199, 200, 201 and 400
+    run_balance(s, ZeroCurrent(), 1e-3, 400, laws, stepper=stepper, analysis_stride=200)
+    assert sum(leaps) == 400 and len(leaps) <= len({0, 199, 200, 201, 400})
+    leaps.clear()
+    # the source work of a driven run is integrated over every step
+    j = UniformOscillating((0.02, 0.0, 0.01), omega=2 * np.pi)
+    run_balance(s, j, 1e-3, 400, laws, stepper=stepper, analysis_stride=200)
+    assert leaps == [1] * 400
+
+
+def test_norm_scale_is_the_initial_field_energy(grid):
+    s = random_band_limited(grid, seed=6, kmax=2, mean_b=(0.1, 0.0, 0.2))
+    dense = np.sum(s.E.data**2 + s.B.data**2) * grid.cell_volume
+    traj = evolve(s, ZeroCurrent(), 1e-3, 4)
+    assert residual(traj, law_local_energy()).norm_scale == dense  # the stored state's sum
+    for stepper in ("spectral", "yee"):  # Parseval over the engine's coefficients
+        rep = run_balance(s, ZeroCurrent(), 1e-3, 4, law_local_energy(), stepper=stepper)
+        assert abs(rep.norm_scale - dense) <= 1e-14 * dense
 
 
 class TestResidual:
@@ -649,14 +681,23 @@ class TestAnalysisGrid:
             for law in laws:
                 rep = run_balance(s, j, 1e-3, 10, law, analysis_stride=3)
                 post = residual(traj, law, analysis_stride=3)
-                for field in ("Q", "r_l2", "r_max"):
-                    assert np.array_equal(getattr(rep, field), getattr(post, field),
-                                          equal_nan=True), field
-                # the engine pairs its coefficients with the current in
-                # Fourier space, the stored path sums over the nodes
-                for field in ("source_cum", "defect"):
-                    assert np.allclose(getattr(rep, field), getattr(post, field), rtol=0,
-                                       atol=1e-18 * rep.norm_scale), field
+                if name == "planewave":  # a driven run steps every step, as evolve does
+                    for field in ("Q", "r_l2", "r_max"):
+                        assert np.array_equal(getattr(rep, field), getattr(post, field),
+                                              equal_nan=True), field
+                    # the engine pairs its coefficients with the current in
+                    # Fourier space, the stored path sums over the nodes
+                    for field in ("source_cum", "defect"):
+                        assert np.allclose(getattr(rep, field), getattr(post, field), rtol=0,
+                                           atol=1e-18 * rep.norm_scale), field
+                else:  # a free run leaps between the steps its rows read: rounding
+                    assert not np.any(rep.source_cum) and not np.any(post.source_cum)
+                    for field in ("Q", "defect"):
+                        assert np.allclose(getattr(rep, field), getattr(post, field), rtol=0,
+                                           atol=1e-13 * rep.norm_scale), field
+                    for field in ("r_l2", "r_max"):
+                        assert np.allclose(getattr(rep, field), getattr(post, field),
+                                           rtol=1e-12, atol=0, equal_nan=True), field
 
     def test_map_is_checked_on_the_run_grid(self):
         # x and z have equal lengths but 16 and 8 nodes: the swap is not a

@@ -9,7 +9,7 @@ from field_ops import (
 from twopoint.errors import InvalidMap, StepTooLarge
 from twopoint.grid import (
     AffineMap, FieldState, GridSpec, ScalarField, VectorField, _gather_open_indices,
-    _pull_array, divergence, volume_integral,
+    _mode_numbers, _pull_array, divergence, volume_integral,
 )
 from twopoint.maxwell import (
     GaussianPulseCurrent,
@@ -241,6 +241,75 @@ class TestRk4Polynomial:
         engine.advance()
         dense = dense_rk4(zero, j, dt, 1)[:, engine.mask]
         assert np.max(np.abs(engine.u - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+class TestLeap:
+    """advance(k) of a free engine, a closed form, against k single steps."""
+
+    LEAPS = (2, 3, 199, 10_000)
+
+    @staticmethod
+    def state_with_nyquist(g):
+        """A random field with a mean, plus a mode with a Nyquist component
+        along x beside a unit one along y; sampled, so the engine takes its
+        coefficients from an rfftn."""
+        mode = np.array([g.dims[0] // 2, 1, 0])
+        k = 2.0 * np.pi * mode / np.asarray(g.lengths)
+        p = np.cross(k, (0.3, 0.5, 0.7))
+        p *= 0.5 / np.linalg.norm(p)
+        wave = np.cos(sum(ki * xi for ki, xi in zip(k, g.meshgrid())))
+        data = random_band_limited(g, seed=9, kmax=2, mean_b=(0.0, 0.2, 0.1)).data.copy()
+        data[:3] += np.multiply.outer(p, wave)
+        return FieldState.from_data(g, data, 0.0)
+
+    @pytest.mark.parametrize("engine_cls", [SpectralEngine, YeeEngine])
+    @pytest.mark.parametrize("dims", [(16, 16, 16), (12, 16, 20), (16, 12, 15)],
+                             ids=["cubic", "non-cubic", "odd-axis"])
+    def test_leap_matches_single_steps(self, engine_cls, dims):
+        g = GridSpec(dims, tuple(1.0 / n for n in dims))
+        state = self.state_with_nyquist(g)
+        dt = 0.3 * cfl_max_dt(g, "yee")
+        stepped = engine_cls(state, ZeroCurrent(), dt)
+        n = stepped._per_mode(_mode_numbers(dims))
+        assert stepped.mask[0, 0, 0] and np.any(2 * np.abs(n[0]) == dims[0])
+        for k in self.LEAPS:
+            while stepped.step_index < k:
+                stepped.advance()
+            leapt = engine_cls(state, ZeroCurrent(), dt)
+            leapt.advance(k)
+            assert leapt.step_index == k
+            scale = np.max(np.abs(stepped.u))
+            assert np.max(np.abs(leapt.u - stepped.u)) <= 1e-12 * scale, k
+            # the mean mode is left as it is
+            assert np.array_equal(leapt.u[:, 0], stepped.u[:, 0])
+
+    @pytest.mark.parametrize("engine_cls", [SpectralEngine, YeeEngine])
+    def test_driven_engine_refuses_a_leap(self, engine_cls):
+        g = GridSpec.cube(1.0, 8)
+        j = UniformOscillating((0.1, 0.0, 0.0), omega=1.0)
+        engine = engine_cls(random_band_limited(g, seed=1, kmax=1), j, 0.01)
+        before = engine.u
+        with pytest.raises(ValueError):
+            engine.advance(2)
+        assert engine.step_index == 0 and engine.u is before
+        engine.advance()
+        assert engine.step_index == 1
+
+    @pytest.mark.parametrize("engine_cls", [SpectralEngine, YeeEngine])
+    @pytest.mark.parametrize("kind", ["generated", "sampled"])
+    def test_energy_is_the_dense_sum(self, engine_cls, kind):
+        g = GridSpec((16, 12, 15), (1.0 / 16, 1.0 / 12, 1.0 / 15))
+        state = random_band_limited(g, seed=4, kmax=2, mean_b=(0.1, 0.0, 0.3))
+        assert state.modes is not None  # coefficients handed over by the generator
+        if kind == "sampled":  # coefficients from an rfftn of the samples
+            state = FieldState.from_data(g, state.data, 0.0)
+        engine = engine_cls(state, ZeroCurrent(), 0.3 * cfl_max_dt(g, "yee"))
+        for k in (0, 1, 2):  # step 0, one step, then a leap
+            if k:
+                engine.advance(k)
+            s = engine.state()
+            dense = np.sum(s.E.data**2 + s.B.data**2) * g.cell_volume
+            assert abs(engine.energy() - dense) <= 1e-14 * dense
 
 
 class TestStepYee:
