@@ -475,12 +475,17 @@ def cmd_converge(cfg: Config) -> int:
     factor = cfg.int("refinement.factor", 2)
     if factor < 2:
         raise ConfigError(f"refinement.factor must be >= 2, got {factor}")
+    scale = 1
+    for _ in range(levels - 1):  # factor^(levels - 1), never formed past the bound
+        scale *= factor
+        if scale > MAX_NODES:
+            raise ConfigError(f"refinement.factor^{levels - 1} is beyond {MAX_NODES} steps")
     # the Yee ladder refines the grid; every level's grid and steps are checked up front
     grids = [build_grid(cfg, factor**level if stepper == "yee" else 1)
              for level in range(levels)]
     base_dt = resolve_dt(cfg, grids[0], stepper)
     base_nsteps = build_count(cfg, "nsteps")
-    if base_nsteps * factor ** (levels - 1) > MAX_NODES:  # a run keeps pairings of every step
+    if base_nsteps * scale > MAX_NODES:  # a run keeps pairings of every step
         raise ConfigError(f"nsteps x refinement.factor^{levels - 1} is beyond {MAX_NODES} steps")
     # the fitted metric, its column in the rows of orders.csv and its least order
     metric, column, min_order = ("residual", 4, 1.8) if stepper == "yee" else ("defect", 5, 3.5)

@@ -38,11 +38,11 @@ translation (alpha = I), rotation (det alpha = +1, beta = 0) and inversion
 The tensors of the shipped laws are sparse (6 of 36 W entries, 12 of 108 K
 entries), so each law lists its nonzero terms (a, b, coef) once, and the
 pointwise kernels contract only those, node by node, in the dense
-contraction's order: the values are bit-identical to it.  The volume
-integral of S is a fixed pairing of the field with the current's profile
-at each law's map and its inverse, which an engine builds once per run
-from the current's coefficients and evaluates on its own at every step,
-with no snapshot.
+contraction's order: the values are bit-identical to it.  A balance run
+pulls the current's profile back once per map (each law's and its
+inverse); the rows read those arrays, and the volume integral of S is a
+fixed pairing of the field with them, evaluated at every step with no
+snapshot.
 
 A balance run evaluates its rows on the source's analysis grid.  For an
 engine (spectral or Yee) whose fields carry modes |n_i| <= K that is the same box
@@ -60,7 +60,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import Diverged, GridMismatch, HistoryUnderflow, NotARotation
+from .errors import Diverged, GridMismatch, HistoryUnderflow, NonFiniteField, NotARotation
 from .grid import (
     AffineMap,
     FieldState,
@@ -263,17 +263,15 @@ def flux(law: TwoPointLawSpec, state_now: FieldState,
 
 
 def source_power(law: TwoPointLawSpec, state_now: FieldState,
-                 state_shifted: Optional[FieldState], j: CurrentSpec,
-                 profiles: Optional[tuple] = None) -> ScalarField:
-    """S(x) with J sampled from its closed form at both points and times.
-
-    `profiles` is the pair (j.spatial_profile(grid), j.profile_at(grid,
-    law.map)) when the caller has built it already.  Row b of the stacked
-    current Js is row b % 3 of the profile.
+                 state_shifted: Optional[FieldState], j: CurrentSpec) -> ScalarField:
+    """S(x) with J's sampled profile and its pullback under the law's map,
+    at both times.  Row b of the stacked current Js is row b % 3 of the
+    profile.
     """
-    times = (state_now.t, (state_shifted or state_now).t)
-    return _source(law, state_now.grid, *_paired(state_now, state_shifted, law.map), j,
-                   times, profiles)
+    grid, times = state_now.grid, (state_now.t, (state_shifted or state_now).t)
+    p = j.spatial_profile(grid)
+    return _source(law, grid, *_paired(state_now, state_shifted, law.map), j, times,
+                   (p, _pull_array(p, grid, law.map)))
 
 
 # The three on F and the pulled-back F, which an analysis row shares
@@ -294,8 +292,6 @@ def _flux(law, grid, f, g) -> VectorField:
 def _source(law, grid, f, g, j, times, profiles) -> ScalarField:
     if j.is_zero:
         return ScalarField(grid, np.zeros(grid.dims), copy=False)
-    if profiles is None:
-        profiles = (j.spatial_profile(grid), j.profile_at(grid, law.map))
     jn = profiles[0] * j.time_factor(times[0])
     jm = profiles[1] * j.time_factor(times[1])
     terms = law._source_terms
@@ -378,40 +374,47 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _analysis_row(law, j, dt, get_state, a, nsteps, fine_grid, profiles=None):
-    """Q and residual norms of one law at analysis step a (`profiles` as
-    for `source_power`).
+def _analysis_row(law, j, dt, get_state, a, nsteps, fine_grid, profiles):
+    """Q and residual norms of one law at analysis step a, with `profiles`
+    the current's profile and its pullback under the law's map.
 
     Each state a row reads is pulled back once, and its density, flux and
     source share it.  The states may live on a coarser grid than
     `fine_grid`, the grid of the run, if it holds their band-limited
     products exactly; r_max is still the largest |r| over the fine nodes.
+    A row that overflows raises Diverged naming step a.
     """
     m = law.time_shift_steps
     s_now = get_state(a)
     grid = s_now.grid
+    interior = 1 <= a <= nsteps - m - 1
+    r_l2 = r_max = float("nan")
 
     def paired(b):
         return _paired(get_state(b), get_state(b + m), law.map)
 
-    f, g = paired(a)
-    q = volume_integral(_density(law, grid, f, g))
-    if 1 <= a <= nsteps - m - 1:
-        rho_next = _density(law, grid, *paired(a + 1)).data
-        rho_prev = _density(law, grid, *paired(a - 1)).data
-        r = (rho_next - rho_prev) / (2.0 * dt)
-        r = r + divergence(_flux(law, grid, f, g)).data
-        if not j.is_zero:
-            r = r - _source(law, grid, f, g, j, (s_now.t, get_state(a + m).t), profiles).data
-        r_l2 = float(np.sqrt(volume_integral(ScalarField(grid, r * r, copy=False))))
-        if grid != fine_grid:
-            r = _refine(r, grid, fine_grid)
-        # no |r| temporary of the fine grid: a fresh 2 MiB array per row at
-        # 64^3 is page-faulted in again whenever malloc has trimmed its heap
-        r_max = abs(float(max(np.max(r), -np.min(r))))
-    else:
-        r_l2 = float("nan")
-        r_max = float("nan")
+    try:
+        with np.errstate(over="ignore"):  # an overflow is reported below, naming the step
+            f, g = paired(a)
+            q = volume_integral(_density(law, grid, f, g))
+            if interior:
+                rho_next = _density(law, grid, *paired(a + 1)).data
+                rho_prev = _density(law, grid, *paired(a - 1)).data
+                r = (rho_next - rho_prev) / (2.0 * dt)
+                r = r + divergence(_flux(law, grid, f, g)).data
+                if not j.is_zero:
+                    r = r - _source(law, grid, f, g, j, (s_now.t, get_state(a + m).t),
+                                    profiles).data
+                r_l2 = float(np.sqrt(volume_integral(ScalarField(grid, r * r, copy=False))))
+                if grid != fine_grid:
+                    r = _refine(r, grid, fine_grid)
+                # no |r| temporary of the fine grid: a fresh 2 MiB array per row at
+                # 64^3 is page-faulted in again whenever malloc has trimmed its heap
+                r_max = abs(float(max(np.max(r), -np.min(r))))
+    except NonFiniteField:
+        q = float("nan")
+    if not np.isfinite(q) or (interior and not (np.isfinite(r_l2) and np.isfinite(r_max))):
+        raise Diverged(f"the {law.label} row is not finite at step {a}")
     return q, r_l2, r_max
 
 
@@ -423,7 +426,8 @@ def _analysis_row(law, j, dt, get_state, a, nsteps, fine_grid, profiles=None):
 
 class _StoredSource:
     """A stored trajectory behind the engine protocol of `maxwell`, on the
-    trajectory's own grid, pairing real-space profiles of its current."""
+    trajectory's own grid, pairing its states with the current's mapped
+    profiles node by node."""
 
     def __init__(self, traj: Trajectory):
         self.states = traj.states
@@ -441,18 +445,22 @@ class _StoredSource:
         s = self.state()
         return float(np.sum(s.E.data**2 + s.B.data**2) * s.grid.cell_volume)
 
-    def profiles(self, maps) -> tuple:
-        grid = self.analysis_grid
-        return (self.current.spatial_profile(grid),
-                [self.current.profile_at(grid, amap) for amap in maps])
+    def profile(self) -> np.ndarray:
+        return self.current.spatial_profile(self.analysis_grid)
 
-    def dual(self, maps) -> np.ndarray:
-        grid = self.analysis_grid
-        return np.concatenate([self.current.profile_at(grid, amap) for amap in maps]
-                              ) * grid.cell_volume
+    def dual(self, mapped: np.ndarray) -> np.ndarray:
+        return mapped * self.analysis_grid.cell_volume
 
     def pair(self, dual: np.ndarray) -> np.ndarray:
         return np.einsum("axyz,cxyz->ac", self.state().data, dual)
+
+
+def _pulled_profiles(source, maps) -> tuple:
+    """The current's profile on the source's analysis grid, and its pullback
+    under each distinct map: the one place a balance run maps the current."""
+    profile = source.profile()
+    return profile, {amap: _pull_array(profile, source.analysis_grid, amap)
+                     for amap in dict.fromkeys(maps)}
 
 
 def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
@@ -473,9 +481,10 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
 
     with P~ the profile at the law's mapped points and P^-1 the profile at
     the inverse-mapped ones (every map is a volume-preserving symmetry of
-    the box), so each step makes one `pair` call against the `dual` of all
-    the maps, built once for the run, as are the rows' profiles; its
-    Simpson quadrature keeps the stepper's order.  A step whose pairings or
+    the box).  `_pulled_profiles` builds them for every map once per run;
+    the rows read the same arrays, and `dual` turns them into the weights
+    of each step's one `pair` call.  The work's Simpson quadrature keeps
+    the stepper's order.  A step whose pairings or
     snapshot are not finite raises Diverged naming it (a leap, the step it
     lands on).  `norm_scale` is the field energy at step 0.
     """
@@ -501,16 +510,12 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
     if not np.isfinite(scale):
         raise Diverged("field energy is not finite at step 0")
 
-    cols = {}  # map -> first of its 3 columns in the dual
-    profiles = {}  # law map -> (profile, mapped profile) of the current
-    dual = None
+    profile, pulled, dual = None, {}, None  # pulled: map -> the profile there
     if not j.is_zero:
-        for law in laws:
-            for amap in (law.map, law.map.inverse()):
-                cols.setdefault(amap, 3 * len(cols))
-        dual = source.dual(list(cols))
-        spatial, mapped = source.profiles([law.map for law in laws])
-        profiles = {law.map: (spatial, p) for law, p in zip(laws, mapped)}
+        profile, pulled = _pulled_profiles(
+            source, [amap for law in laws for amap in (law.map, law.map.inverse())])
+        cols = {amap: 3 * i for i, amap in enumerate(pulled)}  # its 3 columns in the dual
+        dual = source.dual(np.concatenate(list(pulled.values())))
         pairs = np.zeros((nsteps + 1, 6, len(cols) * 3))
         f = np.array([j.time_factor(t) for t in t0 + dt * np.arange(nsteps + 1)])
 
@@ -542,7 +547,7 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
             for law in laws:
                 rows[id(law)].append(_analysis_row(
                     law, j, dt, window.__getitem__, a, nsteps, initial.grid,
-                    profiles.get(law.map)
+                    (profile, pulled.get(law.map))
                 ))
             ai += 1
             oldest = analysis[ai] - 1 if ai < len(analysis) else n_sim + 1  # read by a pending row

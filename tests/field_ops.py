@@ -151,25 +151,6 @@ def zero_padded_refine(data, grid, fine):
     return np.fft.irfftn(out, s=fine.dims, axes=(0, 1, 2))
 
 
-def real_space_dual(engine, q):
-    """Weights that `engine.pair` contracts its coefficients with for the
-    (c, ...) array q on the engine's analysis grid, the long way: the
-    conjugate rfftn coefficients of q at the active modes, times Parseval's
-    weights (2 for a mode off the kz = 0 and Nyquist planes, which stands
-    for its mirror too, times the snapshot scale and the cell volume over
-    the node count of the analysis grid).  The reference for the engine's
-    `dual`, which builds the current's weights at mapped points from its
-    coefficients with no FFT."""
-    grid = engine.analysis_grid
-    index, scale = engine._layout[grid]
-    half = grid.dims[2] // 2 + 1
-    kz = index % half
-    mirrored = (kz != 0) & (2 * kz != grid.dims[2])
-    weight = np.where(mirrored, 2.0, 1.0) * (scale * grid.cell_volume / grid.num_nodes)
-    qh = np.fft.rfftn(q, axes=(-3, -2, -1)).reshape(len(q), -1)
-    return np.conj(qh[:, index]) * weight
-
-
 def projected_gaussian(current, grid) -> np.ndarray:
     """(3, Nx, Ny, Nz) profile of a GaussianPulseCurrent, the long way: each
     component of polarization * bump sampled on the nodes, its rfftn

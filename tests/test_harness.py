@@ -205,7 +205,7 @@ class TestVerify:
            stepper=st.sampled_from(["spectral", "yee", "bogus", ""]),
            kmax=st.sampled_from(["2", "0", "4"]),  # 4 is the Nyquist mode of 8 nodes
            dims=st.sampled_from(["8 8 8", "8.7 8 8"]),
-           amplitude=st.sampled_from(["1.0", "1e160", "inf", "nan"]),
+           amplitude=st.sampled_from(["1.0", "1e140", "1e160", "inf", "nan"]),
            mean_b=st.sampled_from(["0 0 0", "0 nan 0"]),
            huge_shift=st.booleans(), planewave=st.booleans(),
            tolerance=st.sampled_from(["defect_rel=1e-7", "defect_rel=-1e-7",
@@ -235,6 +235,12 @@ class TestVerify:
              tolerance="defect_rel=1e-7", spacing="0.125", step="dt=0.001")
     @example(stride=1, nsteps=3, stepper="yee", kmax="2", dims="8 8 8", amplitude="1e160",
              mean_b="0 0 0", huge_shift=False, planewave=False,
+             tolerance="defect_rel=1e-7", spacing="0.125", step="dt=0.001")
+    @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="1e140",
+             mean_b="0 0 0", huge_shift=False, planewave=False,
+             tolerance="defect_rel=1e-7", spacing="0.125", step="dt=0.001")
+    @example(stride=1, nsteps=3, stepper="yee", kmax="2", dims="8 8 8", amplitude="1e140",
+             mean_b="0 0 0", huge_shift=False, planewave=True,
              tolerance="defect_rel=1e-7", spacing="0.125", step="dt=0.001")
     @example(stride=2, nsteps=4, stepper="spectral", kmax="2", dims="8 8 8", amplitude="inf",
              mean_b="0 0 0", huge_shift=False, planewave=False,
@@ -298,6 +304,12 @@ class TestVerify:
             assert code == EXIT_INSUFFICIENT
         elif amplitude == "1e160":  # the field energy overflows
             assert code == EXIT_DIVERGED and "step 0" in printed
+        elif amplitude == "1e140":  # the field energy is finite, an interior row's r * r is not
+            assert "Warning" not in printed
+            if stride < nsteps:
+                assert code == EXIT_DIVERGED and "step" in printed
+            else:
+                assert code in (EXIT_OK, EXIT_TOLERANCE)
         elif huge_shift:
             assert code in (EXIT_OK, EXIT_TOLERANCE) and "law=far" in printed
 
@@ -547,6 +559,18 @@ refinement.levels = 3
         code, printed = run_cleanly(["converge", *args, f"output.dir={tmp_path / 'c'}"])
         assert code == EXIT_CONFIG and printed.startswith("config error:")
         assert not list((tmp_path / "c").iterdir())
+
+    @pytest.mark.parametrize("stepper", ["spectral", "yee"])
+    @pytest.mark.parametrize("levels", ["100000000", "1000000000000000000"])
+    @pytest.mark.parametrize("nsteps", ["0", "4"])
+    def test_huge_refinement_levels_exit_2_at_once(self, tmp_path, stepper, levels, nsteps):
+        cfg = write_config(tmp_path / "c.txt", VERIFY_SMALL)
+        start = time.perf_counter()
+        code, printed = run_cleanly([
+            "converge", cfg, f"refinement.levels={levels}", f"stepper={stepper}",
+            f"nsteps={nsteps}", f"output.dir={tmp_path / 'out'}"])
+        assert code == EXIT_CONFIG and "refinement.factor" in printed
+        assert time.perf_counter() - start < 1.0
 
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(levels=st.sampled_from(["3", "2", "x"]), factor=st.sampled_from(["2", "1", "-2"]),

@@ -300,10 +300,12 @@ class TestSparseKernels:
 
     def test_gaussian_profile_built_a_fixed_number_of_times(self, grid, monkeypatch):
         # the Gaussian is sampled once per run, for the engine's `modes`;
-        # the duals and the rows' profiles come from its coefficients.  A
-        # run makes 1 + 1 + nsteps + 2 x rows transforms: the sampled bump,
-        # the profile on the analysis grid, one per snapshot and two per
-        # interior row's divergence (5 rows at 4 steps, 17 at 12)
+        # the rows' profile comes from its coefficients, and the dual from
+        # that profile's pullbacks.  A run makes 1 + 1 + 1 + nsteps + 2 x
+        # rows transforms: the sampled bump, the profile on the analysis
+        # grid, the dual's one rfftn of the pulled-back profiles, one per
+        # snapshot and two per interior row's divergence (5 rows at 4
+        # steps, 17 at 12)
         calls = {"sampled": 0, "spatial_profile": 0, "fft": 0}
 
         def counted(name, original):
@@ -327,8 +329,8 @@ class TestSparseKernels:
             calls.update(dict.fromkeys(calls, 0))
             run_balance(s, j, 1e-3, nsteps, laws, analysis_stride=2)
             counts.append(dict(calls))
-        assert counts == [{"sampled": 1, "spatial_profile": 0, "fft": 16},
-                          {"sampled": 1, "spatial_profile": 0, "fft": 48}]
+        assert counts == [{"sampled": 1, "spatial_profile": 0, "fft": 17},
+                          {"sampled": 1, "spatial_profile": 0, "fft": 49}]
 
 
 @pytest.mark.parametrize("stepper,engine", [("spectral", SpectralEngine), ("yee", YeeEngine)])
@@ -352,6 +354,19 @@ def test_non_finite_step_diverges_naming_it(grid, monkeypatch, stepper, engine, 
             run_balance(s, j, dt, 8, [law_local_energy(), law_inversion()], stepper=stepper)
         with pytest.raises(Diverged, match="at step 3$"):
             evolve(s, j, dt, 8, stepper=stepper)
+
+
+@pytest.mark.parametrize("stepper", ["spectral", "yee"])
+def test_a_strongly_driven_stable_run_evolves(stepper):
+    # the current grows the field far beyond its initial size; nothing is
+    # unstable, so evolve completes as run_balance does
+    g = GridSpec.cube(1.0, 8)
+    s = random_band_limited(g, seed=3, kmax=1, amplitude=1e-3)
+    j = UniformOscillating((1e11, 0.0, 0.0), omega=1.0)
+    traj = evolve(s, j, 1e-3, 40, stepper=stepper)
+    assert np.max(np.abs(traj.states[-1].E.data)) > 1e6 * np.max(np.abs(s.E.data))
+    rep = run_balance(s, j, 1e-3, 40, law_local_energy(), stepper=stepper, analysis_stride=10)
+    assert rep.max_defect <= 1e-5 * np.max(np.abs(rep.Q))
 
 
 @pytest.mark.parametrize("stepper,engine", [("spectral", SpectralEngine), ("yee", YeeEngine)])
@@ -698,6 +713,22 @@ class TestAnalysisGrid:
                     for field in ("r_l2", "r_max"):
                         assert np.allclose(getattr(rep, field), getattr(post, field),
                                            rtol=1e-12, atol=0, equal_nan=True), field
+
+    @pytest.mark.parametrize("stepper", ["spectral", "yee"])
+    def test_streamed_and_stored_source_work_agree_at_a_nyquist_mixed_mode(self, stepper):
+        # a sub-node shift of a current mode with a Nyquist component beside
+        # another: both paths pull the same sampled profile back, where the
+        # closed form at the mapped points gave a gap of 3.4e-5 of E here
+        g = GridSpec.cube(1.0, 8)
+        s = random_band_limited(g, seed=7, kmax=1, mean_b=(0.0, 0.2, 0.1))
+        j = PlaneWaveCurrent((4, 1, 0), (3.0, -12.0, 5.0), omega=3.0)
+        law = law_symmetry(AffineMap.translation((0.13, 0.4, 0.07)))
+        stream = run_balance(s, j, 1e-3, 40, law, stepper=stepper, analysis_stride=5)
+        post = residual(evolve(s, j, 1e-3, 40, stepper=stepper), law, analysis_stride=5)
+        assert np.max(np.abs(stream.source_cum)) > 1e-5 * stream.norm_scale
+        for field in ("source_cum", "defect"):
+            assert np.allclose(getattr(stream, field), getattr(post, field), rtol=0,
+                               atol=1e-15 * stream.norm_scale), field
 
     def test_map_is_checked_on_the_run_grid(self):
         # x and z have equal lengths but 16 and 8 nodes: the swap is not a
