@@ -12,7 +12,8 @@ as the near-nullspace of A: singular values at the time-differencing noise
 floor, separated by orders of magnitude from the rest of the spectrum.
 Returned candidates are unit Frobenius norm, ranked by singular value, and
 post-verified on a held-out trajectory against the map's own law
-(`matching_reference_law`, which every symmetry of the box has).
+(`laws.law_of_map`, which every symmetry of the box has, under the label
+that `law.N` of the same map descriptor gets).
 
 The rows are built at the sampled nodes only; P_ab is never formed on the
 grid.  D_t P_ab is the centered difference of F_a F~_b at the nodes, and
@@ -42,11 +43,7 @@ from .errors import InsufficientData
 from .grid import AffineMap, GridSpec
 from .laws import (
     TwoPointLawSpec,
-    law_inversion,
-    law_local_energy,
-    law_rotation,
-    law_symmetry,
-    law_translation,
+    law_of_map,
     residual,  # unused here; the benchmark's tracer patches this binding
     _stack6,
     _pulled6,
@@ -88,27 +85,6 @@ class DiscoveryResult:
         v = v / np.linalg.norm(v)
         basis = self.basis()
         return float(np.linalg.norm(basis @ v))
-
-
-def matching_reference_law(amap: AffineMap, dt_shift_steps: int,
-                           grid: GridSpec) -> TwoPointLawSpec:
-    """The law of this map (the hold-out yardstick), built by the shipped
-    constructor whose label fits where one does."""
-    a = amap.alpha_matrix
-    b = amap.beta_vector
-    unshifted = dt_shift_steps == 0 and not np.any(b)
-    if np.array_equal(a, np.eye(3)):
-        nodes = b / np.asarray(grid.spacing)
-        if unshifted:
-            return law_local_energy()
-        if np.all(np.abs(nodes - np.round(nodes)) < 1e-9):
-            return law_translation(grid, tuple(int(n) for n in np.round(nodes)),
-                                   dt_shift_steps)
-    elif unshifted and np.array_equal(a, -np.eye(3)):
-        return law_inversion()
-    elif unshifted and np.linalg.det(a) > 0.0:
-        return law_rotation(amap)
-    return law_symmetry(amap, dt_shift_steps)
 
 
 def _unpack(v: np.ndarray):
@@ -227,7 +203,7 @@ def discover_laws(
     if s[0] == 0.0:
         raise InsufficientData("collocation matrix is identically zero")
     near_null = s <= SVD_REL_TOL * s[0]
-    reference = matching_reference_law(amap, m, grid)
+    reference = law_of_map(amap, m, grid)
     order = np.flatnonzero(near_null)[::-1]  # smallest singular values first
     hold_r = _holdout_max_r(holdout, amap, m,
                             np.hstack([vh[order].T, reference.as_vector()[:, None]]))

@@ -43,15 +43,14 @@ from .forge import (
     MAX_ORDER,
     Pde1D,
     nullspace_invariants,
+    suggested_max_dt,
     time_derivative_samples,
     verify_invariant_drift,
 )
 from .grid import MAX_NODES, AffineMap, GridSpec, volume_integral
 from .laws import (
     density,
-    law_inversion,
-    law_local_energy,
-    law_rotation,
+    law_of_map,
     law_translation,
     load_law,
     run_balance,
@@ -266,7 +265,6 @@ def build_source(cfg: Config, grid: GridSpec):
             return UniformOscillating(
                 amplitude=_three(cfg.floats, "source.amplitude"),
                 omega=cfg.float("source.omega"),
-                phase=cfg.float("source.phase", 0.0),
             )
         if kind == "planewave":
             mode = _three(cfg.ints, "source.mode")
@@ -305,11 +303,11 @@ _MAP_ARITY = {"identity": 0, "inversion": 0, "rotation": 2, "translation": 4}
 _MAP_FORMS = "identity | inversion | rotation x|y|z QUARTERS | translation NX NY NZ MSTEPS"
 
 
-def _map_args(descriptor: str) -> tuple:
-    """(name, integer arguments) of a map descriptor, checked for form.
+def _build_map(descriptor: str, grid: GridSpec) -> tuple:
+    """(map, time shift in steps) of a map descriptor, checked for form.
 
-    Rotation axes become 0, 1, 2; translations carry three node shifts and
-    a non-negative time shift in steps.
+    Rotations turn about axis x, y or z; translations carry three node
+    shifts and a non-negative time shift in steps.
     """
     parts = descriptor.split()
     name, args = (parts[0], parts[1:]) if parts else ("", [])
@@ -323,41 +321,29 @@ def _map_args(descriptor: str) -> tuple:
         ints = [int(a) for a in args]
     except ValueError as exc:
         raise ConfigError(f"non-integer argument in {descriptor!r}") from exc
-    if name == "translation" and ints[3] < 0:
-        raise ConfigError(f"negative time shift in {descriptor!r}")
-    return name, ints
-
-
-def _build_map(descriptor: str, grid: GridSpec) -> tuple:
-    """(map, time shift in steps) of a map descriptor."""
-    name, args = _map_args(descriptor)
     if name == "rotation":
-        return AffineMap.quarter_turn(*args), 0
+        return AffineMap.quarter_turn(*ints), 0
     if name == "translation":
-        return AffineMap.node_translation(grid, args[:3]), args[3]
+        if ints[3] < 0:
+            raise ConfigError(f"negative time shift in {descriptor!r}")
+        return AffineMap.node_translation(grid, ints[:3]), ints[3]
     return getattr(AffineMap, name)(), 0
 
 
 def build_law(descriptor: str, grid: GridSpec):
+    """The law of a `law.N` descriptor: `custom FILE`, or a map descriptor
+    (`local-energy` spells `identity`), named by `laws.law_of_map`."""
     parts = descriptor.split()
-    name = parts[0] if parts else ""
-    if name == "local-energy":
-        return law_local_energy()
-    if name == "custom":
+    if parts[:1] == ["custom"]:
         if len(parts) != 2:
             raise ConfigError("custom law needs a file path")
         try:
             return load_law(parts[1])
         except (OSError, KeyError, ValueError, InvalidMap) as exc:
             raise ConfigError(f"bad law file {parts[1]}: {exc!r}") from exc
-    if name in ("inversion", "rotation", "translation"):
-        _, args = _map_args(descriptor)
-        if name == "inversion":
-            return law_inversion()
-        if name == "rotation":
-            return law_rotation(AffineMap.quarter_turn(*args))
-        return law_translation(grid, args[:3], args[3])
-    raise ConfigError(f"unknown law descriptor {descriptor!r}")
+    if parts == ["local-energy"]:
+        descriptor = "identity"
+    return law_of_map(*_build_map(descriptor, grid), grid)
 
 
 def build_laws(cfg: Config, grid: GridSpec):
@@ -599,6 +585,8 @@ def cmd_forge(cfg: Config) -> int:
     if horizon <= 0.0:
         raise ConfigError(f"forge.horizon must be > 0, got {horizon!r}")
     f0 = _build_f0(cfg, pde)
+    if horizon / suggested_max_dt(pde, f0) > MAX_NODES // pde.n:  # drift runs keep every step
+        raise ConfigError(f"forge.horizon = {horizon!r} needs more steps than a drift run can hold")
     moments = time_derivative_samples(pde, f0, points, order)
     invariants = nullspace_invariants(moments)
     results = verify_invariant_drift(pde, f0, invariants, horizon)

@@ -33,12 +33,13 @@ driven by J' = alpha^T J~, and F pairs with it (unit normalization):
 The shipped constructors are that formula at special maps, under their own
 labels: local energy (alpha = I, beta = 0: rho = E.E + B.B, J = 2 E x B),
 translation (alpha = I), rotation (det alpha = +1, beta = 0) and inversion
-(alpha = -I, beta = 0: rho = B.E~ + B~.E, J = E x E~ - B x B~).
+(alpha = -I, beta = 0: rho = B.E~ + B~.E, J = E x E~ - B x B~);
+`law_of_map` is the one rule that names the law of a map.
 
 The tensors of the shipped laws are sparse (6 of 36 W entries, 12 of 108 K
-entries), so each law lists its nonzero terms (a, b, coef) once, and the
-pointwise kernels contract only those, node by node, in the dense
-contraction's order: the values are bit-identical to it.  A balance run
+entries), so the pointwise kernels contract each tensor's nonzero entries
+only, node by node, in the dense contraction's order: the values are
+bit-identical to it.  A balance run
 pulls the current's profile back once per map (each law's and its
 inverse); the rows read those arrays, and the volume integral of S is a
 fixed pairing of the field with them, evaluated at every step with no
@@ -55,7 +56,6 @@ nodes, from the coarse residual resampled in Fourier space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -89,18 +89,12 @@ def _frozen(a: np.ndarray, shape) -> np.ndarray:
     return out
 
 
-def _nonzero_terms(t: np.ndarray) -> tuple:
-    """The nonzero entries (a, b, coef) of a 6x6 tensor, in row-major order."""
-    return tuple((int(a), int(b), float(t[a, b])) for a, b in zip(*np.nonzero(t)))
-
-
 @dataclass(eq=False)
 class TwoPointLawSpec:
     """One candidate balance law: (map, time shift, W, K, source tensor).
 
-    The tensors are frozen at construction.  The pointwise kernels contract
-    only their nonzero terms, listed on first use (discovery builds many
-    laws that it never evaluates).
+    The tensors are frozen at construction; the pointwise kernels contract
+    them as they are stored.
     """
 
     map: AffineMap
@@ -117,18 +111,6 @@ class TwoPointLawSpec:
         self.W = _frozen(self.W, (6, 6))
         self.K = _frozen(self.K, (3, 6, 6))
         self.source = _frozen(self.source, (6, 6))
-
-    @cached_property
-    def _w_terms(self) -> tuple:
-        return _nonzero_terms(self.W)
-
-    @cached_property
-    def _k_terms(self) -> tuple:
-        return tuple(_nonzero_terms(k) for k in self.K)
-
-    @cached_property
-    def _source_terms(self) -> tuple:
-        return _nonzero_terms(self.source)
 
     def as_vector(self) -> np.ndarray:
         """(W, K) flattened to the 144-vector used by discovery projections."""
@@ -200,6 +182,25 @@ def law_translation(grid: GridSpec, nodes, dt_steps: int = 0) -> TwoPointLawSpec
     return law_symmetry(AffineMap.node_translation(grid, nodes), dt_steps, label)
 
 
+def law_of_map(amap: AffineMap, m: int, grid: GridSpec) -> TwoPointLawSpec:
+    """The law of a map with time shift m steps: the shipped constructor
+    whose label fits where one does, else `law_symmetry`."""
+    a = amap.alpha_matrix
+    b = amap.beta_vector
+    unshifted = m == 0 and not np.any(b)
+    if np.array_equal(a, np.eye(3)):
+        nodes = b / np.asarray(grid.spacing)
+        if unshifted:
+            return law_local_energy()
+        if np.all(np.abs(nodes - np.round(nodes)) < 1e-9):
+            return law_translation(grid, tuple(int(n) for n in np.round(nodes)), m)
+    elif unshifted and np.array_equal(a, -np.eye(3)):
+        return law_inversion()
+    elif unshifted and np.linalg.det(a) > 0.0:
+        return law_rotation(amap)
+    return law_symmetry(amap, m)
+
+
 # ---------------------------------------------------------------------------
 # Pointwise evaluation (F is the state's stacked (6, Nx, Ny, Nz) array)
 # ---------------------------------------------------------------------------
@@ -207,27 +208,30 @@ def law_translation(grid: GridSpec, nodes, dt_steps: int = 0) -> TwoPointLawSpec
 _IDENTITY = AffineMap.identity()
 
 
-def _contract(terms, f: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
-    """sum over terms (a, b, c) of c f[a] g[b], node by node, added into
-    `out` (default: a new zero array).
+def _contract(t: np.ndarray, f, g, out=None) -> np.ndarray:
+    """sum over the nonzero entries c = t[a, b] of c f[a] g[b], node by
+    node, added into `out` (default: a new zero array); f and g may be
+    lists of rows.  An overflow is left to the caller's field wrapper.
 
-    Bit-identical to np.einsum("ab,a...,b...->...", T, f, g) over the dense
-    tensor T: einsum accumulates (T_ab f_a) g_b from zero in row-major
-    (a, b) order, a zero entry adds nothing to a finite sum, and a factor
-    of +-1 is exact, so only the other coefficients are multiplied in.
+    Bit-identical to np.einsum("ab,a...,b...->...", t, f, g): einsum
+    accumulates (t_ab f_a) g_b from zero in row-major (a, b) order, a zero
+    entry adds nothing to a finite sum, and a factor of +-1 is exact, so
+    only the other coefficients are multiplied in.
     """
-    out = np.zeros(f.shape[1:]) if out is None else out
+    out = np.zeros(f[0].shape) if out is None else out
     tmp = np.empty_like(out)
-    for a, b, c in terms:
-        if abs(c) == 1.0:
-            np.multiply(f[a], g[b], out=tmp)
-        else:
-            np.multiply(f[a], c, out=tmp)
-            tmp *= g[b]
-        if c == -1.0:
-            out -= tmp
-        else:
-            out += tmp
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in zip(*np.nonzero(t)):
+            c = t[a, b]
+            if abs(c) == 1.0:
+                np.multiply(f[a], g[b], out=tmp)
+            else:
+                np.multiply(f[a], c, out=tmp)
+                tmp *= g[b]
+            if c == -1.0:
+                out -= tmp
+            else:
+                out += tmp
     return out
 
 
@@ -265,9 +269,7 @@ def flux(law: TwoPointLawSpec, state_now: FieldState,
 def source_power(law: TwoPointLawSpec, state_now: FieldState,
                  state_shifted: Optional[FieldState], j: CurrentSpec) -> ScalarField:
     """S(x) with J's sampled profile and its pullback under the law's map,
-    at both times.  Row b of the stacked current Js is row b % 3 of the
-    profile.
-    """
+    at both times."""
     grid, times = state_now.grid, (state_now.t, (state_shifted or state_now).t)
     p = j.spatial_profile(grid)
     return _source(law, grid, *_paired(state_now, state_shifted, law.map), j, times,
@@ -277,15 +279,13 @@ def source_power(law: TwoPointLawSpec, state_now: FieldState,
 # The three on F and the pulled-back F, which an analysis row shares
 
 def _density(law, grid, f, g) -> ScalarField:
-    with np.errstate(over="ignore"):  # ScalarField reports it as NonFiniteField
-        rho = _contract(law._w_terms, f, g)
-    return ScalarField(grid, rho, copy=False)
+    return ScalarField(grid, _contract(law.W, f, g), copy=False)
 
 
 def _flux(law, grid, f, g) -> VectorField:
     j = np.zeros((3, *f.shape[1:]))
-    for i, terms in enumerate(law._k_terms):
-        _contract(terms, f, g, out=j[i])
+    for i, k in enumerate(law.K):
+        _contract(k, f, g, out=j[i])
     return VectorField(grid, j, copy=False)
 
 
@@ -294,9 +294,9 @@ def _source(law, grid, f, g, j, times, profiles) -> ScalarField:
         return ScalarField(grid, np.zeros(grid.dims), copy=False)
     jn = profiles[0] * j.time_factor(times[0])
     jm = profiles[1] * j.time_factor(times[1])
-    terms = law._source_terms
-    s = _contract([(a, b % 3, c) for a, b, c in terms], f, jm)
-    s += _contract([(a % 3, b, c) for a, b, c in terms], jn, g)
+    s = _contract(law.source, f, [*jm, *jm])  # Js: the 3 profile rows twice, as views
+    with np.errstate(over="ignore", invalid="ignore"):  # ScalarField reports it
+        s += _contract(law.source, [*jn, *jn], g)
     return ScalarField(grid, s, copy=False)
 
 
@@ -476,7 +476,7 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
     its source work: S is bilinear in F and J, so its volume integral is a
     fixed pairing of F with the current's profile P:
 
-        int S dV = sum over source terms (a, b, c) of
+        int S dV = sum over the nonzero entries c = G[a, b] of
                    c [ f(t + m dt) <F_a(t), P~_b> + f(t) <F_b(t + m dt), P^-1_a> ]
 
     with P~ the profile at the law's mapped points and P^-1 the profile at
@@ -564,9 +564,9 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
             n_w = nsteps - m + 1
             w = np.zeros(n_w)
             fwd, inv = cols[law.map], cols[law.map.inverse()]
-            for a, b, c in law._source_terms:
-                w += c * (f[m:] * pairs[:n_w, a, fwd + b % 3]
-                          + f[:n_w] * pairs[m:, b, inv + a % 3])
+            for a, b in zip(*np.nonzero(law.source)):
+                w += law.source[a, b] * (f[m:] * pairs[:n_w, a, fwd + b % 3]
+                                         + f[:n_w] * pairs[m:, b, inv + a % 3])
             source_cum = cumulative_simpson(w, dt)[idx]
         reports.append(BalanceReport(law.label, t0 + dt * idx, q, source_cum,
                                      q - q[0] - source_cum, r_l2, r_max, scale))

@@ -5,7 +5,6 @@ from twopoint.discover import (
     _holdout_max_r,
     _rows_for_step,
     discover_laws,
-    matching_reference_law,
 )
 from twopoint.errors import InsufficientData
 from twopoint.grid import AffineMap, GridSpec, spectral_wavevectors
@@ -15,6 +14,7 @@ from twopoint.laws import (
     _stack6,
     law_inversion,
     law_local_energy,
+    law_of_map,
     law_symmetry,
     residual,
 )
@@ -196,18 +196,18 @@ class TestValidation:
 
 class TestReferenceMatching:
     def test_identity(self):
-        ref = matching_reference_law(AffineMap.identity(), 0, GRID)
+        ref = law_of_map(AffineMap.identity(), 0, GRID)
         assert ref.label == "local-energy"
 
     def test_inversion(self):
-        ref = matching_reference_law(AffineMap.inversion(), 0, GRID)
+        ref = law_of_map(AffineMap.inversion(), 0, GRID)
         assert ref.label == "inversion"
 
     def test_rotation(self):
-        ref = matching_reference_law(AffineMap.quarter_turn(2), 0, GRID)
+        ref = law_of_map(AffineMap.quarter_turn(2), 0, GRID)
         assert ref.label == "rotation"
         reflection = AffineMap(tuple(np.diag([1.0, 1.0, -1.0]).ravel()), (0.0, 0.0, 0.0))
-        ref = matching_reference_law(reflection, 0, GRID)
+        ref = law_of_map(reflection, 0, GRID)
         expected = law_symmetry(reflection)
         assert ref.map == reflection and ref.time_shift_steps == 0
         for name in ("W", "K", "source"):
@@ -215,7 +215,7 @@ class TestReferenceMatching:
 
     def test_translation(self):
         amap = AffineMap.node_translation(GRID, (0, 0, 3))
-        ref = matching_reference_law(amap, 2, GRID)
+        ref = law_of_map(amap, 2, GRID)
         assert ref.label.startswith("translation")
         assert ref.time_shift_steps == 2
 

@@ -23,7 +23,7 @@ from twopoint.harness import (
     main,
 )
 from twopoint.grid import AffineMap, GridSpec
-from twopoint.laws import law_local_energy, save_law, TwoPointLawSpec
+from twopoint.laws import law_local_energy, law_symmetry, save_law, TwoPointLawSpec
 
 
 def write_config(path, text):
@@ -683,6 +683,34 @@ class TestMapDescriptors:
         assert code == EXIT_CONFIG
         assert err.startswith("config error:") and "Traceback" not in err
 
+    # law.N and discover.map read one grammar and name a map's law by one rule
+    @pytest.mark.parametrize("descriptor, amap, m, label", [
+        ("identity", AffineMap.identity(), 0, "local-energy"),
+        ("local-energy", AffineMap.identity(), 0, "local-energy"),
+        ("inversion", AffineMap.inversion(), 0, "inversion"),
+        ("rotation z 0", AffineMap.identity(), 0, "local-energy"),
+        ("rotation z 1", AffineMap.quarter_turn(2, 1), 0, "rotation"),
+        ("rotation z 2", AffineMap.quarter_turn(2, 2), 0, "rotation"),
+        ("translation 0 0 0 0", AffineMap.identity(), 0, "local-energy"),
+        ("translation 0 0 0 2", AffineMap.identity(), 2, "translation-0-0-0-m2"),
+        ("translation 1 -2 3 2", AffineMap.translation((0.125, -0.25, 0.75)), 2,
+         "translation-1--2-3-m2"),
+    ])
+    def test_law_and_discover_name_a_map_alike(self, tmp_path, capsys, descriptor, amap, m,
+                                               label):
+        law = build_law(descriptor, GridSpec((8, 8, 4), (0.125, 0.125, 0.25)))
+        assert (law.label, law.map, law.time_shift_steps) == (label, amap, m)
+        expected = law_symmetry(amap, m)
+        for name in ("W", "K", "source"):
+            assert np.array_equal(getattr(law, name), getattr(expected, name)), name
+        cfg = write_config(tmp_path / "d.txt", "grid.dims = 8 8 4\n"
+                           "grid.spacing = 0.125 0.125 0.25\n"
+                           "discover.ensemble = 20\ndiscover.kmax = 1\ndiscover.top = 0\n")
+        dmap = "identity" if descriptor == "local-energy" else descriptor
+        code = main(["discover", cfg, f"discover.map={dmap}", f"output.dir={tmp_path / 'out'}"])
+        assert code == EXIT_OK
+        assert f"projection[{label}]=" in capsys.readouterr().out
+
     @pytest.mark.parametrize("descriptor", ["rotation z q", "translation 0 0 x 0"])
     def test_bad_law_map_exits_2(self, tmp_path, capsys, descriptor):
         cfg = write_config(tmp_path / "v.txt", VERIFY_BASE)
@@ -737,6 +765,17 @@ forge.f0 = 1 1.0 0.0
 
 
 class TestForgeAndPlaneWaveInputs:
+    @pytest.mark.parametrize("horizon", ["1e30", "1e300"])
+    def test_horizon_beyond_a_drift_run_exits_2(self, tmp_path, capsys, horizon):
+        # refused before any evolution: the drift run would hold every step
+        cfg = write_config(tmp_path / "f.txt", FORGE_SMALL)
+        start = time.perf_counter()
+        code = main(["forge", cfg, f"forge.horizon={horizon}", f"output.dir={tmp_path / 'out'}"])
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and "Traceback" not in err
+
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(pde=st.sampled_from(["advection", "burgers", "bogus"]),
            resolution=st.sampled_from(["32", "8", "40.5"]),

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twopoint.errors import Diverged, GridMismatch, HistoryUnderflow, InvalidMap, NotARotation
+from twopoint.errors import (Diverged, GridMismatch, HistoryUnderflow, InvalidMap,
+                             NonFiniteField, NotARotation)
 from twopoint.grid import (
     AffineMap,
     FieldState,
@@ -19,7 +20,6 @@ from twopoint.laws import (
     _LEVI,
     TwoPointLawSpec,
     _contract,
-    _nonzero_terms,
     _pulled6,
     cumulative_simpson,
     density,
@@ -276,21 +276,32 @@ class TestSparseKernels:
         f = rng.standard_normal((6, 8, 8, 8))
         g = rng.standard_normal((6, 8, 8, 8))
         t = np.array(entries).reshape(6, 6)
-        terms = _nonzero_terms(t)
-        assert len(terms) == np.count_nonzero(t)
-        assert np.array_equal(_contract(terms, f, g),
+        assert np.array_equal(_contract(t, f, g),
                               np.einsum("ab,a...,b...->...", t, f, g))
         # the source form: a 3-row current profile stands for both halves of Js
         j = rng.standard_normal((3, 8, 8, 8))
         j6 = np.concatenate([j, j])
-        assert np.array_equal(_contract([(a, b % 3, c) for a, b, c in terms], f, j),
+        assert np.array_equal(_contract(t, f, [*j, *j]),
                               np.einsum("ab,a...,b...->...", t, f, j6))
+        assert np.array_equal(_contract(t, [*j, *j], g),
+                              np.einsum("ab,a...,b...->...", t, j6, g))
 
     def test_shipped_laws_are_sparse(self):
         for law in (law_local_energy(), law_inversion(),
                     law_rotation(AffineMap.quarter_turn(0, 1))):
-            assert len(law._w_terms) == 6
-            assert sum(len(t) for t in law._k_terms) == 12
+            assert np.count_nonzero(law.W) == 6
+            assert np.count_nonzero(law.K) == 12
+
+    def test_overflowing_kernels_raise_nonfinite_without_warnings(self):
+        # pyproject turns every RuntimeWarning into an error
+        grid = GridSpec.cube(1.0, 8)
+        s = random_band_limited(grid, seed=4, kmax=2, amplitude=1e155, t=0.5)
+        j = UniformOscillating((1e155, 1e155, 1e155), omega=1.0)  # sin(0.5) != 0
+        law = law_inversion()
+        for kernel, args in ((density, (law, s)), (flux, (law, s)),
+                             (source_power, (law, s, s, j))):
+            with pytest.raises(NonFiniteField):
+                kernel(*args)
 
     def test_identity_pullback_is_the_state_array(self, grid):
         s = random_band_limited(grid, seed=3, kmax=2)
