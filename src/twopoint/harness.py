@@ -301,10 +301,12 @@ def _check_resolved(source, dt: float):
 _AXES = {"x": 0, "y": 1, "z": 2}
 _MAP_ARITY = {"identity": 0, "inversion": 0, "rotation": 2, "translation": 4}
 _MAP_FORMS = "identity | inversion | rotation x|y|z QUARTERS | translation NX NY NZ MSTEPS"
+_LAW_FORMS = f"local-energy | custom FILE | {_MAP_FORMS}"
 
 
-def _build_map(descriptor: str, grid: GridSpec) -> tuple:
-    """(map, time shift in steps) of a map descriptor, checked for form.
+def _build_map(descriptor: str, grid: GridSpec, forms: str = _MAP_FORMS) -> tuple:
+    """(map, time shift in steps) of a map descriptor, checked for form;
+    a malformed one raises ConfigError listing `forms`.
 
     Rotations turn about axis x, y or z; translations carry three node
     shifts and a non-negative time shift in steps.
@@ -312,7 +314,7 @@ def _build_map(descriptor: str, grid: GridSpec) -> tuple:
     parts = descriptor.split()
     name, args = (parts[0], parts[1:]) if parts else ("", [])
     if _MAP_ARITY.get(name) != len(args):
-        raise ConfigError(f"bad map descriptor {descriptor!r}; expected {_MAP_FORMS}")
+        raise ConfigError(f"bad descriptor {descriptor!r}; expected {forms}")
     if name == "rotation":
         if args[0] not in _AXES:
             raise ConfigError(f"bad rotation axis in {descriptor!r}; expected x, y or z")
@@ -343,7 +345,7 @@ def build_law(descriptor: str, grid: GridSpec):
             raise ConfigError(f"bad law file {parts[1]}: {exc!r}") from exc
     if parts == ["local-energy"]:
         descriptor = "identity"
-    return law_of_map(*_build_map(descriptor, grid), grid)
+    return law_of_map(*_build_map(descriptor, grid, _LAW_FORMS), grid)
 
 
 def build_laws(cfg: Config, grid: GridSpec):

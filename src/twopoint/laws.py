@@ -435,8 +435,14 @@ class _StoredSource:
         self.analysis_grid = traj.grid
         self.step_index = 0
 
-    def advance(self, k: int = 1):
-        self.step_index += k
+    def advance(self, k: int = 1, dual=None):
+        """Move k states on; with `dual`, the (k, 6, c) pairs of each."""
+        pairs = []
+        for _ in range(k):
+            self.step_index += 1
+            if dual is not None:
+                pairs.append(self.pair(dual))
+        return None if dual is None else np.array(pairs)
 
     def state(self, grid: Optional[GridSpec] = None) -> FieldState:
         return self.states[self.step_index]
@@ -463,6 +469,14 @@ def _pulled_profiles(source, maps) -> tuple:
                      for amap in dict.fromkeys(maps)}
 
 
+def _check_pairs(pairs: np.ndarray, first: int, last: int):
+    """Raise Diverged naming the first of steps first..last whose pairings
+    are not finite."""
+    bad = ~np.all(np.isfinite(pairs[first:last + 1].reshape(last + 1 - first, -1)), axis=1)
+    if np.any(bad):
+        raise Diverged(f"field is not finite at step {first + int(np.argmax(bad))}")
+
+
 def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
     """Balance report of one law, or the list of reports of a list of laws,
     over the nsteps steps of one source.
@@ -470,11 +484,12 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
     `source` follows the engine protocol of `maxwell` (a stepping engine or
     a stored trajectory).  Q and the residual norms are evaluated at
     `stride` multiples, from snapshots on the source's analysis grid of
-    the steps some row reads, held until no pending row reads them.  A
-    free run leaps from one such step to the next (`advance(k)`), so its
-    cost does not grow with nsteps.  A driven run visits every step for
-    its source work: S is bilinear in F and J, so its volume integral is a
-    fixed pairing of F with the current's profile P:
+    the steps some row reads, held until no pending row reads them.  The
+    run leaps from one such step to the next (`advance(k)`), so a free
+    run's cost does not grow with nsteps.  A driven run's leaps return the
+    pairings of every step they pass, for its source work: S is bilinear
+    in F and J, so its volume integral is a fixed pairing of F with the
+    current's profile P:
 
         int S dV = sum over the nonzero entries c = G[a, b] of
                    c [ f(t + m dt) <F_a(t), P~_b> + f(t) <F_b(t + m dt), P^-1_a> ]
@@ -483,10 +498,10 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
     the inverse-mapped ones (every map is a volume-preserving symmetry of
     the box).  `_pulled_profiles` builds them for every map once per run;
     the rows read the same arrays, and `dual` turns them into the weights
-    of each step's one `pair` call.  The work's Simpson quadrature keeps
-    the stepper's order.  A step whose pairings or
-    snapshot are not finite raises Diverged naming it (a leap, the step it
-    lands on).  `norm_scale` is the field energy at step 0.
+    that step 0's `pair` and each leap contract the field with.  The
+    work's Simpson quadrature reads every step and keeps the stepper's
+    order.  A step whose pairings or snapshot are not finite raises
+    Diverged naming it.  `norm_scale` is the field energy at step 0.
     """
     single = isinstance(laws, TwoPointLawSpec)
     laws = [laws] if single else list(laws)
@@ -517,7 +532,9 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
         cols = {amap: 3 * i for i, amap in enumerate(pulled)}  # its 3 columns in the dual
         dual = source.dual(np.concatenate(list(pulled.values())))
         pairs = np.zeros((nsteps + 1, 6, len(cols) * 3))
-        f = np.array([j.time_factor(t) for t in t0 + dt * np.arange(nsteps + 1)])
+        pairs[0] = source.pair(dual)
+        _check_pairs(pairs, 0, 0)
+        f = j.time_factor(t0 + dt * np.arange(nsteps + 1))
 
     reads = set()  # the steps some row reads, each law with its own m
     for law in laws:
@@ -533,15 +550,14 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
     window = {}
     rows = {id(law): [] for law in laws}
     ai = 0
-    for n_sim in sorted(reads) if dual is None else range(nsteps + 1):
+    for n_sim in sorted(reads):
         if n_sim > source.step_index:
-            source.advance(n_sim - source.step_index)
-        if dual is not None:
-            pairs[n_sim] = source.pair(dual)
-            if not np.all(np.isfinite(pairs[n_sim])):
-                raise Diverged(f"field is not finite at step {n_sim}")
-        if n_sim in reads:
-            window[n_sim] = source.state(agrid)
+            first = source.step_index + 1
+            passed = source.advance(n_sim - source.step_index, dual)
+            if dual is not None:
+                pairs[first:n_sim + 1] = passed
+                _check_pairs(pairs, first, n_sim)
+        window[n_sim] = source.state(agrid)
         while ai < len(analysis) and need(analysis[ai]) <= n_sim:
             a = analysis[ai]
             for law in laws:

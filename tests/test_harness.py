@@ -2,6 +2,8 @@ import contextlib
 import filecmp
 import io
 import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -85,6 +87,26 @@ forge.order = 2
 forge.horizon = 0.5
 forge.nu = 0
 """
+
+
+def test_python_m_twopoint_exits_with_the_command_code(tmp_path):
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    cfg = write_config(tmp_path / "v.txt", VERIFY_BASE)
+
+    def run(*overrides):
+        return subprocess.run([sys.executable, "-m", "twopoint", "verify", cfg, *overrides,
+                               f"output.dir={tmp_path / 'out'}"],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    bad = run("law.1=bogus")
+    assert bad.returncode == EXIT_CONFIG and bad.stderr.startswith("config error:")
+    ok = run("grid.dims=8 8 8", "grid.spacing=0.125 0.125 0.125", "initial.kmax=1",
+             "nsteps=4", "analysis.stride=2", "law.4=translation 0 0 2 0")
+    assert ok.returncode == EXIT_OK, ok.stderr
+    assert ok.stdout.startswith("verify: stepper=spectral")
+    assert (tmp_path / "out" / "summary.txt").exists()
 
 
 class TestConfig:
@@ -718,6 +740,17 @@ class TestMapDescriptors:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("descriptor", ["bogus", "inversion 1", "custom", ""])
+    def test_bad_law_descriptor_lists_every_law_form(self, tmp_path, capsys, descriptor):
+        cfg = write_config(tmp_path / "v.txt", VERIFY_BASE)
+        code = main(["verify", cfg, f"law.1={descriptor}", f"output.dir={tmp_path/'out'}"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG and err.startswith("config error:")
+        if descriptor != "custom":  # which says that it needs a file path
+            for form in ("local-energy", "custom FILE", "identity", "inversion",
+                         "rotation x|y|z QUARTERS", "translation NX NY NZ MSTEPS"):
+                assert form in err, form
 
 
     @pytest.mark.parametrize("content", [

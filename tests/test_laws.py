@@ -349,10 +349,11 @@ class TestSparseKernels:
 def test_non_finite_step_diverges_naming_it(grid, monkeypatch, stepper, engine, current):
     original = engine.advance
 
-    def advance(self, k=1):
-        original(self, k)
+    def advance(self, k=1, dual=None):
+        pairs = original(self, k, dual)
         if self.step_index == 3:
             self.u = np.full_like(self.u, np.inf)
+        return pairs
 
     monkeypatch.setattr(engine, "advance", advance)
     j = {"zero": ZeroCurrent(),
@@ -380,26 +381,39 @@ def test_a_strongly_driven_stable_run_evolves(stepper):
     assert rep.max_defect <= 1e-5 * np.max(np.abs(rep.Q))
 
 
-@pytest.mark.parametrize("stepper,engine", [("spectral", SpectralEngine), ("yee", YeeEngine)])
-def test_free_runs_leap_between_the_steps_rows_read(grid, monkeypatch, stepper, engine):
+def _leaps(grid, monkeypatch, engine, stepper, j):
+    """The k of each `advance` call of a 400-step run at stride 200, whose
+    rows at 0, 200 and 400 read steps 0, 199, 200, 201 and 400."""
     leaps = []
     original = engine.advance
 
-    def advance(self, k=1):
+    def advance(self, k=1, dual=None):
         leaps.append(k)
-        original(self, k)
+        return original(self, k, dual)
 
     monkeypatch.setattr(engine, "advance", advance)
     s = random_band_limited(grid, seed=2, kmax=2, mean_b=(0.0, 0.2, 0.1))
     laws = [law_local_energy(), law_inversion(), law_translation(grid, (0, 0, 3), 0)]
-    # the rows at 0, 200 and 400 read steps 0, 199, 200, 201 and 400
-    run_balance(s, ZeroCurrent(), 1e-3, 400, laws, stepper=stepper, analysis_stride=200)
-    assert sum(leaps) == 400 and len(leaps) <= len({0, 199, 200, 201, 400})
-    leaps.clear()
-    # the source work of a driven run is integrated over every step
-    j = UniformOscillating((0.02, 0.0, 0.01), omega=2 * np.pi)
     run_balance(s, j, 1e-3, 400, laws, stepper=stepper, analysis_stride=200)
-    assert leaps == [1] * 400
+    return leaps
+
+
+@pytest.mark.parametrize("stepper,engine", [("spectral", SpectralEngine), ("yee", YeeEngine)])
+def test_free_runs_leap_between_the_steps_rows_read(grid, monkeypatch, stepper, engine):
+    leaps = _leaps(grid, monkeypatch, engine, stepper, ZeroCurrent())
+    assert sum(leaps) == 400 and len(leaps) <= len({0, 199, 200, 201, 400})
+
+
+@pytest.mark.parametrize("stepper,engine", [("spectral", SpectralEngine), ("yee", YeeEngine)])
+@pytest.mark.parametrize("current", ["uniform", "planewave"])
+def test_driven_runs_leap_between_the_steps_rows_read(grid, monkeypatch, stepper, engine,
+                                                      current):
+    # each leap returns the pairings of the steps it passes, so the source
+    # work is still integrated over every step
+    j = {"uniform": UniformOscillating((0.02, 0.0, 0.01), omega=2 * np.pi),
+         "planewave": PlaneWaveCurrent((1, 2, 0), (0.0, 0.0, 1.0), omega=2 * np.pi)}[current]
+    leaps = _leaps(grid, monkeypatch, engine, stepper, j)
+    assert sum(leaps) == 400 and len(leaps) <= len({0, 199, 200, 201, 400})
 
 
 def test_norm_scale_is_the_initial_field_energy(grid):
@@ -512,8 +526,16 @@ class TestResidual:
                 alone = run(law)
                 k = len(rep.t)
                 for field in ("t", "Q", "source_cum", "defect", "r_l2", "r_max"):
-                    assert np.array_equal(getattr(rep, field), getattr(alone, field)[:k],
-                                          equal_nan=True), (name, law.label, field)
+                    a, b = getattr(rep, field), getattr(alone, field)[:k]
+                    if name == "stored":
+                        assert np.array_equal(a, b, equal_nan=True), (name, law.label, field)
+                    else:  # the two runs may leap between different steps, in
+                        # closed form where `_leaps` takes it: rounding, which D_t rho
+                        # divides by dt in the residual.  With every leap forced into
+                        # closed form the moves were <= 1.1e-16 E and 1.9e-16 E/dt
+                        scale = rep.norm_scale / (dt if field.startswith("r_") else 1.0)
+                        assert np.allclose(a, b, rtol=0, atol=1e-14 * scale,
+                                           equal_nan=True), (name, law.label, field)
 
     def test_sourced_defect_small_but_work_nonzero(self, grid):
         s = random_band_limited(grid, seed=13, kmax=1, mean_b=(0.0, 0.2, 0.1))
@@ -707,23 +729,21 @@ class TestAnalysisGrid:
             for law in laws:
                 rep = run_balance(s, j, 1e-3, 10, law, analysis_stride=3)
                 post = residual(traj, law, analysis_stride=3)
-                if name == "planewave":  # a driven run steps every step, as evolve does
-                    for field in ("Q", "r_l2", "r_max"):
-                        assert np.array_equal(getattr(rep, field), getattr(post, field),
-                                              equal_nan=True), field
-                    # the engine pairs its coefficients with the current in
-                    # Fourier space, the stored path sums over the nodes
-                    for field in ("source_cum", "defect"):
-                        assert np.allclose(getattr(rep, field), getattr(post, field), rtol=0,
-                                           atol=1e-18 * rep.norm_scale), field
-                else:  # a free run leaps between the steps its rows read: rounding
+                # a run leaps between the steps its rows read: rounding (Q moved
+                # by <= 2.1e-16 E, source_cum by <= 7.9e-21 E, also with every
+                # driven leap forced into closed form)
+                if name == "zero":
                     assert not np.any(rep.source_cum) and not np.any(post.source_cum)
-                    for field in ("Q", "defect"):
-                        assert np.allclose(getattr(rep, field), getattr(post, field), rtol=0,
-                                           atol=1e-13 * rep.norm_scale), field
-                    for field in ("r_l2", "r_max"):
-                        assert np.allclose(getattr(rep, field), getattr(post, field),
-                                           rtol=1e-12, atol=0, equal_nan=True), field
+                else:  # the engine pairs its coefficients with the current in
+                    # Fourier space, the stored path sums over the nodes
+                    assert np.allclose(rep.source_cum, post.source_cum, rtol=0,
+                                       atol=1e-18 * rep.norm_scale)
+                for field in ("Q", "defect"):
+                    assert np.allclose(getattr(rep, field), getattr(post, field), rtol=0,
+                                       atol=1e-13 * rep.norm_scale), field
+                for field in ("r_l2", "r_max"):
+                    assert np.allclose(getattr(rep, field), getattr(post, field),
+                                       rtol=1e-12, atol=0, equal_nan=True), field
 
     @pytest.mark.parametrize("stepper", ["spectral", "yee"])
     def test_streamed_and_stored_source_work_agree_at_a_nyquist_mixed_mode(self, stepper):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from field_ops import (
     dense_rk4, projected_gaussian, spectral_curl, yee_leapfrog,
@@ -286,17 +288,69 @@ class TestLeap:
             # the mean mode is left as it is
             assert np.array_equal(leapt.u[:, 0], stepped.u[:, 0])
 
+    CURRENTS = {
+        "zero": ZeroCurrent(),
+        "uniform": UniformOscillating((0.3, -0.2, 0.1), omega=2 * np.pi, phase=0.4),
+        "planewave": PlaneWaveCurrent((1, -2, 1), (1.0, 0.5, 0.0), omega=3.0),
+        "gaussian": GaussianPulseCurrent((0.5, 0.4, 0.5), 0.2, (0.0, 0.0, 1.0),
+                                         t0=0.01, tau=0.02),
+    }
+    MAPS = (AffineMap.inversion(), AffineMap.quarter_turn(2, 1), AffineMap.quarter_turn(2, 3),
+            AffineMap.translation((0.03, 0.0, 0.1)))
+
     @pytest.mark.parametrize("engine_cls", [SpectralEngine, YeeEngine])
-    def test_driven_engine_refuses_a_leap(self, engine_cls):
-        g = GridSpec.cube(1.0, 8)
-        j = UniformOscillating((0.1, 0.0, 0.0), omega=1.0)
-        engine = engine_cls(random_band_limited(g, seed=1, kmax=1), j, 0.01)
-        before = engine.u
-        with pytest.raises(ValueError):
-            engine.advance(2)
-        assert engine.step_index == 0 and engine.u is before
-        engine.advance()
-        assert engine.step_index == 1
+    @settings(derandomize=True, deadline=None, max_examples=24)
+    @given(current=st.sampled_from(sorted(CURRENTS)), k=st.integers(2, 64),
+           start=st.integers(0, 5))
+    def test_driven_leap_matches_single_steps(self, engine_cls, current, k, start):
+        g = GridSpec.cube(1.0, 12)
+        state = random_band_limited(g, seed=5, kmax=2, mean_b=(0.0, 0.2, 0.1), t=0.003)
+        j, dt = self.CURRENTS[current], 0.4 * cfl_max_dt(g, "yee")
+        stepped, leapt, closed = (engine_cls(state, j, dt) for _ in range(3))
+        if j.is_zero:
+            mapped = np.ones((2, *stepped.analysis_grid.dims))
+        else:
+            mapped = np.concatenate(list(_pulled_profiles(stepped, self.MAPS)[1].values()))
+        dual = stepped.dual(mapped)
+        for engine in (stepped, leapt, closed):
+            engine.advance(start)
+        ref = np.concatenate([stepped.advance(1, dual) for _ in range(k)])
+        results = [(leapt, leapt.advance(k, dual))]
+        if not j.is_zero:  # the closed form itself, which a Gaussian's leap passes by
+            results.append((closed, closed._leap(k, dual)))
+        for engine, p in results:
+            assert engine.step_index == stepped.step_index == start + k
+            assert p.shape == ref.shape
+            assert np.max(np.abs(p - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(engine.u - stepped.u)) <= 1e-13 * np.max(np.abs(stepped.u))
+
+    def test_a_one_step_leap_is_the_step(self):
+        g = GridSpec.cube(1.0, 12)
+        state = random_band_limited(g, seed=2, kmax=2)
+        j = UniformOscillating((0.1, 0.0, 0.2), omega=1.0)
+        for engine_cls in (SpectralEngine, YeeEngine):
+            a, b = engine_cls(state, j, 0.01), engine_cls(state, j, 0.01)
+            dual = a.dual(np.ones((1, *a.analysis_grid.dims)))
+            b.advance()
+            assert np.array_equal(a.advance(1, dual), b.pair(dual)[None])
+            assert np.array_equal(a.u, b.u)
+
+    @pytest.mark.parametrize("engine_cls", [SpectralEngine, YeeEngine])
+    def test_a_dual_off_the_leap_modes_is_stepped(self, engine_cls):
+        # the closed form pairs on `_near` only: a dual of the mapped current
+        # lies there up to FFT round-off, a dual of arbitrary arrays does not
+        g = GridSpec.cube(1.0, 12)
+        state = random_band_limited(g, seed=5, kmax=2, mean_b=(0.0, 0.2, 0.1))
+        j, dt, k = self.CURRENTS["planewave"], 0.4 * cfl_max_dt(g, "yee"), 64
+        stepped, leapt = engine_cls(state, j, dt), engine_cls(state, j, dt)
+        mapped = np.concatenate(list(_pulled_profiles(stepped, self.MAPS)[1].values()))
+        assert leapt._leaps(k, stepped.dual(mapped))
+        q = np.random.default_rng(6).standard_normal((2, *stepped.analysis_grid.dims))
+        dual = stepped.dual(q)
+        assert 4 * len(leapt._near) < leapt.u.shape[1] and not leapt._leaps(k, dual)
+        ref = np.concatenate([stepped.advance(1, dual) for _ in range(k)])
+        assert np.array_equal(leapt.advance(k, dual), ref)
+        assert np.array_equal(leapt.u, stepped.u)
 
     @pytest.mark.parametrize("engine_cls", [SpectralEngine, YeeEngine])
     @pytest.mark.parametrize("kind", ["generated", "sampled"])
