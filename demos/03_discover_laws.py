@@ -9,10 +9,14 @@ orders of magnitude above.
 
 The rows are built at the sampled nodes only: the time derivative of each
 product F_a(x) F_b(Ax) comes from the products at the node, its gradient
-from the product rule on spectral gradients of the field components.  That
-equals spectral differentiation of the sampled product while the products
-are alias free (2 kmax < N/2, as here: kmax = 2 on 16^3); outside that
-range the product rule gives the exact derivative at the nodes.
+from the product rule on spectral gradients of the field components, taken
+along the grid lines through the node.  A fit row reads only its sampled
+nodes and their grid lines.  That equals spectral differentiation of the
+sampled product while the products are alias free (2 kmax < N/2, as here:
+kmax = 2 on 16^3); outside that range the product rule gives the exact
+derivative at the nodes.  The SVD factors the R of the rows' QR, which has
+their singular values and right singular vectors, and the hold-out check
+is the one pass over whole states.
 """
 
 from twopoint import (

@@ -18,12 +18,14 @@ that `law.N` of the same map descriptor gets).
 The rows are built at the sampled nodes only; P_ab is never formed on the
 grid.  D_t P_ab is the centered difference of F_a F~_b at the nodes, and
 d_i P_ab = (d_i F_a) F~_b + F_a d_i F~_b uses spectral gradients of the
-twelve components of F and F~ (one differentiation-matrix product per
-axis).  This equals spectral differentiation of the sampled product only
-while the products are alias free, 2 kmax < N/2; outside that range the
-product rule gives the exact derivative at the nodes.  Since r is linear in (W, K), the hold-out check evaluates every
-near-null direction and the reference law in one pass over the hold-out's
-nodes, a block of nodes at a time.
+twelve components of F and F~ along the grid lines through the nodes;
+a fit row reads nothing else of the state.  This equals spectral
+differentiation of the sampled product only while the products are alias
+free, 2 kmax < N/2; outside that range the product rule gives the exact
+derivative at the nodes.  A's singular values and vectors come from its R
+factor.  Since r is linear in (W, K), the hold-out check, discovery's one
+whole-grid pass, evaluates every near-null direction and the reference
+law in one pass over the hold-out's nodes, a block of nodes at a time.
 
 For the identity map the products P_ab are symmetric in (a, b), so the
 antisymmetric parts of W and K are exactly unobservable and enlarge the
@@ -39,14 +41,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData
-from .grid import AffineMap, GridSpec
+from .errors import GridMismatch, InsufficientData
+from .grid import AffineMap, GridSpec, _gather_open_indices, _shift_fourier
 from .laws import (
     TwoPointLawSpec,
     law_of_map,
     residual,  # unused here; the benchmark's tracer patches this binding
     _stack6,
-    _pulled6,
+    _pulled6,  # unused here too, and patched likewise
 )
 
 MIN_ENSEMBLE = 20  # trajectories, the last of them held out
@@ -110,31 +112,54 @@ def _gradient(data: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.stack([gx, dy @ data, data @ dz.T])
 
 
-def _step_fields(traj, amap, m, n):
-    """Per-node inputs of the rows at interior step n, flattened over nodes.
-
-    Returns (F, F~) at steps n-1 and n+1, (F, F~) at step n stacked as
-    (12, nodes), and their spectral gradients as (3, 12, nodes); F~ is the
-    field pulled back under the map, m steps later.
-    """
-
-    def pair(i):
-        return (_stack6(traj.states[i]).reshape(6, -1),
-                _pulled6(traj.states[i + m], amap).reshape(6, -1))
-
-    now = np.concatenate([_stack6(traj.states[n]), _pulled6(traj.states[n + m], amap)])
-    grad = _gradient(now, traj.grid)
-    return (*pair(n - 1), *pair(n + 1), now.reshape(12, -1), grad.reshape(3, 12, -1))
+@functools.lru_cache(maxsize=16)
+def _mapped_nodes(grid: GridSpec, amap: AffineMap):
+    """(flat node each flat node reads under the map, sub-node rest of beta or None)."""
+    index, rest = _gather_open_indices(grid, amap)
+    mapped = np.ravel_multi_index(np.broadcast_arrays(*index), grid.dims).ravel()
+    mapped.flags.writeable = False  # shared by every caller through the cache
+    return mapped, rest
 
 
-def _rows_at(fields, dt, points):
-    """Collocation rows [D_t P_ab | d_i P_ab] at the given nodes.
+def _gather(traj, amap, m, i, *nodes):
+    """(F at step i, F~ = F at step i + m pulled back) as (12, *k.shape) per index array k."""
+    mapped, rest = _mapped_nodes(traj.grid, amap)
+    f, g = _stack6(traj.states[i]), _stack6(traj.states[i + m])
+    if rest is not None:
+        g = _shift_fourier(g, traj.grid, rest)
+    f, g = f.reshape(6, -1), g.reshape(6, -1)
+    return [np.concatenate([f[:, k], g[:, mapped[k]]]) for k in nodes]
+
+
+def _step_fields(traj, amap, m, n, points=None):
+    """(F, F~) as (12, nodes) at steps n-1, n+1 and n, and the spectral
+    gradient (3, 12, nodes) of the last, at the flat node indices `points`
+    (every node, in node order, when None).  A point's gradient reads only
+    the grid lines through it; every node takes one product per axis."""
+    grid = traj.grid
+    nodes = slice(None) if points is None else points
+    (prev,), (nxt,) = (_gather(traj, amap, m, i, nodes) for i in (n - 1, n + 1))
+    if points is None:
+        (now,) = _gather(traj, amap, m, n, nodes)
+        return prev, nxt, now, _gradient(now.reshape(12, *grid.dims), grid).reshape(3, 12, -1)
+    at = np.unravel_index(points, grid.dims)
+    strides = (grid.dims[1] * grid.dims[2], grid.dims[2], 1)
+    now, *lines = _gather(traj, amap, m, n, points, *(
+        points[:, None] + (np.arange(size) - c[:, None]) * stride
+        for size, c, stride in zip(grid.dims, at, strides)))
+    return prev, nxt, now, np.stack([
+        (line * _diff_matrix(size, h)[c]).sum(axis=-1)
+        for line, size, h, c in zip(lines, grid.dims, grid.spacing, at)])
+
+
+def _rows_at(fields, dt):
+    """Collocation rows [D_t P_ab | d_i P_ab] at the nodes of `fields`.
 
     P_ab = F_a F~_b is never formed on the grid: D_t P is the centered
     difference of the products at the nodes, d_i P the product rule.
     """
-    f_prev, g_prev, f_next, g_next, now, grad = (x[..., points] for x in fields)
-    dp = (f_next[:, None] * g_next[None] - f_prev[:, None] * g_prev[None]) / (2.0 * dt)
+    prev, nxt, now, grad = fields
+    dp = (nxt[:6, None] * nxt[None, 6:] - prev[:6, None] * prev[None, 6:]) / (2.0 * dt)
     f, g = now[:6], now[6:]
     dpi = grad[:, :6, None] * g[None, None] + f[None, :, None] * grad[:, None, 6:]
     return np.concatenate([dp.reshape(36, -1), dpi.reshape(108, -1)]).T
@@ -142,7 +167,7 @@ def _rows_at(fields, dt, points):
 
 def _rows_for_step(traj, amap, m, n, points):
     """Collocation rows at interior step n, sampled at the flat node indices `points`."""
-    return _rows_at(_step_fields(traj, amap, m, n), traj.dt, points)
+    return _rows_at(_step_fields(traj, amap, m, n, points), traj.dt)
 
 
 def _holdout_max_r(traj, amap, m, v, block=1024):
@@ -150,13 +175,15 @@ def _holdout_max_r(traj, amap, m, v, block=1024):
 
     The residual r = rows @ v is linear in (W, K), so one pass evaluates
     every column of the (144, k) matrix v; rows are taken `block` nodes at
-    a time so the full-grid row matrix is never held at once.
+    a time so the full-grid row matrix is never held at once.  It is
+    discovery's one whole-grid pass, with one matrix product per axis: grid
+    lines would gather each line once per node on it.
     """
     out = np.zeros(v.shape[1])
     for n in range(1, len(traj) - 1 - m):
         fields = _step_fields(traj, amap, m, n)
         for lo in range(0, traj.grid.num_nodes, block):
-            r = _rows_at(fields, traj.dt, slice(lo, lo + block)) @ v
+            r = _rows_at([x[..., lo:lo + block] for x in fields], traj.dt) @ v
             np.maximum(out, np.max(np.abs(r), axis=0), out=out)
     return out
 
@@ -180,14 +207,18 @@ def discover_laws(
             f"need at least {MIN_ENSEMBLE} trajectories, got {len(ensemble)}"
         )
     m = int(dt_shift_steps)
+    if m < 0:
+        raise ValueError(f"time shift must be a non-negative step count, got {m}")
+    grid = ensemble[0].grid
     for traj in ensemble:
+        if traj.grid != grid:
+            raise GridMismatch("discovery ensemble members live on different grids")
         if not traj.source.is_zero:
             raise InsufficientData("discovery ensembles must be source free")
         if len(traj) < m + 3:
             raise InsufficientData("trajectory too short for the requested shift")
     holdout = ensemble[-1]
     fit = ensemble[:-1]
-    grid = fit[0].grid
     rng = np.random.Generator(np.random.PCG64(seed))
     blocks = []
     for traj in fit:
@@ -199,7 +230,7 @@ def discover_laws(
     a = np.concatenate(blocks, axis=0)
     if a.shape[0] < 144:
         raise InsufficientData(f"only {a.shape[0]} collocation rows for 144 unknowns")
-    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    _, s, vh = np.linalg.svd(np.linalg.qr(a, mode="r"))  # R has A's s and vh
     if s[0] == 0.0:
         raise InsufficientData("collocation matrix is identically zero")
     near_null = s <= SVD_REL_TOL * s[0]

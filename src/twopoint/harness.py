@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .discover import MIN_ENSEMBLE, discover_laws
+from .discover import MIN_ENSEMBLE, SVD_REL_TOL, discover_laws
 from .errors import (
     Diverged,
     HistoryUnderflow,
@@ -529,6 +529,10 @@ def cmd_discover(cfg: Config) -> int:
         for i in range(n_members)
     ]
     result = discover_laws(ensemble, amap, m_steps, seed=seed)
+    if not result.candidates:
+        s = result.singular_values
+        print(f"discover warning: map={cfg.str('discover.map')} kept no law; smallest "
+              f"s/s0={float(s[-1] / s[0])!r}, tolerance {SVD_REL_TOL!r}", file=sys.stderr)
     for i, cand in enumerate(result.candidates[:top]):
         save_law(cand.law, os.path.join(out, f"candidate_{i:02d}.law"))
 

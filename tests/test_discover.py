@@ -1,12 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import twopoint.discover as discover
+import twopoint.laws as laws_module
 from twopoint.discover import (
     _holdout_max_r,
+    _rows_at,
     _rows_for_step,
+    _step_fields,
     discover_laws,
 )
-from twopoint.errors import InsufficientData
+from twopoint.errors import GridMismatch, InsufficientData
 from twopoint.grid import AffineMap, GridSpec, spectral_wavevectors
 from twopoint.laws import (
     TwoPointLawSpec,
@@ -25,10 +32,10 @@ GRID = GridSpec.cube(1.0, 16)
 DT_PROBE = 1.5e-5
 
 
-def make_ensemble(n_members, base_seed=100, kmax=2):
+def make_ensemble(n_members, base_seed=100, kmax=2, grid=GRID):
     out = []
     for i in range(n_members):
-        s = random_band_limited(GRID, seed=base_seed + i, kmax=kmax)
+        s = random_band_limited(grid, seed=base_seed + i, kmax=kmax)
         out.append(evolve(s, ZeroCurrent(), DT_PROBE, 4))
     return out
 
@@ -151,20 +158,54 @@ def rows_from_full_products(traj, amap, m, n, points):
     )
 
 
+SUB_NODE_RZ = AffineMap(tuple(ROTATION_Z.ravel()), (0.37 * H, 0.0, 5.2 * H))
+SIGNED_PERMUTATIONS = [_signed(perm, signs) for perm in itertools.permutations(range(3))
+                       for signs in itertools.product((1, -1), repeat=3)]
+
+
 class TestPointSampledRows:
-    @pytest.mark.parametrize(
-        "amap",
-        [AffineMap.identity(), AffineMap.inversion(), AffineMap.quarter_turn(2)],
-        ids=["identity", "inversion", "quarter-turn"],
-    )
-    def test_product_rule_matches_full_grid_products(self, ensemble, amap):
-        # kmax = 2 on 16^3: products are alias free (2 kmax < N/2)
-        points = np.random.Generator(np.random.PCG64(3)).choice(GRID.num_nodes, 8, replace=False)
-        for n in (1, 2, 3):
-            new = _rows_for_step(ensemble[0], amap, 0, n, points)
-            old = rows_from_full_products(ensemble[0], amap, 0, n, points)
+    # kmax = 2 throughout: products are alias free (2 kmax < N/2) on every axis
+    @pytest.mark.parametrize("dims,amap,m", [
+        ((16, 16, 16), AffineMap.identity(), 0),
+        ((16, 16, 16), AffineMap.inversion(), 0),
+        ((16, 16, 16), AffineMap.quarter_turn(2), 0),
+        ((16, 16, 16), SUB_NODE_RZ, 0),
+        ((16, 16, 16), AffineMap.inversion(), 1),
+        ((16, 16, 12), AffineMap.quarter_turn(2), 0),
+        ((12, 16, 20), AffineMap.inversion(), 0),
+    ], ids=["identity", "inversion", "quarter-turn", "sub-node-rz", "inversion-m1",
+            "16x16x12-rz", "12x16x20-inversion"])
+    def test_product_rule_matches_full_grid_products(self, ensemble, dims, amap, m):
+        if dims == GRID.dims:
+            traj = ensemble[0]
+        else:
+            grid = GridSpec(dims, tuple(1.0 / n for n in dims))
+            traj = make_ensemble(1, base_seed=40, grid=grid)[0]
+        points = np.random.Generator(np.random.PCG64(3)).choice(traj.grid.num_nodes, 8,
+                                                                replace=False)
+        for n in range(1, len(traj) - 1 - m):
+            new = _rows_for_step(traj, amap, m, n, points)
+            old = rows_from_full_products(traj, amap, m, n, points)
             assert np.array_equal(new[:, :36], old[:, :36])
             assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(index=st.integers(0, 47), beta=st.sampled_from(["zero", "node", "sub-node"]),
+           m=st.integers(0, 1), n=st.integers(1, 2), seed=st.integers(0, 2**16))
+    def test_sampled_rows_are_the_whole_grid_rows_at_the_points(self, ensemble, index, beta,
+                                                                 m, n, seed):
+        # the grid lines through the points give the rows the whole-grid
+        # products give there, for every symmetry of the box
+        shift = {"zero": (0.0, 0.0, 0.0), "node": (3 * H, -H, 7 * H),
+                 "sub-node": (0.4 * H, 2.7 * H, -0.1 * H)}[beta]
+        amap = AffineMap(SIGNED_PERMUTATIONS[index].alpha, shift)
+        traj = ensemble[index % 4]
+        points = np.random.Generator(np.random.PCG64(seed)).choice(GRID.num_nodes, 8,
+                                                                   replace=False)
+        sampled = _rows_for_step(traj, amap, m, n, points)
+        whole = _rows_at(_step_fields(traj, amap, m, n), traj.dt)[points]
+        assert np.array_equal(sampled[:, :36], whole[:, :36])
+        assert np.max(np.abs(sampled - whole)) <= 1e-12 * np.max(np.abs(whole))
 
     @pytest.mark.parametrize("law", [law_local_energy(), law_inversion()],
                              ids=["local-energy", "inversion"])
@@ -192,6 +233,49 @@ class TestValidation:
         members[3] = evolve(s, ZeroCurrent(), DT_PROBE, 1)
         with pytest.raises(InsufficientData):
             discover_laws(members, AffineMap.identity())
+
+    def test_negative_shift_rejected(self, ensemble):
+        with pytest.raises(ValueError):
+            discover_laws(ensemble, AffineMap.identity(), -1)
+
+    @pytest.mark.parametrize("odd", [-1, 5], ids=["hold-out", "fit-member"])
+    def test_member_on_another_grid_rejected(self, odd):
+        members = make_ensemble(20, kmax=1, grid=GridSpec.cube(1.0, 8))
+        members[odd] = make_ensemble(1, kmax=1, grid=GridSpec.cube(1.0, 12))[0]
+        with pytest.raises(GridMismatch):
+            discover_laws(members, AffineMap.inversion())
+
+
+class TestWork:
+    def test_only_the_holdout_reads_whole_states(self, ensemble, monkeypatch):
+        # fit rows gather their sampled nodes and grid lines; whole states
+        # are read, and differentiated by whole-grid products, only at the
+        # hold-out's 3 interior steps (n - 1, n + 1 and n at each)
+        whole_reads, gradients, pullbacks = [], [], []
+
+        def gather(traj, amap, m, i, *nodes):
+            if any(isinstance(k, slice) for k in nodes):
+                whole_reads.append((traj is ensemble[-1], i))
+            return original_gather(traj, amap, m, i, *nodes)
+
+        def gradient(data, grid):
+            gradients.append(data.shape)
+            return original_gradient(data, grid)
+
+        def pull_array(data, grid, amap):
+            pullbacks.append(data.shape)
+            return original_pull(data, grid, amap)
+
+        original_gather, original_gradient = discover._gather, discover._gradient
+        original_pull = laws_module._pull_array
+        monkeypatch.setattr(discover, "_gather", gather)
+        monkeypatch.setattr(discover, "_gradient", gradient)
+        monkeypatch.setattr(laws_module, "_pull_array", pull_array)
+        discover_laws(ensemble, AffineMap.inversion(), seed=7)
+        assert sorted(whole_reads) == sorted((True, i) for n in (1, 2, 3)
+                                             for i in (n - 1, n + 1, n))
+        assert gradients == [(12, *GRID.dims)] * 3
+        assert pullbacks == []
 
 
 class TestReferenceMatching:

@@ -673,6 +673,29 @@ discover.top = 3
         assert proj >= 0.999
         assert (tmp_path / "out" / "candidate_00.law").exists()
 
+    def test_warns_when_nothing_is_kept(self, tmp_path, capsys):
+        # at h = 0.002 the dt = 1.5e-5 differencing floor lies above 1e-6 s0
+        text = """
+grid.dims = 16 16 16
+grid.spacing = 0.002 0.002 0.002
+discover.map = inversion
+discover.ensemble = 24
+discover.seed = 7
+discover.kmax = 2
+"""
+        cfg = write_config(tmp_path / "c.txt", text)
+        code = main(["discover", cfg, f"output.dir={tmp_path / 'out'}"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        report = (tmp_path / "out" / "discovery_report.txt").read_text()
+        assert "nullspace_dim=0\n" in report and "projection[inversion]=0.0\n" in report
+        assert os.listdir(tmp_path / "out") == ["discovery_report.txt"]
+        (line,) = captured.err.splitlines()
+        assert line.startswith("discover warning: map=inversion kept no law; smallest s/s0=")
+        assert line.endswith(", tolerance 1e-06")
+        assert float(line.split("s/s0=")[1].split(",")[0]) > 1e-6
+        assert "warning" not in report and "warning" not in captured.out
+
 
 # a law file complete but for its map, which is not a symmetry of the box
 LAW_TAIL = ("map.alpha = {alpha}\nmap.beta = 0 0 0\nW = " + " 0" * 36
