@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, InsufficientData
-from .grid import AffineMap, GridSpec, _gather_open_indices, _shift_fourier
+from .grid import AffineMap, GridSpec, _gather_plan, _shift_fourier
 from .laws import (
     TwoPointLawSpec,
     law_of_map,
@@ -112,18 +112,10 @@ def _gradient(data: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.stack([gx, dy @ data, data @ dz.T])
 
 
-@functools.lru_cache(maxsize=16)
-def _mapped_nodes(grid: GridSpec, amap: AffineMap):
-    """(flat node each flat node reads under the map, sub-node rest of beta or None)."""
-    index, rest = _gather_open_indices(grid, amap)
-    mapped = np.ravel_multi_index(np.broadcast_arrays(*index), grid.dims).ravel()
-    mapped.flags.writeable = False  # shared by every caller through the cache
-    return mapped, rest
-
-
-def _gather(traj, amap, m, i, *nodes):
-    """(F at step i, F~ = F at step i + m pulled back) as (12, *k.shape) per index array k."""
-    mapped, rest = _mapped_nodes(traj.grid, amap)
+def _gather(traj, plan, m, i, *nodes):
+    """(F at step i, F~ = F at step i + m pulled back along `plan`, the flat
+    node each node reads and the sub-node shift) as (12, *k.shape) per index array k."""
+    mapped, rest = plan
     f, g = _stack6(traj.states[i]), _stack6(traj.states[i + m])
     if rest is not None:
         g = _shift_fourier(g, traj.grid, rest)
@@ -137,14 +129,16 @@ def _step_fields(traj, amap, m, n, points=None):
     (every node, in node order, when None).  A point's gradient reads only
     the grid lines through it; every node takes one product per axis."""
     grid = traj.grid
+    offsets, rest = _gather_plan(grid, amap)
+    plan = sum(offsets).ravel(), rest  # the flat node that each node reads
     nodes = slice(None) if points is None else points
-    (prev,), (nxt,) = (_gather(traj, amap, m, i, nodes) for i in (n - 1, n + 1))
+    (prev,), (nxt,) = (_gather(traj, plan, m, i, nodes) for i in (n - 1, n + 1))
     if points is None:
-        (now,) = _gather(traj, amap, m, n, nodes)
+        (now,) = _gather(traj, plan, m, n, nodes)
         return prev, nxt, now, _gradient(now.reshape(12, *grid.dims), grid).reshape(3, 12, -1)
     at = np.unravel_index(points, grid.dims)
     strides = (grid.dims[1] * grid.dims[2], grid.dims[2], 1)
-    now, *lines = _gather(traj, amap, m, n, points, *(
+    now, *lines = _gather(traj, plan, m, n, points, *(
         points[:, None] + (np.arange(size) - c[:, None]) * stride
         for size, c, stride in zip(grid.dims, at, strides)))
     return prev, nxt, now, np.stack([

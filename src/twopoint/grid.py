@@ -4,9 +4,9 @@ Everything downstream (steppers, conservation laws, discovery) is built on the
 types here: a collocated periodic grid, scalar/vector fields sampled on its
 nodes, and the symmetries x -> alpha x + beta of the periodic box (alpha a
 signed permutation, beta any shift) used to pull a field back to mapped
-evaluation points.  A pullback is an index gather, preceded by a Fourier
-shift only when beta is not a whole number of nodes.  The divergence is
-spectral (exact on band-limited data) with periodic wrap.
+evaluation points.  A pullback is one flat gather along the map's cached
+plan, after a Fourier shift only when beta is not a whole number of nodes.
+The divergence is spectral (exact on band-limited data) with periodic wrap.
 
 Fields are immutable values: construction freezes the underlying array, and
 all operations return new fields.  Reductions use a fixed traversal order so
@@ -300,13 +300,15 @@ def _is_signed_permutation(a: np.ndarray) -> bool:
 
 
 @functools.lru_cache(maxsize=128)
-def _gather_open_indices(grid: GridSpec, amap: AffineMap):
-    """((I0, I1, I2), sub-node shift) with result[m] = shifted[I0, I1, I2][m].
+def _gather_plan(grid: GridSpec, amap: AffineMap):
+    """(plan, sub-node shift): result.flat[m] = shifted.flat[sum(plan).flat[m]].
 
+    The plan holds flat offsets per input axis, laid along the output axis
+    they vary on, so the cache keeps Nx + Ny + Nz of them per map, not N.
     Output axis i draws from input axis j(i) (the nonzero column of row i of
-    alpha); the map must pair axes of equal extent and spacing.  The index
-    arrays carry alpha and the whole-node part of beta.  The rest of beta,
-    if any, is returned as a 3-tuple shift of the input axes (None when beta
+    alpha); the map must pair axes of equal extent and spacing.  The plan
+    carries alpha and the whole-node part of beta.  The rest of beta, if
+    any, is returned as a 3-tuple shift of the input axes (None when beta
     is a whole number of nodes) for the Fourier interpolant to apply first.
     beta is first reduced modulo the box, so any finite shift splits cleanly.
     """
@@ -314,13 +316,12 @@ def _gather_open_indices(grid: GridSpec, amap: AffineMap):
     b = np.remainder(amap.beta_vector, grid.lengths)
     out = []
     rest = [0.0, 0.0, 0.0]
+    stride = (grid.dims[1] * grid.dims[2], grid.dims[2], 1)
     for i in range(3):
         j = int(np.argmax(np.abs(a[i])))
         s = int(a[i, j])
         if grid.dims[j] != grid.dims[i] or grid.spacing[j] != grid.spacing[i]:
-            raise InvalidMap(
-                f"map pairs axis {j} with axis {i} but their extents differ"
-            )
+            raise InvalidMap(f"map pairs axis {j} with axis {i} but their extents differ")
         shift = b[i] / grid.spacing[i]
         nodes = int(round(shift))
         if abs(shift - nodes) > 1e-9:
@@ -328,16 +329,16 @@ def _gather_open_indices(grid: GridSpec, amap: AffineMap):
         lookup = (s * np.arange(grid.dims[j]) + nodes) % grid.dims[i]
         shape = [1, 1, 1]
         shape[j] = grid.dims[j]
-        out.append(lookup.reshape(shape))
+        out.append((stride[i] * lookup).reshape(shape))
     return tuple(out), (tuple(rest) if any(rest) else None)
 
 
 def _pull_array(data: np.ndarray, grid: GridSpec, amap: AffineMap) -> np.ndarray:
-    """Pull back an (..., Nx, Ny, Nz) array under the map."""
-    (i0, i1, i2), rest = _gather_open_indices(grid, amap)
+    """Pull back an (..., Nx, Ny, Nz) array under the map: one flat gather."""
+    plan, rest = _gather_plan(grid, amap)
     if rest is not None:
         data = _shift_fourier(data, grid, rest)
-    return data[..., i0, i1, i2]
+    return np.take(data.reshape(*data.shape[:-3], -1), sum(plan).ravel(), -1).reshape(data.shape)
 
 
 def _shift_fourier(data: np.ndarray, grid: GridSpec, beta) -> np.ndarray:

@@ -67,7 +67,7 @@ from .grid import (
     GridSpec,
     ScalarField,
     VectorField,
-    _gather_open_indices,
+    _gather_plan,
     _pull_array,
     _refine,
     divergence,
@@ -517,7 +517,7 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
     analysis = [*range(0, last_q, stride), last_q]
     initial = source.state()
     for law in laws:  # each map must be a symmetry of the run's own grid
-        _gather_open_indices(initial.grid, law.map)
+        _gather_plan(initial.grid, law.map)
     agrid = source.analysis_grid
     t0 = initial.t
     with np.errstate(over="ignore"):

@@ -14,7 +14,9 @@ field's active modes: a pseudo-spectral classical RK4 (near machine
 precision on band-limited data) and a staggered Yee leapfrog (2nd order,
 its periodic stencils applied as per-mode Fourier symbols), so
 conservation-law residuals can be checked both at the noise floor and
-through a convergence-order study.
+through a convergence-order study.  Each engine states its per-mode
+closed form once (the parts of a mode's vector and the log of the step's
+eigenvalue, and the drive's weights on those parts), for every leap to read.
 """
 
 from __future__ import annotations
@@ -290,7 +292,8 @@ def _check_dt(grid, dt, stepper):
 #   advance(k=1, dual=None)
 #                      k steps: the stepper's own step at k = 1, closed forms
 #                      beyond (the k-th power of the free step, plus the
-#                      drive's sum over the k steps) where they cost less;
+#                      drive's sum over the k steps, both from the engine's
+#                      one `_split` and `_weights`) where they cost less;
 #                      with a `dual`, the (k, 6, c) `pair` values of the k
 #                      steps it passes, for any dual (a driven closed form
 #                      pairs on the modes `_near` only, so it is taken only
@@ -359,7 +362,9 @@ class SpectralEngine:
     eigenvalue l on the transverse part, its conjugate on the rest of it and
     1 on the longitudinal part, so M^p w = L w + Re(l^p) V w + Im(l^p) N w
     (`_split`), and a drive that adds weights sigma_j to a fixed vector g
-    sums over a leap to a causal convolution of sigma with the powers of l.
+    (`_weights`, whose parts `_g` are split once) sums over a leap to a
+    causal convolution of sigma with the powers of l; RK4's own step adds
+    its drive from the same parts and weights.
     """
 
     # steps times modes of one block of a driven leap's tables (about 3 MiB
@@ -381,16 +386,7 @@ class SpectralEngine:
         self._a = 1.0 - c * k2  # - c C^2 u = - c |k|^2 u + c k (k . u)
         # k and c k per real and imaginary part, for real contractions
         self._k, self._ck = np.repeat(k, 2, axis=1), np.repeat(c * k, 2, axis=1)
-        self._drive = None
-        if self._jh is not None:
-            # the current's share of k1 + 2 k2 + 2 k3 + k4, with f at t, t + h/2, t + h:
-            # h/6 [(f0 + 4 f1 + f2) g + h (f0 (1 - |k|^2 h^2 / 4) + 2 f1) L g
-            # + h^2/2 (f0 + f1) L^2 g] for g = (-J, 0), L g = (0, i k x J) and
-            # L^2 g = (|k|^2 J - k (k . J), 0); `_step` weighs these four rows
-            jh = self._jh
-            lg = 1j * _curl(k, jh)
-            self._drive = np.stack([[-jh, k2 * jh - k * np.sum(k * jh, axis=0)],
-                                    [lg, hk2 * lg]]).view(float)
+        self._g = self._drive_parts(self._jh)
 
     def _gather(self, state: FieldState, current: CurrentSpec, dt: float):
         """Set what every mode-space engine shares: the active modes (those of
@@ -474,11 +470,11 @@ class SpectralEngine:
         steps and exact for `dual`, and is taken one step at a time
         otherwise.
         """
-        if k > 1 and self._drive is None and dual is None:
+        if k > 1 and self._g is None and dual is None:
             self.u = self._power(k)
             self.step_index += k
             return None
-        if k > 1 and self._drive is not None and self._leaps(k, dual):
+        if k > 1 and self._g is not None and self._leaps(k, dual):
             return self._leap(k, dual)
         pairs = []
         for _ in range(k):
@@ -528,18 +524,17 @@ class SpectralEngine:
         those states are one contraction of the six parts' pairs.
         """
         r = self._near
-        e = self._forcing(r)
-        lg, vg, ng = self._split(np.concatenate((e, np.zeros_like(e))), r)[0]
+        lg, vg, ng = (p[:, r] for p in self._g)
         block = max(1, self._LEAP_CELLS // max(len(r), 1))
         pairs = []
         for first in range(0, k, block):
             n = min(block, k - first)
             w0, sigma = self._weights(self.step_index + np.arange(n), r)
-            (lu, vu, nu), lam = self._split(self.u[:, r], r)
-            z = _running(lam, np.broadcast_to(sigma, (n, len(r))))
+            (lu, vu, nu), log_l = self._split(self.u[:, r], r)
+            z = _running(np.exp(log_l), np.broadcast_to(sigma, (n, len(r))))
             c0 = np.cumsum(w0)
             if dual is not None:
-                lp = lam ** np.arange(1, n + 1)[:, None]
+                lp = np.exp(np.arange(1, n + 1)[:, None] * log_l)
                 coef = np.stack([np.ones(lp.shape), lp.real, lp.imag,
                                  np.broadcast_to(c0[:, None], lp.shape), z.real, z.imag], axis=1)
                 parts = np.stack([self._at_nodes(p, r) for p in (lu, vu, nu, lg, vg, ng)])
@@ -550,58 +545,52 @@ class SpectralEngine:
             self.step_index += n
         return None if dual is None else np.concatenate(pairs)
 
-    def _apply(self, ib, a, ck) -> np.ndarray:
-        """u + ib C u + (a - 1) u + ck k . u blockwise: one step's form with
-        the per-mode factors (i b, 1 - c |k|^2, c k)."""
+    def _step(self):
+        """One RK4 step of `u`: u + i b C u - c C^2 u blockwise, with C^2 u =
+        |k|^2 u - k (k . u), plus the step's drive (`_weights`) if driven."""
         u = self.u
         out = self._ka * u[[5, 3, 4, 1, 2, 0]]
         out -= self._kb * u[[4, 5, 3, 2, 0, 1]]
-        out *= ib  # i b C u
-        out += a * u
+        out *= self._ib  # i b C u
+        out += self._a * u
         ku = np.einsum("ix,bix->bx", self._k, u.view(float).reshape(2, 3, -1))
-        out += (ck * ku[:, None]).view(complex).reshape(6, -1)
-        return out
-
-    def _step(self):
-        """One RK4 step of `u`, with f at t, t + h/2 and t + h if driven."""
-        out = self._apply(self._ib, self._a, self._ck)
-        if self._drive is not None:
-            h = self.dt
-            t = self.initial.t + self.step_index * h
-            f0, f1, f2 = (self.current.time_factor(s) for s in (t, t + 0.5 * h, t + h))
-            w = [[h / 6.0 * (f0 + 4.0 * f1 + f2), h**3 / 12.0 * (f0 + f1)],
-                 [h * h / 6.0 * (f0 + 2.0 * f1), -h * h / 24.0 * f0]]
-            out += np.einsum("bs,bsix->bix", w, self._drive).view(complex).reshape(6, -1)
+        out += (self._ck * ku[:, None]).view(complex).reshape(6, -1)
+        if self._g is not None:
+            (w0,), (sigma,) = self._weights(np.array([self.step_index]), slice(None))
+            lg, vg, ng = self._g  # g = (-J, 0): L g and V g are 0 on B, N g on E
+            out[:3] += w0 * lg[:3] + sigma.real * vg[:3]
+            out[3:] += sigma.imag * ng[3:]
         self.u = out
 
     def _power(self, k: int) -> np.ndarray:
-        """`u` after k free steps: C has eigenvalues 0 and +-|k|, so they
-        are u + i Im(l^k)/|k| C u + (Re l^k - 1)/|k|^2 C^2 u, one step's
-        form, with l = 1 - c |k|^2 + i b |k|."""
-        kappa = np.sqrt(self._k2)
-        lk = (self._a + self._ib * kappa) ** k
-        kappa[kappa == 0.0] = 1.0  # l = 1 at the mean mode, so both factors are 0
-        c = (1.0 - lk.real) / kappa**2
-        return self._apply(1j * lk.imag / kappa, 1.0 - c * self._k2, self._k * np.repeat(c, 2))
+        """`u` after k free steps: L u + Re(l^k) V u + Im(l^k) N u (`_split`)."""
+        (lu, vu, nu), log_l = self._split(self.u, slice(None))
+        lk = np.exp(k * log_l)
+        return lu + lk.real * vu + lk.imag * nu
+
+    def _drive_parts(self, e):
+        """(L g, V g, N g) of the drive's vector g = (-e, 0); None for no current."""
+        return None if e is None else self._split(np.concatenate((-e, 0.0 * e)), slice(None))[0]
 
     def _split(self, w: np.ndarray, r) -> tuple:
-        """((L w, V w, N w), l) of the (6, len(r)) vectors w at the active
+        """((L w, V w, N w), log l) of the (6, len(r)) vectors w at the active
         modes r: L w is w's part in C's null space (the longitudinal part,
         all of w at the mean mode), V w = C^2 w / |k|^2 and N w = i C w / |k|,
-        so M^p w = L w + Re(l^p) V w + Im(l^p) N w."""
+        and l = 1 - c |k|^2 + i b |k| is the step's eigenvalue on C = |k|."""
         kappa = np.sqrt(self._k2[r])
         mean = kappa == 0.0
-        kh = self._k[:, 2 * r] / np.where(mean, 1.0, kappa)  # `_k` holds k twice per mode
+        kh = self._k[:, ::2][:, r] / np.where(mean, 1.0, kappa)  # `_k` holds k twice per mode
         lw = np.concatenate((kh * np.sum(kh * w[:3], axis=0), kh * np.sum(kh * w[3:], axis=0)))
         lw[:, mean] = w[:, mean]
         nw = 1j * np.concatenate((_curl(kh, w[3:]), -_curl(kh, w[:3])))
-        return (lw, w - lw, nw), self._a[r] + self._ib[r] * kappa
+        return (lw, w - lw, nw), np.log(self._a[r] + self._ib[r] * kappa)
 
     def _weights(self, steps: np.ndarray, r) -> tuple:
-        """The drive's weights of the given steps: on g's longitudinal part
-        (per step) and sigma (per step and mode r), as in `_split`.  `_step`'s
-        drive is w00 g - w01 C^2 g + (w10 + h^2 |k|^2 w11) i C g, so sigma is
-        w00 - |k|^2 w01 + i |k| (w10 + h^2 |k|^2 w11)."""
+        """The drive's weights of the given steps, w0 on L g (per step) and
+        sigma (per step and mode r): RK4 with f at t, t + h/2 and t + h adds
+        h/6 [(f0 + 4 f1 + f2) g + h (f0 (1 - |k|^2 h^2/4) + 2 f1) i C g -
+        h^2/2 (f0 + f1) C^2 g], so w0 = h/6 (f0 + 4 f1 + f2) and sigma = w0 -
+        h^3/12 (f0 + f1) |k|^2 + i |k| h^2/6 (f0 + 2 f1 - f0 h^2 |k|^2/4)."""
         h = self.dt
         t = self.initial.t + steps * h
         f0, f1, f2 = (self.current.time_factor(s) for s in (t, t + 0.5 * h, t + h))
@@ -611,11 +600,6 @@ class SpectralEngine:
         im = np.multiply.outer(h * h / 6.0 * (f0 + 2.0 * f1), np.sqrt(k2))
         im -= np.multiply.outer(h * h / 24.0 * f0, h * h * k2 * np.sqrt(k2))
         return w00, re + 1j * im
-
-    def _forcing(self, r) -> np.ndarray:
-        """The E part of the vector g that the drive weighs, at the modes r
-        (its B part is 0)."""
-        return -self._jh[:, r]
 
     # -- snapshots and pairings ------------------------------------------------
 
@@ -694,8 +678,9 @@ class YeeEngine(SpectralEngine):
     along the two other axes, and J is staggered like E.  `u` holds the
     staggered E and B(t - dt/2); snapshots and pairings shift them back to
     the nodes on demand (B time-averaged to the whole step), so
-    repeated stepping never filters the state.  Its leaps take the
-    leapfrog's eigenvalues exp(+-i theta) per mode (`_parts`).
+    repeated stepping never filters the state.  Its `_split` takes the
+    leapfrog's eigenvalues exp(+-i theta) per mode, whose log i theta has
+    real part exactly 0, so every power of them stays on the unit circle.
     """
 
     def __init__(self, state: FieldState, current: CurrentSpec, dt: float):
@@ -714,6 +699,7 @@ class YeeEngine(SpectralEngine):
         # B is carried at t - dt/2; dB/dt = -curl E gives the backward half step
         self.u[3:] += 0.5 * _curl(self._dplus, self.u[:3])
         self._drive = None if self._jh is None else self.dt * up[:3] * self._jh
+        self._g = self._drive_parts(self._drive)
 
     def advance(self, k: int = 1, dual=None):
         # bench/tracing.py times Yee steps and snapshots by patching this
@@ -728,13 +714,14 @@ class YeeEngine(SpectralEngine):
             e -= self.current.time_factor(t_half) * self._drive
         self.u = np.concatenate((e, b))
 
-    def _parts(self, w: np.ndarray, r=slice(None)) -> tuple:
-        """(L w, v, (M - cos(theta)) v, theta) of the (6, n) vectors w at the
+    def _split(self, w: np.ndarray, r) -> tuple:
+        """((L w, V w, N w), i theta) of the (6, len(r)) vectors w at the
         modes r, for the free step M, which obeys M^2 = T M - I, T = 2 -
         curl- curl+ on E and 2 - curl+ curl- on B.  T/2 is 1 on the
         longitudinal part L w (E along d+, B along d-), which M keeps, and
-        cos(theta) = 1 - s/2, s = sum |dt d+|^2, on the rest v = w - L w,
-        where (M - cos(theta)) v = (curl- v_B - s/2 v_E, s/2 v_B - curl+ v_E)."""
+        cos(theta) = 1 - s/2, s = sum |dt d+|^2, on the rest V w = w - L w,
+        where N w = (M - cos(theta)) V w / sin(theta); for v = V w,
+        (M - cos(theta)) v = (curl- v_B - s/2 v_E, s/2 v_B - curl+ v_E)."""
         dp, dm = self._dplus[:, r], self._dminus[:, r]
         s = np.sum(dp.real**2 + dp.imag**2, axis=0)
         mean = s == 0.0  # no curl: the whole mode is longitudinal
@@ -743,26 +730,14 @@ class YeeEngine(SpectralEngine):
                              dm * np.sum(dp * w[3:], axis=0))) / -s  # d- . d+ = -s
         lw[:, mean] = w[:, mean]
         v, half = w - lw, 0.5 * s
+        theta = 2.0 * np.arcsin(np.sqrt(0.5 * half))
         nv = np.concatenate((_curl(dm, v[3:]) - half * v[:3], half * v[3:] - _curl(dp, v[:3])))
-        return lw, v, nv, 2.0 * np.arcsin(np.sqrt(0.5 * half))
-
-    def _power(self, k: int) -> np.ndarray:
-        """M^k u in the Chebyshev form L u + cos(k theta) v + sin(k theta) /
-        sin(theta) (M - cos(theta)) v (`_parts`)."""
-        lu, v, nv, theta = self._parts(self.u)
-        return lu + np.cos(k * theta) * v + np.sin(k * theta) / np.sin(theta) * nv
-
-    def _split(self, w: np.ndarray, r) -> tuple:
-        lw, v, nv, theta = self._parts(w, r)
-        return (lw, v, nv / np.sin(theta)), np.exp(1j * theta)
+        return (lw, v, nv / np.sin(theta)), 1j * theta
 
     def _weights(self, steps: np.ndarray, r) -> tuple:
         """The drive f(t + dt/2) g of a step has the weight f on every part."""
         f = self.current.time_factor(self.initial.t + (steps + 0.5) * self.dt)
         return f, f[:, None]
-
-    def _forcing(self, r) -> np.ndarray:
-        return -self._drive[:, r]
 
     def _at_nodes(self, w: np.ndarray, r=slice(None)) -> np.ndarray:
         b = w[3:] - 0.5 * _curl(self._dplus[:, r], w[:3])  # B at the whole step

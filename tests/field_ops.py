@@ -1,13 +1,14 @@
 """Oracles for the tests: the spectral curl, a dense RK4 stepper and a
 real-space Yee leapfrog of the field equations dE/dt = curl B - J,
-dB/dt = -curl E on periodic data, random band-limited data built in the
+dB/dt = -curl E on periodic data, the closed forms of many free steps of
+either engine's step, random band-limited data built in the
 full spectrum, band-limited resampling by zero padding, a Gaussian
 current's profile projected transverse by an FFT round trip, and an
 engine's pairing weights taken from an rfftn of real-space data."""
 
 import numpy as np
 
-from twopoint.grid import VectorField, _mode_numbers, spectral_wavevectors
+from twopoint.grid import VectorField, _mode_numbers, _wavenumbers, spectral_wavevectors
 
 
 def spectral_curl(v: VectorField) -> np.ndarray:
@@ -104,6 +105,56 @@ def yee_leapfrog(state, current, dt: float, nsteps: int) -> np.ndarray:
         e = e + dt * de
     b = bh - 0.5 * dt * curl(e, dplus)  # B averaged to the whole step
     return np.concatenate([stagger(e, e_axes, False), stagger(b, b_axes, False)])
+
+
+def _curl(d, v):
+    return np.cross(d, v, axis=0)
+
+
+def rk4_power(u, grid, mask, dt: float, steps: int) -> np.ndarray:
+    """Gathered coefficients u (6, modes) at the modes of `mask` after
+    `steps` free spectral RK4 steps, as one step's stability polynomial:
+    C u = (k x B, -k x E) has eigenvalues 0 and +-|k|, so with l = 1 -
+    c |k|^2 + i b |k|, b = h (1 - h^2 |k|^2 / 6) and c = h^2 (1/2 - h^2
+    |k|^2 / 24), the power is u + i Im(l^p)/|k| C u + (Re l^p - 1)/|k|^2
+    C^2 u, where C^2 u = |k|^2 u - k (k . u) blockwise.  The reference for
+    the spectral engine's free leaps."""
+    k = np.stack([a[i] for a, i in zip(_wavenumbers(grid.dims, grid.spacing), np.nonzero(mask))])
+    k2 = k[0] * k[0] + k[1] * k[1] + k[2] * k[2]
+    hk2 = k2 * dt * dt
+    c = dt * dt * (0.5 - hk2 / 24.0)
+    kappa = np.sqrt(k2)
+    lp = (1.0 - c * k2 + 1j * dt * (1.0 - hk2 / 6.0) * kappa) ** steps
+    kappa[kappa == 0.0] = 1.0  # l = 1 at the mean mode, so both factors are 0
+    e, b = u[:3], u[3:]
+    cu = np.concatenate((_curl(k, b), -_curl(k, e)))
+    c2u = k2 * u - np.concatenate((k * np.sum(k * e, axis=0), k * np.sum(k * b, axis=0)))
+    return u + 1j * lp.imag / kappa * cu + (lp.real - 1.0) / kappa**2 * c2u
+
+
+def leapfrog_power(u, grid, mask, dt: float, steps: int) -> np.ndarray:
+    """Staggered coefficients u (6, modes) of (E, B(t - dt/2)) at the modes
+    of `mask` after `steps` free leapfrog steps B -= curl+ E, E += curl- B,
+    in the Chebyshev form L u + cos(p theta) v + sin(p theta)/sin(theta)
+    (M - cos(theta)) v.  The step M keeps the longitudinal part L u (E
+    along d+, B along d-) and turns the rest v = u - L u by theta, cos(theta)
+    = 1 - s/2 for s = sum |dt d+|^2, where (M - cos(theta)) v = (curl- v_B -
+    s/2 v_E, s/2 v_B - curl+ v_E).  The reference for the Yee engine's free
+    leaps."""
+    z = np.stack([np.exp(2j * np.pi * n / d)[i] for n, d, i in
+                  zip(_mode_numbers(grid.dims), grid.dims, np.nonzero(mask))])
+    dth = dt / np.reshape(grid.spacing, (3, 1))
+    dp, dm = dth * (z - 1.0), dth * (1.0 - 1.0 / z)
+    s = np.sum(dp.real**2 + dp.imag**2, axis=0)
+    mean = s == 0.0
+    s[mean] = 1.0
+    lu = np.concatenate((dp * np.sum(dm * u[:3], axis=0),
+                         dm * np.sum(dp * u[3:], axis=0))) / -s  # d- . d+ = -s
+    lu[:, mean] = u[:, mean]
+    v, half = u - lu, 0.5 * s
+    nv = np.concatenate((_curl(dm, v[3:]) - half * v[:3], half * v[3:] - _curl(dp, v[:3])))
+    theta = 2.0 * np.arcsin(np.sqrt(0.5 * half))
+    return lu + np.cos(steps * theta) * v + np.sin(steps * theta) / np.sin(theta) * nv
 
 
 def full_spectrum_band_limited(grid, seed, kmax=2, amplitude=1.0, mean_b=(0.0, 0.0, 0.0)):

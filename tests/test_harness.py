@@ -204,13 +204,14 @@ class TestVerify:
         assert code == EXIT_CONFIG and "steps" in printed
         assert not list((tmp_path / "out").iterdir())
 
-    def test_free_run_of_a_trillion_steps_ends_with_a_verdict(self, tmp_path):
+    @pytest.mark.parametrize("stepper", ["spectral", "yee"])
+    def test_free_run_of_a_trillion_steps_ends_with_a_verdict(self, tmp_path, stepper):
         # a free run leaps between the steps its rows read and allocates
-        # nothing per step; RK4's damping over 1e12 steps may fail the
-        # tolerance, so only the verdict is asked for
+        # nothing per step; RK4's damping, or the leapfrog's dispersion, over
+        # 1e12 steps may fail the tolerance, so only the verdict is asked for
         cfg = write_config(tmp_path / "c.txt", VERIFY_SMALL)
         start = time.perf_counter()
-        code, printed = run_cleanly(["verify", cfg, "nsteps=1000000000000",
+        code, printed = run_cleanly(["verify", cfg, f"stepper={stepper}", "nsteps=1000000000000",
                                      "analysis.stride=100000000000",
                                      f"output.dir={tmp_path / 'out'}"])
         assert time.perf_counter() - start < 2.0

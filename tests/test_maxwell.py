@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from field_ops import (
-    dense_rk4, projected_gaussian, spectral_curl, yee_leapfrog,
+    dense_rk4, leapfrog_power, projected_gaussian, rk4_power, spectral_curl, yee_leapfrog,
 )
 from twopoint.errors import InvalidMap, StepTooLarge
 from twopoint.grid import (
-    AffineMap, FieldState, GridSpec, ScalarField, VectorField, _gather_open_indices,
+    AffineMap, FieldState, GridSpec, ScalarField, VectorField, _gather_plan,
     _mode_numbers, _pull_array, divergence, volume_integral,
 )
 from twopoint.laws import _pulled_profiles
@@ -180,7 +180,7 @@ class TestPairing:
                 amap = AffineMap(tuple((np.eye(3)[list(perm)] * np.array(signs)[:, None]).ravel()),
                                  beta)
                 try:
-                    _gather_open_indices(g, amap)
+                    _gather_plan(g, amap)
                 except InvalidMap:
                     continue
                 maps.append(amap)
@@ -236,16 +236,54 @@ class TestRk4Polynomial:
         r = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
         assert np.max(np.abs(engine.u[:, mode] - r * u0)) <= 1e-15 * np.max(np.abs(u0))
 
-    def test_driven_step_matches_stage_by_stage(self):
+    DRIVES = {
+        "planewave": PlaneWaveCurrent(mode=(1, -2, 3), polarization=(3.0, 10.0, -4.0),
+                                      omega=5.0, phase_t=0.2),
+        # the mean mode, where the drive's vector is all longitudinal (L g = g)
+        "uniform": UniformOscillating((3.0, -2.0, 1.0), omega=4.0, phase=0.4),
+        # every mode
+        "gaussian": GaussianPulseCurrent((0.5, 0.4, 0.5), 0.15, (0.0, 10.0, 5.0),
+                                         t0=0.32, tau=0.05),
+    }
+
+    @pytest.mark.parametrize("current", sorted(DRIVES))
+    @pytest.mark.parametrize("start, nsteps", [("zero", 1), ("random", 4)])
+    def test_driven_step_matches_stage_by_stage(self, current, start, nsteps):
         g = GridSpec.cube(1.0, 16)
         dt = cfl_max_dt(g, "spectral")
-        zero = FieldState(VectorField.zeros(g), VectorField.zeros(g), 0.3)
-        j = PlaneWaveCurrent(mode=(1, -2, 3), polarization=(0.3, 1.0, -0.4), omega=5.0,
-                             phase_t=0.2)
-        engine = SpectralEngine(zero, j, dt)
-        engine.advance()
-        dense = dense_rk4(zero, j, dt, 1)[:, engine.mask]
-        assert np.max(np.abs(engine.u - dense)) <= 1e-14 * np.max(np.abs(dense))
+        if start == "zero":
+            state = FieldState(VectorField.zeros(g), VectorField.zeros(g), 0.3)
+        else:
+            state = random_band_limited(g, seed=6, kmax=2, mean_b=(0.0, 0.2, 0.1), t=0.3)
+        j = self.DRIVES[current]
+        engine = SpectralEngine(state, j, dt)
+        for _ in range(nsteps):
+            engine.advance()
+        dense = dense_rk4(state, j, dt, nsteps)[:, engine.mask]
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(engine.u - dense)) <= 1e-14 * scale
+        free = dense_rk4(state, ZeroCurrent(), dt, nsteps)[:, engine.mask]
+        assert np.max(np.abs(dense - free)) > 0.05 * scale  # the drive is not round-off
+
+
+class TestLongLeap:
+    """A free leap of up to 10^12 steps against the closed form of the
+    step's power written out per stepper (`field_ops`): Yee's powers stay on
+    the unit circle, which a complex power of exp(i theta) would leave."""
+
+    @pytest.mark.parametrize("engine_cls, stepper, oracle",
+                             [(SpectralEngine, "spectral", rk4_power),
+                              (YeeEngine, "yee", leapfrog_power)], ids=["spectral", "yee"])
+    @pytest.mark.parametrize("k", [199, 10**4, 10**6, 10**9, 10**12])
+    def test_free_leap_matches_the_closed_form(self, engine_cls, stepper, oracle, k):
+        g = GridSpec.cube(1.0, 12)
+        state = random_band_limited(g, seed=4, kmax=2, mean_b=(0.0, 0.02, 0.01))
+        dt = 0.5 * cfl_max_dt(g, stepper)
+        engine = engine_cls(state, ZeroCurrent(), dt)
+        expected = oracle(engine.u, g, engine.mask, dt, k)
+        engine.advance(k)
+        assert engine.step_index == k
+        assert np.max(np.abs(engine.u - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestLeap:
