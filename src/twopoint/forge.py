@@ -10,7 +10,11 @@ confined to few Fourier modes the truncated construction is already exact.
 Time derivatives are measured, not derived: short high-resolution
 evolutions around t = 0 are centrally differenced on a 7-point stencil and
 Richardson extrapolated, which treats nonlinear operators and linear ones
-identically.
+identically.  Every run steps the rfft coefficients of f with classical
+RK4: an advection stage makes no transform, a Burgers or KdV stage one
+irfft (f) and one rfft (f^2).  Samples are read from the coefficients
+through one interpolant table per call, and only `evolve_1d` synthesises
+node values, all steps in one batched irfft.
 """
 
 from __future__ import annotations
@@ -69,20 +73,31 @@ class Pde1D:
         return 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
 
 
-def _rhs(pde: Pde1D, f: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Spectral right-hand side, conservative forms so the mean is exact."""
-    fh = np.fft.rfft(f)
+def _symbols(pde: Pde1D):
+    """(linear, flux) with d fh/dt = linear fh + flux rfft(f^2) on the rfft
+    coefficients (None for a missing term): conservative forms, so the mean
+    is exact.  Odd derivatives vanish at an even n's Nyquist mode, as irfft
+    drops their imaginary part there, so the field stays real."""
+    k = pde.wavenumbers()
+    ik = 1j * k
+    if pde.n % 2 == 0:
+        ik[-1] = 0.0
     if pde.kind == "advection":
-        return np.fft.irfft(-1j * k * pde.c * fh, n=pde.n)
+        return -pde.c * ik, None
     if pde.kind == "burgers":
-        flux_h = np.fft.rfft(0.5 * f * f)
-        out = np.fft.irfft(-1j * k * flux_h, n=pde.n)
-        if pde.nu > 0.0:
-            out += np.fft.irfft(-pde.nu * k * k * fh, n=pde.n)
-        return out
-    # kdv: df/dt + 6 f f_x + f_xxx = 0
-    flux_h = np.fft.rfft(3.0 * f * f)
-    return np.fft.irfft(-1j * k * flux_h + 1j * k**3 * fh, n=pde.n)
+        return (-pde.nu * k * k if pde.nu > 0.0 else None), -0.5 * ik
+    return ik * k * k, -3.0 * ik  # kdv: df/dt + 6 f f_x + f_xxx = 0
+
+
+def _rhs(fh: np.ndarray, n: int, linear, flux) -> np.ndarray:
+    """d fh/dt for (a multiple of) the `_symbols`: no transform for a linear
+    PDE, one irfft and one rfft for a nonlinear one."""
+    if flux is None:
+        return linear * fh
+    out = flux * np.fft.rfft(np.square(np.fft.irfft(fh, n)))
+    if linear is not None:
+        out += linear * fh
+    return out
 
 
 def suggested_max_dt(pde: Pde1D, f0: np.ndarray) -> float:
@@ -104,48 +119,75 @@ def suggested_max_dt(pde: Pde1D, f0: np.ndarray) -> float:
     return 0.8 * limit
 
 
-def _rk4_step(pde: Pde1D, f: np.ndarray, dt: float, k: np.ndarray) -> np.ndarray:
-    k1 = _rhs(pde, f, k)
-    k2 = _rhs(pde, f + 0.5 * dt * k1, k)
-    k3 = _rhs(pde, f + 0.5 * dt * k2, k)
-    k4 = _rhs(pde, f + dt * k3, k)
-    return f + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _check_step(dt: float, limit: float):
+    if abs(dt) > limit * (1.0 + 1e-12):
+        raise StepTooLarge(f"|dt|={abs(dt)} exceeds suggested bound {limit}")
 
 
-def evolve_1d(pde: Pde1D, f0, dt: float, nsteps: int):
-    """RK4 + spectral derivatives; returns (times, series[nsteps+1, n]).
-
-    Raises StepTooLarge above the documented stability bound and Diverged
-    if the solution grows past 1e6 times its initial amplitude.
-    """
+def _march(pde: Pde1D, f0: np.ndarray, dt, nsteps: int, every: int = 1) -> np.ndarray:
+    """RK4 on the rfft coefficients of f0, one row per dt (a scalar or a
+    (rows, 1) array), as y + (a + 2 (b + c) + d) / 3 with stages of h/2
+    times the rate; returns the coefficients of steps 0, every, ..., nsteps.
+    Raises Diverged at the first step with a sample that is not finite or
+    exceeds 1e6 max(|f0|, 1): (2/n) sum |fh| bounds every sample, so only a
+    step whose sum reaches half of that is synthesised to be checked."""
     f0 = np.asarray(f0, dtype=float)
     if f0.shape != (pde.n,):
         raise ValueError(f"f0 must have shape ({pde.n},)")
-    limit = suggested_max_dt(pde, f0)
-    if abs(dt) > limit * (1.0 + 1e-12):
-        raise StepTooLarge(f"|dt|={abs(dt)} exceeds suggested bound {limit}")
-    k = pde.wavenumbers()
-    scale = max(np.max(np.abs(f0)), 1.0)
-    series = np.empty((nsteps + 1, pde.n))
+    half = 0.5 * np.asarray(dt)
+    n, bound = pde.n, 1e6 * max(np.max(np.abs(f0)), 1.0)
+    fh = np.fft.rfft(f0) * np.ones(half.shape)
+    out = np.empty((nsteps // every + 1, *fh.shape), dtype=complex)
+    out[0] = fh
+    with np.errstate(over="ignore", invalid="ignore"):
+        linear, flux = (None if s is None else half * s for s in _symbols(pde))
+        for i in range(1, nsteps + 1):
+            a = _rhs(fh, n, linear, flux)
+            b = _rhs(fh + a, n, linear, flux)
+            c = _rhs(fh + b, n, linear, flux)
+            d = _rhs(fh + 2.0 * c, n, linear, flux)
+            fh = fh + (a + 2.0 * (b + c) + d) / 3.0
+            if not (np.abs(fh).sum() <= 0.25 * n * bound
+                    or np.abs(np.fft.irfft(fh, n)).max() <= bound):
+                raise Diverged(f"solution blew up at step {i}")
+            if i % every == 0:
+                out[i // every] = fh
+    return out
+
+
+def evolve_1d(pde: Pde1D, f0, dt: float, nsteps: int):
+    """RK4 on the rfft coefficients (`_march`); returns (times,
+    series[nsteps+1, n]), the series synthesised by one batched irfft, with
+    f0 itself as row 0.  Raises StepTooLarge above the documented stability
+    bound and Diverged if the solution grows past 1e6 times its initial
+    amplitude."""
+    _check_step(dt, suggested_max_dt(pde, np.asarray(f0, dtype=float)))
+    series = np.fft.irfft(_march(pde, f0, dt, nsteps), pde.n)
     series[0] = f0
-    f = f0
-    for i in range(1, nsteps + 1):
-        f = _rk4_step(pde, f, dt, k)
-        if not np.isfinite(f).all() or np.max(np.abs(f)) > 1e6 * scale:
-            raise Diverged(f"solution blew up at step {i}")
-        series[i] = f
-    times = dt * np.arange(nsteps + 1)
-    return times, series
+    return dt * np.arange(nsteps + 1), series
+
+
+def _interpolant(pde: Pde1D, points: np.ndarray) -> np.ndarray:
+    """(P, 2K) real table t with f(x_p) = sum_m t[p, m] c_m for the rfft
+    coefficients c of f as (re, im) pairs: w_k exp(-i k x_p), w_k = 1/n at
+    DC and (even n) Nyquist and 2/n at the modes that stand for a pair."""
+    k = pde.wavenumbers()
+    w = np.full(len(k), 2.0 / pde.n)
+    w[[0, -1 if pde.n % 2 == 0 else 0]] = 1.0 / pde.n
+    return (w * np.exp(-1j * np.multiply.outer(points, k))).view(float)
+
+
+def _read(table: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """(..., P) samples of the coefficient rows (..., K): one multiply and
+    sum per point, so permuting the points permutes them bit for bit."""
+    return np.sum(np.ascontiguousarray(spectra).view(float)[..., None, :] * table, axis=-1)
 
 
 def sample_values(pde: Pde1D, f: np.ndarray, points) -> np.ndarray:
     """Evaluate the trigonometric interpolant of f at arbitrary points."""
     points = np.asarray(points, dtype=float)
-    fh = np.fft.rfft(f) / pde.n
-    k = pde.wavenumbers()
-    # rfft halves: double every mode except DC and (even n) Nyquist
-    fh[1 : (pde.n + 1) // 2] *= 2.0
-    return np.real(np.sum(np.exp(1j * np.multiply.outer(points, k)) * fh, axis=-1))
+    samples = _read(_interpolant(pde, points.ravel()), np.fft.rfft(f))
+    return samples.reshape(np.shape(f)[:-1] + points.shape)
 
 
 @dataclass(eq=False)
@@ -171,31 +213,23 @@ def time_derivative_samples(
 ) -> MomentMatrix:
     """Richardson-extrapolated central differencing of short evolutions.
 
-    f is advanced to the 13 times j*dt_probe/2, j = -6..6 (backward probes
-    use a negative RK4 step; for diffusive operators the anti-diffusive
-    amplification over these few fine steps is harmless at the probe sizes
-    used here).  Each derivative order k = 1..n_order is evaluated on the
-    7-point stencil at spacings dt_probe and dt_probe/2 and extrapolated at
-    its known leading order.  No symbolic differentiation anywhere.
+    f is advanced to the 13 times j*dt_probe/2, j = -6..6, by one 2-row run
+    (backward probes use a negative RK4 step; for diffusive operators the
+    anti-diffusive amplification over these few fine steps is harmless at
+    the probe sizes used here).  Each derivative order k = 1..n_order is
+    evaluated on the 7-point stencil at spacings dt_probe and dt_probe/2 and
+    extrapolated at its known leading order.  No symbolic differentiation.
     """
     if not 1 <= n_order <= MAX_ORDER:
         raise ValueError(f"n_order must be in 1..{MAX_ORDER}")
-    f0 = np.asarray(f0, dtype=float)
     points = np.asarray(points, dtype=float)
     half = dt_probe / 2.0
-    k = pde.wavenumbers()
-    ladder = {0: f0}
-    fwd = bwd = f0
-    scale = max(np.max(np.abs(f0)), 1.0)
-    for j in range(1, 7):
-        fwd = _rk4_step(pde, fwd, half, k)
-        bwd = _rk4_step(pde, bwd, -half, k)
-        for f in (fwd, bwd):
-            if not np.isfinite(f).all() or np.max(np.abs(f)) > 1e6 * scale:
-                raise Diverged("probe evolution blew up; reduce dt_probe")
-        ladder[j] = fwd
-        ladder[-j] = bwd
-    samples = np.array([sample_values(pde, ladder[j], points) for j in range(-6, 7)])
+    try:
+        runs = _march(pde, f0, np.array([[half], [-half]]), 6)
+    except Diverged:
+        raise Diverged("probe evolution blew up; reduce dt_probe") from None
+    ladder = np.concatenate((runs[:0:-1, 1], runs[:, 0]))  # times -6..6 half steps
+    samples = _read(_interpolant(pde, points), ladder)
     amp = max(np.max(np.abs(samples)), 1e-300)
     rows = np.empty((n_order, len(points)))
     suspect = False
@@ -281,16 +315,14 @@ def verify_invariant_drift(
     drift_floor; NaN when fewer than three samples qualify (e.g. exact
     invariants sitting at the noise floor).
     """
-    f0 = np.asarray(f0, dtype=float)
-    dt_max = suggested_max_dt(pde, f0)
+    dt_max = suggested_max_dt(pde, np.asarray(f0, dtype=float))
     nsteps = max(int(np.ceil(horizon / dt_max)), DRIFT_SAMPLES)
     per_sample = max(1, int(np.ceil(nsteps / DRIFT_SAMPLES)))
     nsteps = per_sample * DRIFT_SAMPLES
     dt = horizon / nsteps
-    _, series = evolve_1d(pde, f0, dt, nsteps)
-    idx = np.arange(0, nsteps + 1, per_sample)
-    times = dt * idx
-    sampled = np.array([sample_values(pde, series[i], coeffs.points) for i in idx])
+    _check_step(dt, dt_max)
+    times = dt * np.arange(0, nsteps + 1, per_sample)
+    sampled = _read(_interpolant(pde, coeffs.points), _march(pde, f0, dt, nsteps, per_sample))
     lo, hi = fit_window if fit_window is not None else (horizon / 20.0, horizon / 2.0)
     out = []
     for alpha in coeffs.alphas:

@@ -591,8 +591,8 @@ def cmd_forge(cfg: Config) -> int:
     if horizon <= 0.0:
         raise ConfigError(f"forge.horizon must be > 0, got {horizon!r}")
     f0 = _build_f0(cfg, pde)
-    if horizon / suggested_max_dt(pde, f0) > MAX_NODES // pde.n:  # drift runs keep every step
-        raise ConfigError(f"forge.horizon = {horizon!r} needs more steps than a drift run can hold")
+    if horizon / suggested_max_dt(pde, f0) > MAX_NODES // pde.n:  # a drift run takes every step
+        raise ConfigError(f"forge.horizon = {horizon!r} needs more steps than a drift run can take")
     moments = time_derivative_samples(pde, f0, points, order)
     invariants = nullspace_invariants(moments)
     results = verify_invariant_drift(pde, f0, invariants, horizon)

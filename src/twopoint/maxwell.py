@@ -524,23 +524,27 @@ class SpectralEngine:
         those states are one contraction of the six parts' pairs.
         """
         r = self._near
-        lg, vg, ng = (p[:, r] for p in self._g)
+        # L g and V g are stored without their B rows, which are 0; `_at_nodes` needs all 6
+        lg, vg = (np.concatenate((p[:, r], np.zeros(p[:, r].shape))) for p in self._g[:2])
+        ng = self._g[2][:, r]
         block = max(1, self._LEAP_CELLS // max(len(r), 1))
         pairs = []
         for first in range(0, k, block):
             n = min(block, k - first)
             w0, sigma = self._weights(self.step_index + np.arange(n), r)
-            (lu, vu, nu), log_l = self._split(self.u[:, r], r)
-            z = _running(np.exp(log_l), np.broadcast_to(sigma, (n, len(r))))
+            split = self._split(self.u, slice(None))  # column-wise, so its r columns are u[:, r]'s
+            (lu, vu, nu), log_l = split
+            z = _running(np.exp(log_l[r]), np.broadcast_to(sigma, (n, len(r))))
             c0 = np.cumsum(w0)
             if dual is not None:
-                lp = np.exp(np.arange(1, n + 1)[:, None] * log_l)
+                lp = np.exp(np.arange(1, n + 1)[:, None] * log_l[r])
                 coef = np.stack([np.ones(lp.shape), lp.real, lp.imag,
                                  np.broadcast_to(c0[:, None], lp.shape), z.real, z.imag], axis=1)
-                parts = np.stack([self._at_nodes(p, r) for p in (lu, vu, nu, lg, vg, ng)])
+                parts = np.stack([self._at_nodes(p, r) for p in
+                                  (lu[:, r], vu[:, r], nu[:, r], lg, vg, ng)])
                 pairs.append(np.einsum("iqm,qacm->iac", coef,
                                        np.real(parts[:, :, None] * dual[:, r])))
-            self.u = self._power(n)
+            self.u = self._power(n, split)
             self.u[:, r] += c0[-1] * lg + z[-1].real * vg + z[-1].imag * ng
             self.step_index += n
         return None if dual is None else np.concatenate(pairs)
@@ -557,20 +561,25 @@ class SpectralEngine:
         out += (self._ck * ku[:, None]).view(complex).reshape(6, -1)
         if self._g is not None:
             (w0,), (sigma,) = self._weights(np.array([self.step_index]), slice(None))
-            lg, vg, ng = self._g  # g = (-J, 0): L g and V g are 0 on B, N g on E
-            out[:3] += w0 * lg[:3] + sigma.real * vg[:3]
+            lg, vg, ng = self._g  # g = (-J, 0): N g is 0 on E
+            out[:3] += w0 * lg + sigma.real * vg
             out[3:] += sigma.imag * ng[3:]
         self.u = out
 
-    def _power(self, k: int) -> np.ndarray:
-        """`u` after k free steps: L u + Re(l^k) V u + Im(l^k) N u (`_split`)."""
-        (lu, vu, nu), log_l = self._split(self.u, slice(None))
+    def _power(self, k: int, split=None) -> np.ndarray:
+        """`u` after k free steps: L u + Re(l^k) V u + Im(l^k) N u, from
+        `_split(u)` or the given one."""
+        (lu, vu, nu), log_l = self._split(self.u, slice(None)) if split is None else split
         lk = np.exp(k * log_l)
         return lu + lk.real * vu + lk.imag * nu
 
     def _drive_parts(self, e):
-        """(L g, V g, N g) of the drive's vector g = (-e, 0); None for no current."""
-        return None if e is None else self._split(np.concatenate((-e, 0.0 * e)), slice(None))[0]
+        """(L g, V g, N g) of the drive's vector g = (-e, 0), L g and V g as
+        their E rows, since both are 0 on B; None for no current."""
+        if e is None:
+            return None
+        (lg, vg, ng), _ = self._split(np.concatenate((-e, 0.0 * e)), slice(None))
+        return lg[:3].copy(), vg[:3].copy(), ng
 
     def _split(self, w: np.ndarray, r) -> tuple:
         """((L w, V w, N w), log l) of the (6, len(r)) vectors w at the active

@@ -3,8 +3,9 @@ real-space Yee leapfrog of the field equations dE/dt = curl B - J,
 dB/dt = -curl E on periodic data, the closed forms of many free steps of
 either engine's step, random band-limited data built in the
 full spectrum, band-limited resampling by zero padding, a Gaussian
-current's profile projected transverse by an FFT round trip, and an
-engine's pairing weights taken from an rfftn of real-space data."""
+current's profile projected transverse by an FFT round trip, an
+engine's pairing weights taken from an rfftn of real-space data, and the
+1D forge's RK4 stepped in real space."""
 
 import numpy as np
 
@@ -219,3 +220,40 @@ def projected_gaussian(current, grid) -> np.ndarray:
     kdotv = (kx * vh[0] + ky * vh[1] + kz * vh[2]) / np.where(k2 == 0.0, 1.0, k2)
     vh = np.stack([vh[0] - kx * kdotv, vh[1] - ky * kdotv, vh[2] - kz * kdotv])
     return np.fft.irfftn(vh, s=grid.dims, axes=(-3, -2, -1))
+
+
+def forge_rhs(pde, f):
+    """df/dt of the samples f of a forge PDE, round-tripping through rfft
+    and irfft: conservative forms, so the mean is exact."""
+    k = pde.wavenumbers()
+    fh = np.fft.rfft(f)
+    if pde.kind == "advection":
+        return np.fft.irfft(-1j * k * pde.c * fh, n=pde.n)
+    if pde.kind == "burgers":
+        out = np.fft.irfft(-1j * k * np.fft.rfft(0.5 * f * f), n=pde.n)
+        if pde.nu > 0.0:
+            out += np.fft.irfft(-pde.nu * k * k * fh, n=pde.n)
+        return out
+    # kdv: df/dt + 6 f f_x + f_xxx = 0
+    return np.fft.irfft(-1j * k * np.fft.rfft(3.0 * f * f) + 1j * k**3 * fh, n=pde.n)
+
+
+def forge_rk4(pde, f0, dt: float, nsteps: int):
+    """(series[nsteps + 1, n], first blown-up step or None) of classical
+    RK4 on the samples with `forge_rhs`, stopped at the first step whose
+    samples are not finite or exceed 1e6 max(|f0|, 1): the reference for
+    `forge.evolve_1d`, which steps the rfft coefficients."""
+    scale = max(np.max(np.abs(f0)), 1.0)
+    series = [np.asarray(f0, dtype=float)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, nsteps + 1):
+            f = series[-1]
+            k1 = forge_rhs(pde, f)
+            k2 = forge_rhs(pde, f + 0.5 * dt * k1)
+            k3 = forge_rhs(pde, f + 0.5 * dt * k2)
+            k4 = forge_rhs(pde, f + dt * k3)
+            f = f + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(f).all() or np.max(np.abs(f)) > 1e6 * scale:
+                return np.array(series), i
+            series.append(f)
+    return np.array(series), None

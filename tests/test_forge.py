@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from field_ops import forge_rk4
 from twopoint.errors import Diverged, StepTooLarge
 from twopoint.forge import (
     MomentMatrix,
@@ -64,8 +67,74 @@ class TestEvolve1D:
         rng = np.random.default_rng(0)
         f0 = np.sin(pde.nodes()) + 0.01 * rng.standard_normal(pde.n)
         dt = 0.9 * suggested_max_dt(pde, f0)
-        with pytest.raises(Diverged):
+        _, step = forge_rk4(pde, f0, -dt, 400)
+        assert step == 7
+        with pytest.raises(Diverged, match=f"at step {step}$"):
             evolve_1d(pde, f0, -dt, 400)
+
+
+class TestCoefficientStepping:
+    """evolve_1d steps rfft coefficients; the real-space RK4 of `forge_rk4`
+    is the reference, which it must match to rounding."""
+
+    CASES = {
+        "advection": (Pde1D("advection", c=1.3), lambda x: np.sin(x) + 0.3 * np.cos(3 * x + 0.2)),
+        "burgers": (Pde1D("burgers", nu=0.05), lambda x: np.sin(x) + 0.5 * np.cos(2 * x)),
+        "inviscid": (Pde1D("burgers"), lambda x: 0.5 * np.sin(x) + 0.2 * np.cos(2 * x)),
+        "kdv": (Pde1D("kdv", n=64), lambda x: 0.1 * np.sin(x) + 0.05 * np.cos(3 * x)),
+    }
+
+    @staticmethod
+    def assert_matches_oracle(pde, f0, dt, nsteps):
+        ref, blown = forge_rk4(pde, f0, dt, nsteps)
+        assert blown is None
+        _, series = evolve_1d(pde, f0, dt, nsteps)
+        assert np.array_equal(series[0], f0)
+        assert np.max(np.abs(series - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    # backward viscous Burgers is anti-diffusive: test_divergence_detected
+    @pytest.mark.parametrize("case, sign", [("advection", 1), ("advection", -1), ("burgers", 1),
+                                            ("inviscid", 1), ("inviscid", -1), ("kdv", 1),
+                                            ("kdv", -1)])
+    def test_matches_real_space_rk4(self, case, sign):
+        pde, shape = self.CASES[case]
+        f0 = shape(pde.nodes())
+        self.assert_matches_oracle(pde, f0, sign * 0.9 * suggested_max_dt(pde, f0), 40)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(case=st.sampled_from([("advection", 1), ("advection", -1), ("burgers", 1),
+                                 ("inviscid", 1), ("inviscid", -1), ("kdv", 1), ("kdv", -1)]),
+           amps=st.lists(st.floats(-0.3, 0.3), min_size=6, max_size=6),
+           frac=st.floats(0.05, 1.0))
+    def test_band_limited_data_match_real_space_rk4(self, case, amps, frac):
+        name, sign = case
+        pde = self.CASES[name][0]
+        x = pde.nodes()
+        f0 = sum(a * np.sin(m * x) + b * np.cos(m * x)
+                 for m, a, b in zip((1, 2, 3), amps[::2], amps[1::2]))
+        self.assert_matches_oracle(pde, f0, sign * frac * suggested_max_dt(pde, f0), 16)
+
+    @pytest.mark.parametrize("case, per_step", [("advection", 0), ("burgers", 8), ("kdv", 8)])
+    def test_transforms_per_step(self, monkeypatch, case, per_step):
+        pde, shape = self.CASES[case]
+        f0 = shape(pde.nodes())
+        dt = 0.5 * suggested_max_dt(pde, f0)
+        calls = {"rfft": 0, "irfft": 0}
+
+        def counted(name):
+            transform = getattr(np.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return transform(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counted(name))
+        nsteps = 12
+        evolve_1d(pde, f0, dt, nsteps)
+        # one rfft of f0 and one batched synthesis of the series per run
+        assert calls == {"rfft": 1 + nsteps * per_step // 2, "irfft": 1 + nsteps * per_step // 2}
 
 
 class TestSampling:
@@ -115,6 +184,15 @@ class TestMomentMatrix:
         expected = sample_values(pde, rhs, pts)
         rel = np.max(np.abs(m.matrix[0] - expected)) / np.max(np.abs(expected))
         assert rel <= 1e-5
+
+    def test_probe_blow_up_names_dt_probe(self):
+        # the backward probe of viscous Burgers is anti-diffusive
+        pde = Pde1D("burgers", n=128, nu=0.5)
+        rng = np.random.default_rng(0)
+        f0 = np.sin(pde.nodes()) + 0.01 * rng.standard_normal(pde.n)
+        dt_probe = 3.0 * suggested_max_dt(pde, f0)
+        with pytest.raises(Diverged, match="reduce dt_probe"):
+            time_derivative_samples(pde, f0, FOUR_POINTS, 2, dt_probe=dt_probe)
 
     def test_order_cap(self):
         with pytest.raises(ValueError):

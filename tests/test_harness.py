@@ -824,7 +824,7 @@ forge.f0 = 1 1.0 0.0
 class TestForgeAndPlaneWaveInputs:
     @pytest.mark.parametrize("horizon", ["1e30", "1e300"])
     def test_horizon_beyond_a_drift_run_exits_2(self, tmp_path, capsys, horizon):
-        # refused before any evolution: the drift run would hold every step
+        # refused before any evolution: the drift run would take every step
         cfg = write_config(tmp_path / "f.txt", FORGE_SMALL)
         start = time.perf_counter()
         code = main(["forge", cfg, f"forge.horizon={horizon}", f"output.dir={tmp_path / 'out'}"])
