@@ -18,14 +18,19 @@ that `law.N` of the same map descriptor gets).
 The rows are built at the sampled nodes only; P_ab is never formed on the
 grid.  D_t P_ab is the centered difference of F_a F~_b at the nodes, and
 d_i P_ab = (d_i F_a) F~_b + F_a d_i F~_b uses spectral gradients of the
-twelve components of F and F~ along the grid lines through the nodes;
-a fit row reads nothing else of the state.  This equals spectral
+twelve components of F and F~ at the nodes.  This equals spectral
 differentiation of the sampled product only while the products are alias
 free, 2 kmax < N/2; outside that range the product rule gives the exact
-derivative at the nodes.  A's singular values and vectors come from its R
-factor.  Since r is linear in (W, K), the hold-out check, discovery's one
-whole-grid pass, evaluates every near-null direction and the reference
-law in one pass over the hold-out's nodes, a block of nodes at a time.
+derivative at the nodes.  A fit member's rows read its stepped states,
+which `evolve` leaves lazy (`FieldState.spectrum`), from their
+coefficients: one staged transform per member reads the samples, bit for
+bit those of the states, and the gradients at the sampled and mapped
+nodes, and no state is synthesised unless a sub-node map shifts it.
+Sampled states are gathered at the nodes and differentiated from their
+rfftn.  A's singular values and vectors come from its R factor.  Since r
+is linear in (W, K), the hold-out check, discovery's one whole-grid pass,
+evaluates every near-null direction and the reference law in one pass
+over the hold-out's nodes, a block of nodes at a time.
 
 For the identity map the products P_ab are symmetric in (a, b), so the
 antisymmetric parts of W and K are exactly unobservable and enlarge the
@@ -42,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, InsufficientData
-from .grid import AffineMap, GridSpec, _gather_plan, _shift_fourier
+from .grid import (AffineMap, GridSpec, _gather_plan, _samples_at, _shift_fourier,
+                   _shifted_spectrum)
 from .laws import (
     TwoPointLawSpec,
     law_of_map,
@@ -112,38 +118,96 @@ def _gradient(data: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.stack([gx, dy @ data, data @ dz.T])
 
 
-def _gather(traj, plan, m, i, *nodes):
-    """(F at step i, F~ = F at step i + m pulled back along `plan`, the flat
-    node each node reads and the sub-node shift) as (12, *k.shape) per index array k."""
-    mapped, rest = plan
-    f, g = _stack6(traj.states[i]), _stack6(traj.states[i + m])
-    if rest is not None:
-        g = _shift_fourier(g, traj.grid, rest)
-    f, g = f.reshape(6, -1), g.reshape(6, -1)
-    return [np.concatenate([f[:, k], g[:, mapped[k]]]) for k in nodes]
-
-
-def _step_fields(traj, amap, m, n, points=None):
+def _step_fields(traj, amap, m, n):
     """(F, F~) as (12, nodes) at steps n-1, n+1 and n, and the spectral
-    gradient (3, 12, nodes) of the last, at the flat node indices `points`
-    (every node, in node order, when None).  A point's gradient reads only
-    the grid lines through it; every node takes one product per axis."""
+    gradient (3, 12, nodes) of the last, at every node in node order: F~ is
+    F at step i + m pulled back along the map, and every node takes one
+    product per axis."""
     grid = traj.grid
     offsets, rest = _gather_plan(grid, amap)
-    plan = sum(offsets).ravel(), rest  # the flat node that each node reads
-    nodes = slice(None) if points is None else points
-    (prev,), (nxt,) = (_gather(traj, plan, m, i, nodes) for i in (n - 1, n + 1))
-    if points is None:
-        (now,) = _gather(traj, plan, m, n, nodes)
-        return prev, nxt, now, _gradient(now.reshape(12, *grid.dims), grid).reshape(3, 12, -1)
-    at = np.unravel_index(points, grid.dims)
-    strides = (grid.dims[1] * grid.dims[2], grid.dims[2], 1)
-    now, *lines = _gather(traj, plan, m, n, points, *(
-        points[:, None] + (np.arange(size) - c[:, None]) * stride
-        for size, c, stride in zip(grid.dims, at, strides)))
-    return prev, nxt, now, np.stack([
-        (line * _diff_matrix(size, h)[c]).sum(axis=-1)
-        for line, size, h, c in zip(lines, grid.dims, grid.spacing, at)])
+    mapped = sum(offsets).ravel()
+
+    def gather(i):
+        g = _stack6(traj.states[i + m])
+        if rest is not None:
+            g = _shift_fourier(g, grid, rest)
+        return np.concatenate([_stack6(traj.states[i]).reshape(6, -1),
+                               g.reshape(6, -1)[:, mapped]])
+
+    now = gather(n)
+    return gather(n - 1), gather(n + 1), now, _gradient(now.reshape(12, *grid.dims),
+                                                        grid).reshape(3, 12, -1)
+
+
+def _read(traj, fields, grads, nodes):
+    """(samples, gradients) of each field (i, shift) of `fields` at the flat
+    node indices `nodes`: step i's state shifted by the sub-node `shift`
+    (None for none), as (6, nodes) and, for the fields in `grads`, its
+    spectral gradient (3, 6, nodes).
+
+    An unshifted state's samples are its own: a lazy state's are read from
+    its coefficients (`grid._samples_at`, bit for bit its samples, which
+    stay unsynthesised), any other's gathered.  Gradients, and a shifted
+    state's samples, come from coefficients: a lazy state's own, else the
+    rfftn of its samples (times the shift's phases).  Fields that share a
+    mode layout go through one staged transform.
+    """
+    grid = traj.grid
+    every = np.arange(grid.dims[0] * grid.dims[1] * (grid.dims[2] // 2 + 1))
+    samples, gradients, passes = {}, {}, {}
+    for key in sorted(fields, key=grads.__contains__):  # gradients last, for `_samples_at`
+        i, shift = key
+        state = traj.states[i]
+        if shift is not None:
+            index, coeffs = every, _shifted_spectrum(state.data, grid, shift).reshape(6, -1)
+        elif state.spectrum is not None:
+            index, coeffs = state.spectrum
+        else:
+            samples[key] = state.data.reshape(6, -1)[:, nodes]
+            if key not in grads:
+                continue
+            index, coeffs = every, np.fft.rfftn(state.data, axes=(-3, -2, -1)).reshape(6, -1)
+        passes.setdefault(id(index), (index, []))[1].append((key, coeffs))
+    for index, members in passes.values():
+        keys = [key for key, _ in members]
+        slopes = [key for key in keys if key in grads]
+        values, slope = _samples_at(np.concatenate([c for _, c in members]), index, grid,
+                                    nodes, 6 * len(slopes))
+        for j, key in enumerate(keys):
+            samples.setdefault(key, values[6 * j:6 * j + 6])
+        for j, key in enumerate(slopes):
+            gradients[key] = slope[:, 6 * j:6 * j + 6]
+    return samples, gradients
+
+
+def _point_fields(traj, amap, m, steps, points):
+    """`_step_fields` at the flat node indices `points` only, for each
+    interior step n of `steps` in turn: (12, nodes x steps) and (3, 12,
+    nodes x steps).  F is read at the points and F~ at the nodes the map
+    sends them to; F~'s gradient is F's there turned back by the map, a
+    signed permutation, so exactly."""
+    grid = traj.grid
+    offsets, rest = _gather_plan(grid, amap)
+    p = len(points)
+    nodes = np.concatenate([points, sum(offsets).ravel()[points]])  # F's, then F~'s
+    steps = [int(n) for n in np.atleast_1d(steps)]
+    reads = [i for n in steps for i in (n - 1, n, n + 1)]
+    fields = dict.fromkeys([(i, None) for i in reads] + [(i + m, rest) for i in reads])
+    grads = {(n, None) for n in steps} | {(n + m, rest) for n in steps}
+    samples, gradients = _read(traj, fields, grads, nodes)
+    alpha = amap.alpha_matrix
+    axis = np.argmax(np.abs(alpha), axis=0)  # d/dx_j F~ = alpha[axis_j, j] d/dx_axis_j F
+    sign = alpha[axis, np.arange(3)][:, None, None]
+
+    def values(i):
+        return np.concatenate([samples[i, None][:, :p], samples[i + m, rest][:, p:]])
+
+    def gradient(n):
+        return np.concatenate([gradients[n, None][..., :p],
+                               sign * gradients[n + m, rest][axis][..., p:]], axis=1)
+
+    per_step = [(values(n - 1), values(n + 1), values(n), gradient(n)) for n in steps]
+    return tuple(np.concatenate(x, axis=-1) for x in zip(*per_step))
 
 
 def _rows_at(fields, dt):
@@ -159,9 +223,10 @@ def _rows_at(fields, dt):
     return np.concatenate([dp.reshape(36, -1), dpi.reshape(108, -1)]).T
 
 
-def _rows_for_step(traj, amap, m, n, points):
-    """Collocation rows at interior step n, sampled at the flat node indices `points`."""
-    return _rows_at(_step_fields(traj, amap, m, n, points), traj.dt)
+def _rows_for_step(traj, amap, m, steps, points):
+    """Collocation rows at the interior step(s) `steps`, sampled at the flat
+    node indices `points`, a step's rows after the previous step's."""
+    return _rows_at(_point_fields(traj, amap, m, steps, points), traj.dt)
 
 
 def _holdout_max_r(traj, amap, m, v, block=1024):
@@ -219,8 +284,7 @@ def discover_laws(
         interior = np.arange(1, len(traj) - 1 - m)
         take = interior[np.linspace(0, len(interior) - 1, min(TIMES_PER_TRAJ, len(interior))).astype(int)]
         points = rng.choice(grid.num_nodes, size=POINTS_PER_TIME, replace=False)
-        for n in np.unique(take):
-            blocks.append(_rows_for_step(traj, amap, m, int(n), points))
+        blocks.append(_rows_for_step(traj, amap, m, np.unique(take), points))
     a = np.concatenate(blocks, axis=0)
     if a.shape[0] < 144:
         raise InsufficientData(f"only {a.shape[0]} collocation rows for 144 unknowns")

@@ -155,6 +155,23 @@ def _march(pde: Pde1D, f0: np.ndarray, dt, nsteps: int, every: int = 1) -> np.nd
     return out
 
 
+_LAST_DRIFT_RUN = {}  # at most one entry: the last drift run's exact inputs -> its spectra
+
+
+def _drift_run(pde: Pde1D, f0, dt: float, nsteps: int, every: int) -> np.ndarray:
+    """`_march`'s read-only sampled spectra of a drift run, kept for the last
+    inputs, so drift checks of several orders on one f0 march it once; a
+    run that raised is not kept."""
+    f0 = np.asarray(f0, dtype=float)
+    key = (pde, f0.shape, f0.tobytes(), dt, nsteps, every)
+    if key not in _LAST_DRIFT_RUN:
+        spectra = _march(pde, f0, dt, nsteps, every)
+        spectra.flags.writeable = False
+        _LAST_DRIFT_RUN.clear()
+        _LAST_DRIFT_RUN[key] = spectra
+    return _LAST_DRIFT_RUN[key]
+
+
 def evolve_1d(pde: Pde1D, f0, dt: float, nsteps: int):
     """RK4 on the rfft coefficients (`_march`); returns (times,
     series[nsteps+1, n]), the series synthesised by one batched irfft, with
@@ -322,7 +339,7 @@ def verify_invariant_drift(
     dt = horizon / nsteps
     _check_step(dt, dt_max)
     times = dt * np.arange(0, nsteps + 1, per_sample)
-    sampled = _read(_interpolant(pde, coeffs.points), _march(pde, f0, dt, nsteps, per_sample))
+    sampled = _read(_interpolant(pde, coeffs.points), _drift_run(pde, f0, dt, nsteps, per_sample))
     lo, hi = fit_window if fit_window is not None else (horizon / 20.0, horizon / 2.0)
     out = []
     for alpha in coeffs.alphas:

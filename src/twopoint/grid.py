@@ -184,14 +184,24 @@ class FieldState:
     into the rfftn array of `data`, in any order, and their exact (6, n)
     coefficients, zero at every other index (and possibly at some of
     these), which an engine adopts in place of an rfftn.
+
+    A stepped state (`from_spectrum`) is lazy: until something reads
+    `data`, `E` or `B` it holds only `spectrum`, the (index, coeffs) its
+    samples are the irfftn of, which discovery reads its sampled nodes
+    from without synthesising them.  The first read synthesises `data`
+    once (one scatter and one irfftn), checks that it is finite, and drops
+    `spectrum`, which is None from then on and for every other state; its
+    `modes` stays None.
     """
 
     modes = None
+    spectrum = None
 
     def __init__(self, E: VectorField, B: VectorField, t: float):
         if E.grid != B.grid:
             raise GridMismatch("E and B live on different grids")
-        self._own(E.grid, _freeze(np.concatenate([E.data, B.data])), t)
+        self._at(E.grid, t)
+        self._own(_freeze(np.concatenate([E.data, B.data])))
 
     @classmethod
     def from_data(cls, grid: GridSpec, data, t: float, modes=None) -> "FieldState":
@@ -199,19 +209,51 @@ class FieldState:
         when it is float64 and C-contiguous (the caller must not write to it),
         with the (index, coeffs) of its spectrum when the caller has them."""
         state = cls.__new__(cls)
-        state._own(grid, _prep(data, (6, *grid.dims), copy=False), t)
+        state._at(grid, t)
+        state._own(_prep(data, (6, *grid.dims), copy=False))
         if modes is not None:
             state.modes = tuple(_freeze(np.asarray(a)) for a in modes)
         return state
 
-    def _own(self, grid: GridSpec, data: np.ndarray, t: float):
+    @classmethod
+    def from_spectrum(cls, grid: GridSpec, index: np.ndarray, coeffs: np.ndarray,
+                      t: float) -> "FieldState":
+        """Lazy state whose samples are the irfftn of the (6, n) complex
+        `coeffs` at the distinct flat rfftn indices `index` of `grid` (zero
+        elsewhere), both held without a copy (the caller must not write to
+        them) until the first read of the samples."""
+        state = cls.__new__(cls)
+        state._at(grid, t)
+        state.spectrum = (index, _freeze(coeffs))
+        return state
+
+    def _at(self, grid: GridSpec, t: float):
         self.t = float(t)
         if not np.isfinite(self.t):
             raise ValueError("state time must be finite")
         self.grid = grid
+
+    def _own(self, data: np.ndarray):
         self.data = data
-        self.E = _view(grid, data[:3])
-        self.B = _view(grid, data[3:])
+        self.E = _view(self.grid, data[:3])
+        self.B = _view(self.grid, data[3:])
+
+    def __getattr__(self, name):
+        """`data`, `E` and `B` of a lazy state, at their first read: one
+        scatter and one irfftn, whose coefficients are not held through it."""
+        if name not in ("data", "E", "B") or self.spectrum is None:
+            raise AttributeError(name)
+        index, coeffs = self.spectrum
+        dims = self.grid.dims
+        dense = _scatter(coeffs, index, dims)
+        self.spectrum = coeffs = None
+        try:
+            self._own(_prep(np.fft.irfftn(dense, s=dims, axes=(-3, -2, -1)), (6, *dims),
+                            copy=False))
+        except NonFiniteField:
+            self.spectrum = (index, _freeze(dense.reshape(6, -1)[:, index]))
+            raise
+        return getattr(self, name)
 
 
 @dataclass(frozen=True)
@@ -341,12 +383,16 @@ def _pull_array(data: np.ndarray, grid: GridSpec, amap: AffineMap) -> np.ndarray
     return np.take(data.reshape(*data.shape[:-3], -1), sum(plan).ravel(), -1).reshape(data.shape)
 
 
-def _shift_fourier(data: np.ndarray, grid: GridSpec, beta) -> np.ndarray:
-    """Evaluate f(x + beta) through the band-limited interpolant."""
+def _shifted_spectrum(data: np.ndarray, grid: GridSpec, beta) -> np.ndarray:
+    """The rfftn of x -> f(x + beta), for the band-limited interpolant f of data."""
     kx, ky, kz = spectral_wavevectors(grid)
     phase = np.exp(1j * (kx * beta[0] + ky * beta[1] + kz * beta[2]))
-    fh = np.fft.rfftn(data, axes=(-3, -2, -1))
-    return np.fft.irfftn(fh * phase, s=grid.dims, axes=(-3, -2, -1))
+    return np.fft.rfftn(data, axes=(-3, -2, -1)) * phase
+
+
+def _shift_fourier(data: np.ndarray, grid: GridSpec, beta) -> np.ndarray:
+    """Evaluate f(x + beta) through the band-limited interpolant."""
+    return np.fft.irfftn(_shifted_spectrum(data, grid, beta), s=grid.dims, axes=(-3, -2, -1))
 
 
 def pullback(field, amap: AffineMap):
@@ -374,6 +420,84 @@ def divergence(v: VectorField) -> ScalarField:
     dh = 1j * (kx * vh[0] + ky * vh[1] + kz * vh[2])
     out = np.fft.irfftn(dh, s=g.dims, axes=(-3, -2, -1))
     return ScalarField(g, out, copy=False)
+
+
+def _scatter(coeffs: np.ndarray, index: np.ndarray, dims) -> np.ndarray:
+    """The (c, Nx, Ny, Nz // 2 + 1) rfftn array of `dims` holding the (c, n)
+    `coeffs` at the flat indices `index` and 0 elsewhere."""
+    nx, ny, nz = dims
+    out = np.zeros((len(coeffs), nx * ny * (nz // 2 + 1)), dtype=complex)
+    out[:, index] = coeffs
+    return out.reshape(len(coeffs), nx, ny, nz // 2 + 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _line_plan(grid: GridSpec, index_bytes: bytes):
+    """How `_samples_at` lays out the modes at the flat rfftn indices held in
+    `index_bytes`: each mode's column (its (ky, kz) pair) among the distinct
+    columns and its x index; each column's kz among the distinct kz, its y
+    index, its kz index and its weight in a real z line's sum (1 on the kz =
+    0 and Nyquist planes, else 2, over Ny Nz); those kz; then i k along x
+    per mode and along y and z per column, each 0 on its axis's Nyquist
+    mode (whose derivative a real periodic line drops)."""
+    nx, ny, nz = grid.dims
+    half = nz // 2 + 1
+    index = np.frombuffer(index_bytes, dtype=np.intp)
+    mx, my, mz = np.unravel_index(index, (nx, ny, half))
+    cols, col = np.unique(my * half + mz, return_inverse=True)
+    cy, cz = cols // half, cols % half
+    kzs, col_kz = np.unique(cz, return_inverse=True)
+    weight = np.where((cz == 0) | (2 * cz == nz), 1.0, 2.0) / (ny * nz)
+    ik = [1j * np.where(2 * np.abs(n[i]) == d, 0.0, k[i]) for n, k, i, d in zip(
+        _mode_numbers(grid.dims), _wavenumbers(grid.dims, grid.spacing), (mx, cy, cz),
+        grid.dims)]
+    plan = (col, mx, col_kz, cy, cz, kzs, weight), ik
+    for a in (*plan[0], *ik):
+        a.flags.writeable = False  # shared by every caller through the cache
+    return plan
+
+
+def _samples_at(coeffs: np.ndarray, index: np.ndarray, grid: GridSpec, nodes: np.ndarray,
+                slopes: int = 0):
+    """(r, len(nodes)) samples at the flat node indices `nodes` of the r half
+    spectra that hold the (r, n) `coeffs` at the distinct flat rfftn indices
+    `index` of `grid` and 0 elsewhere, and the (3, slopes, len(nodes))
+    spectral gradient there of the last `slopes` of them.
+
+    The samples are bit for bit their irfftn's: numpy's own irfftn stages
+    (ifft on axis 0, then on axis 1, then irfft on axis 2) run on the same
+    lines, but only on those that reach the nodes: the x lines of the
+    columns that hold a mode, the y lines through each node's x at each kz
+    that holds one, and the z line through each node's (x, y).  Gradients
+    need not match a transform bit for bit: d/dx takes i k_x before the x
+    stage, d/dy and d/dz take i k per column after it, and each node's sum
+    over its columns' y and z phases is one small product.
+    """
+    (col, mx, col_kz, cy, cz, kzs, weight), (ikx, iky, ikz) = _line_plan(
+        grid, np.asarray(index, np.intp).tobytes())
+    nx, ny, nz = grid.dims
+    nodes, back = np.unique(nodes, return_inverse=True)
+    px, py, pz = np.unravel_index(nodes, grid.dims)
+    xs, at_x = np.unique(px, return_inverse=True)
+    p = np.arange(len(nodes))
+    rows, tail = len(coeffs), slice(len(coeffs) - slopes, len(coeffs))
+    a = np.zeros((rows + slopes, len(cy), nx), dtype=complex)
+    a[:rows, col, mx] = coeffs
+    a[rows:, col, mx] = ikx * coeffs[tail]
+    a = np.fft.ifft(a, axis=-1)[..., xs]  # (rows + slopes, columns, the nodes' x)
+    b = np.zeros((rows, len(kzs), len(xs), ny), dtype=complex)
+    b[:, col_kz, :, cy] = a[:rows].transpose(1, 0, 2)
+    b = np.fft.ifft(b, axis=-1)[:, :, at_x, py]  # (rows, kz, nodes)
+    c = np.zeros((rows, len(nodes), nz // 2 + 1), dtype=complex)
+    c[..., kzs] = b.transpose(0, 2, 1)
+    out = np.fft.irfft(c, n=nz, axis=-1)[:, p, pz][:, back]
+    if not slopes:
+        return out, None
+    g = a[..., at_x]  # (rows + slopes, columns, nodes)
+    g = np.concatenate([g[rows:], iky[:, None] * g[tail], ikz[:, None] * g[tail]])
+    phase = weight[:, None] * np.exp(2j * np.pi * (np.outer(cy, py) % ny / ny
+                                                   + np.outer(cz, pz) % nz / nz))
+    return out, np.einsum("rcp,cp->rp", g, phase).real[:, back].reshape(3, slopes, -1)
 
 
 def _roots(modes: np.ndarray, n: int) -> np.ndarray:

@@ -558,6 +558,12 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
                 pairs[first:n_sim + 1] = passed
                 _check_pairs(pairs, first, n_sim)
         window[n_sim] = source.state(agrid)
+        # every snapshot taken is read; synthesising a lazy one here, not
+        # amid a row's temporaries, keeps the run's memory peak where it was
+        try:
+            window[n_sim].data
+        except NonFiniteField:
+            raise Diverged(f"field is not finite at step {n_sim}") from None
         while ai < len(analysis) and need(analysis[ai]) <= n_sim:
             a = analysis[ai]
             for law in laws:

@@ -26,13 +26,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import Diverged, NonFiniteField, StepTooLarge
+from .errors import Diverged, StepTooLarge
 from .grid import (
     AffineMap,
     FieldState,
     GridSpec,
     _mode_numbers,
     _pull_array,
+    _scatter,
     _wavenumbers,
     spectral_wavevectors,
 )
@@ -305,7 +306,9 @@ def _check_dt(grid, dt, stepper):
 #                      smaller than the engine's own, else the own grid
 #   state(grid=None)   the collocated FieldState of the current step on the
 #                      own grid (default) or the analysis grid; on the own
-#                      grid, step 0 is the initial state itself
+#                      grid, step 0 is the initial state itself, and any
+#                      other is lazy, holding the step's coefficients until
+#                      its samples are read
 #   profile()          the current's (3, ...) profile on the analysis grid
 #   dual(mapped)       the (c, ...) arrays `mapped` on the analysis grid (the
 #                      current's profile pulled back to each law map) as the
@@ -313,15 +316,6 @@ def _check_dt(grid, dt, stepper):
 #   pair(dual)         the (6, c) volume integrals of F_a q_c at the current
 #                      step, with no snapshot
 # ---------------------------------------------------------------------------
-
-
-def _stepped_state(grid: GridSpec, data: np.ndarray, step: int, t: float) -> FieldState:
-    """FieldState.from_data for a stepped array; non-finite data is a
-    divergence at that step."""
-    try:
-        return FieldState.from_data(grid, data, t)
-    except NonFiniteField:
-        raise Diverged(f"field is not finite at step {step}") from None
 
 
 def _curl(d: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -631,21 +625,23 @@ class SpectralEngine:
         """The gathered coefficients u scattered into the rfftn array of
         `grid` (the own grid or the analysis grid)."""
         index, scale = self._layout[grid]
-        nx, ny, nz = grid.dims
-        out = np.zeros((len(u), nx * ny * (nz // 2 + 1)), dtype=complex)
-        out[:, index] = u * scale
-        return out.reshape(len(u), nx, ny, nz // 2 + 1)
+        return _scatter(u * scale, index, grid.dims)
 
     def state(self, grid: Optional[GridSpec] = None) -> FieldState:
+        """A lazy FieldState holding the current step's coefficients at the
+        layout of `grid`: its samples are synthesised on their first read.
+        Coefficients that are not finite raise Diverged naming the step."""
         grid = self.grid if grid is None else grid
         if grid not in self._layout:
             raise ValueError(f"no snapshots on grid {grid.dims}")
         step = self.step_index
         if step == 0 and grid == self.grid:
             return self.initial  # the exact data, not its FFT round trip
-        data = np.fft.irfftn(self.dense_coefficients(self._nodes(), grid), s=grid.dims,
-                             axes=(-3, -2, -1))
-        return _stepped_state(grid, data, step, self.initial.t + step * self.dt)
+        u = self._nodes()
+        if not np.all(np.isfinite(u)):
+            raise Diverged(f"field is not finite at step {step}")
+        index, scale = self._layout[grid]
+        return FieldState.from_spectrum(grid, index, u * scale, self.initial.t + step * self.dt)
 
     def dual(self, mapped: np.ndarray) -> np.ndarray:
         """The weights that `pair` contracts the field with for the (c, ...)
@@ -778,11 +774,11 @@ class Trajectory:
         if not self.states:
             raise ValueError("trajectory needs at least one state")
         g = self.states[0].grid
-        for a, b in zip(self.states, self.states[1:]):
-            if a.grid != g or b.grid != g:
-                raise ValueError("trajectory states must share one grid")
-            if not np.isclose(b.t - a.t, self.dt, rtol=1e-9, atol=1e-12):
-                raise ValueError("trajectory states must be uniformly spaced")
+        if any(s.grid != g for s in self.states):
+            raise ValueError("trajectory states must share one grid")
+        steps = np.diff([s.t for s in self.states])
+        if not np.all(np.isclose(steps, self.dt, rtol=1e-9, atol=1e-12)):
+            raise ValueError("trajectory states must be uniformly spaced")
 
     @property
     def grid(self) -> GridSpec:
@@ -812,8 +808,11 @@ def evolve(
 
     The Yee run keeps its staggered mode coefficients for the whole
     trajectory and only shifts snapshots back to the nodes, so the leapfrog
-    is never filtered by the collocation resampling.  A state that is not
-    finite raises Diverged naming its step.
+    is never filtered by the collocation resampling.  Every state after the
+    initial one is lazy (`SpectralEngine.state`): it synthesises its samples
+    on their first read, so a caller that reads only some nodes from the
+    coefficients (discovery's fit rows) pays for no synthesis.  A step whose
+    coefficients are not finite raises Diverged naming it.
     """
     if nsteps < 0:
         raise ValueError("nsteps must be >= 0")

@@ -257,3 +257,15 @@ def forge_rk4(pde, f0, dt: float, nsteps: int):
                 return np.array(series), i
             series.append(f)
     return np.array(series), None
+
+
+def scattered_snapshot(engine, grid) -> np.ndarray:
+    """(6, Nx, Ny, Nz) samples of an engine's current step on `grid` (its own
+    or its analysis grid), made eagerly: the collocated coefficients times
+    the layout's scale, scattered into a zero rfftn array of `grid`, then one
+    irfftn.  The reference for the lazy states of `SpectralEngine.state`."""
+    index, scale = engine._layout[grid]
+    nx, ny, nz = grid.dims
+    out = np.zeros((6, nx * ny * (nz // 2 + 1)), dtype=complex)
+    out[:, index] = engine._nodes() * scale
+    return np.fft.irfftn(out.reshape(6, nx, ny, nz // 2 + 1), s=grid.dims, axes=(-3, -2, -1))

@@ -14,7 +14,7 @@ from twopoint.discover import (
     discover_laws,
 )
 from twopoint.errors import GridMismatch, InsufficientData
-from twopoint.grid import AffineMap, GridSpec, spectral_wavevectors
+from twopoint.grid import AffineMap, FieldState, GridSpec, spectral_wavevectors
 from twopoint.laws import (
     TwoPointLawSpec,
     _pulled6,
@@ -25,7 +25,7 @@ from twopoint.laws import (
     law_symmetry,
     residual,
 )
-from twopoint.maxwell import UniformOscillating, ZeroCurrent, evolve
+from twopoint.maxwell import Trajectory, UniformOscillating, ZeroCurrent, evolve
 from twopoint.waves import random_band_limited
 
 GRID = GridSpec.cube(1.0, 16)
@@ -246,17 +246,29 @@ class TestValidation:
             discover_laws(members, AffineMap.inversion())
 
 
-class TestWork:
-    def test_only_the_holdout_reads_whole_states(self, ensemble, monkeypatch):
-        # fit rows gather their sampled nodes and grid lines; whole states
-        # are read, and differentiated by whole-grid products, only at the
-        # hold-out's 3 interior steps (n - 1, n + 1 and n at each)
-        whole_reads, gradients, pullbacks = [], [], []
+def synthesised_states(monkeypatch) -> list:
+    """The lazy states whose samples are synthesised from now on, in order."""
+    states = []
+    first_read = FieldState.__getattr__
 
-        def gather(traj, amap, m, i, *nodes):
-            if any(isinstance(k, slice) for k in nodes):
-                whole_reads.append((traj is ensemble[-1], i))
-            return original_gather(traj, amap, m, i, *nodes)
+    def read(state, name):
+        if state.spectrum is not None:
+            states.append(state)
+        return first_read(state, name)
+
+    monkeypatch.setattr(FieldState, "__getattr__", read)
+    return states
+
+
+class TestWork:
+    def test_only_the_holdouts_stepped_states_are_synthesised(self, monkeypatch):
+        # fit rows read their sampled nodes from the coefficients of the
+        # lazy stepped states; only the hold-out's 4 stepped states are
+        # synthesised, and differentiated by whole-grid products, at its 3
+        # interior steps (n - 1, n + 1 and n at each), and nothing is pulled back
+        members = make_ensemble(24)  # unread, unlike the shared fixture
+        synthesised = synthesised_states(monkeypatch)
+        gradients, pullbacks = [], []
 
         def gradient(data, grid):
             gradients.append(data.shape)
@@ -266,16 +278,80 @@ class TestWork:
             pullbacks.append(data.shape)
             return original_pull(data, grid, amap)
 
-        original_gather, original_gradient = discover._gather, discover._gradient
-        original_pull = laws_module._pull_array
-        monkeypatch.setattr(discover, "_gather", gather)
+        original_gradient, original_pull = discover._gradient, laws_module._pull_array
         monkeypatch.setattr(discover, "_gradient", gradient)
         monkeypatch.setattr(laws_module, "_pull_array", pull_array)
-        discover_laws(ensemble, AffineMap.inversion(), seed=7)
-        assert sorted(whole_reads) == sorted((True, i) for n in (1, 2, 3)
-                                             for i in (n - 1, n + 1, n))
+        discover_laws(members, AffineMap.inversion(), seed=7)
+        assert sorted(map(id, synthesised)) == sorted(map(id, members[-1].states[1:]))
+        assert all(s.spectrum is not None for traj in members[:-1] for s in traj.states[1:])
         assert gradients == [(12, *GRID.dims)] * 3
         assert pullbacks == []
+
+
+def white_noise(dims, seed, nsteps=4, dt=DT_PROBE):
+    """A trajectory of independent white-noise samples: every mode, Nyquist
+    modes included, and no spectrum held."""
+    grid = GridSpec(dims, tuple(1.0 / n for n in dims))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    states = [FieldState.from_data(grid, rng.standard_normal((6, *dims)), i * dt)
+              for i in range(nsteps + 1)]
+    return Trajectory(states, dt, ZeroCurrent())
+
+
+def assert_sampled_rows_match(traj, amap, m, points):
+    """The sampled rows of every interior step, in one pass, against the
+    whole-grid rows at the points: D_t P bit for bit, the rest to 1e-12."""
+    steps = np.arange(1, len(traj) - 1 - m)
+    sampled = _rows_for_step(traj, amap, m, steps, points)
+    assert np.array_equal(sampled, np.concatenate([
+        _rows_for_step(traj, amap, m, n, points) for n in steps]))  # a pass per step
+    whole = np.concatenate([_rows_at(_step_fields(traj, amap, m, n), traj.dt)[points]
+                            for n in steps])
+    assert np.array_equal(sampled[:, :36], whole[:, :36])
+    assert np.max(np.abs(sampled - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
+class TestFitRows:
+    # rows read from coefficients (lazy states) or gathered (sampled data)
+    # give the whole-grid rows at the points
+
+    @pytest.mark.parametrize("dims", [(16, 16, 16), (12, 16, 20), (15, 15, 15)],
+                             ids=["16-cubed", "12x16x20", "15-cubed"])
+    @pytest.mark.parametrize("beta", ["zero", "node", "sub-node"])
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_white_noise(self, dims, beta, m):
+        traj = white_noise(dims, seed=sum(dims) + m)
+        h = np.asarray(traj.grid.spacing)
+        shift = {"zero": (0.0, 0.0, 0.0), "node": (2, -3, 5) * h,
+                 "sub-node": (0.3, 1.6, -2.2) * h}[beta]
+        points = np.random.Generator(np.random.PCG64(m)).choice(traj.grid.num_nodes, 8,
+                                                                replace=False)
+        for alpha in (np.eye(3), -np.eye(3), np.diag([1.0, -1.0, 1.0])):
+            assert_sampled_rows_match(traj, AffineMap(tuple(alpha.ravel()), tuple(shift)),
+                                      m, points)
+
+    @pytest.mark.parametrize("amap", [AffineMap.inversion(), AffineMap.quarter_turn(0),
+                                      AffineMap(tuple(ROTATION_Z.ravel()), (3 * H, 0.0, -H))],
+                             ids=["inversion", "quarter-turn-x", "shifted-rz"])
+    def test_yee_ensemble(self, amap):
+        s = random_band_limited(GRID, seed=41, kmax=2)
+        traj = evolve(s, ZeroCurrent(), DT_PROBE, 4, stepper="yee")
+        points = np.random.Generator(np.random.PCG64(5)).choice(GRID.num_nodes, 8,
+                                                                replace=False)
+        _rows_for_step(traj, amap, 0, [1, 2, 3], points)
+        assert all(state.spectrum is not None for state in traj.states[1:])
+        assert_sampled_rows_match(traj, amap, 0, points)
+
+    def test_one_step_shift_with_a_sub_node_map(self, monkeypatch):
+        # F is read from the coefficients; only the states that F~ reads
+        # are synthesised, to be shifted off the nodes
+        traj = make_ensemble(1, base_seed=60)[0]
+        points = np.random.Generator(np.random.PCG64(9)).choice(GRID.num_nodes, 8,
+                                                                replace=False)
+        synthesised = synthesised_states(monkeypatch)
+        _rows_for_step(traj, SUB_NODE_RZ, 1, [1, 2], points)
+        assert sorted(map(id, synthesised)) == sorted(map(id, traj.states[1:]))
+        assert_sampled_rows_match(traj, SUB_NODE_RZ, 1, points)
 
 
 class TestReferenceMatching:

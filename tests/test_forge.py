@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twopoint.forge as forge
 from field_ops import forge_rk4
 from twopoint.errors import Diverged, StepTooLarge
 from twopoint.forge import (
+    InvariantCoefficients,
     MomentMatrix,
     Pde1D,
     evolve_1d,
@@ -321,3 +323,89 @@ class TestDrift:
         exps = [r.exponent for r in results if np.isfinite(r.exponent)]
         assert exps, "no measurable drift exponents"
         assert max(exps) >= 3.5
+
+
+def counted_ffts(monkeypatch) -> list:
+    """The names of numpy's 1D FFT entry points called from now on."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _fft(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+class TestDriftRun:
+    """The last drift run is kept, so orders checked on one f0 march it once."""
+
+    PDE = Pde1D("burgers", n=128, nu=0.05)
+    POINTS = np.array([0.4, 1.2, 2.1, 3.3, 4.2, 5.3])
+
+    def f0(self):
+        x = self.PDE.nodes()
+        return np.sin(x + 0.7) + 0.5 * np.cos(2.0 * (x + 0.7))
+
+    def invariants(self, f0, order):
+        return nullspace_invariants(time_derivative_samples(self.PDE, f0, self.POINTS, order,
+                                                            dt_probe=0.012))
+
+    def drift(self, f0, inv):
+        return verify_invariant_drift(self.PDE, f0, inv, 0.5, fit_window=(0.02, 0.12),
+                                      drift_floor=1e-10)
+
+    @staticmethod
+    def assert_same(results, fresh):
+        assert len(results) == len(fresh)
+        for a, b in zip(results, fresh):
+            for name in ("times", "values", "drift"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert np.array_equal(a.exponent, b.exponent, equal_nan=True)
+
+    def test_orders_on_one_f0_march_once(self, monkeypatch):
+        f0 = self.f0()
+        inv = {order: self.invariants(f0, order) for order in (3, 4)}
+        forge._LAST_DRIFT_RUN.clear()
+        calls = counted_ffts(monkeypatch)
+        third = self.drift(f0, inv[3])
+        # one rfft of f0 and 8 transforms per Burgers step: 128 steps of 0.5 / 128
+        assert calls == ["rfft"] + ["irfft", "rfft"] * 4 * 128
+        fourth = self.drift(f0, inv[4])
+        assert len(calls) == 1 + 8 * 128
+        (spectra,) = forge._LAST_DRIFT_RUN.values()
+        assert not spectra.flags.writeable
+        for order, results in ((3, third), (4, fourth)):
+            forge._LAST_DRIFT_RUN.clear()
+            self.assert_same(results, self.drift(f0, inv[order]))
+
+    def test_an_f0_one_ulp_away_marches_again(self, monkeypatch):
+        f0 = self.f0()
+        inv = InvariantCoefficients(np.eye(2), self.POINTS[:2])
+        verify_invariant_drift(self.PDE, f0, inv, 0.5)
+        near = f0.copy()
+        near[17] = np.nextafter(near[17], np.inf)
+        calls = counted_ffts(monkeypatch)
+        verify_invariant_drift(self.PDE, f0, inv, 0.5)
+        assert calls == []
+        verify_invariant_drift(self.PDE, near, inv, 0.5)
+        assert len(calls) >= 2 * 128
+        calls.clear()
+        verify_invariant_drift(self.PDE, f0, inv, 0.5)  # one run is kept, the last
+        assert len(calls) >= 2 * 128
+
+    def test_a_run_that_raised_is_not_kept(self, monkeypatch):
+        # test_divergence_detected's backward viscous Burgers, 64 drift steps
+        pde = Pde1D("burgers", n=128, nu=0.5)
+        rng = np.random.default_rng(0)
+        f0 = np.sin(pde.nodes()) + 0.01 * rng.standard_normal(pde.n)
+        inv = InvariantCoefficients(np.eye(1), np.array([1.0]))
+        verify_invariant_drift(self.PDE, self.f0(), inv, 0.5)
+        kept = dict(forge._LAST_DRIFT_RUN)
+        horizon = -0.9 * forge.DRIFT_SAMPLES * suggested_max_dt(pde, f0)
+        with pytest.raises(Diverged, match="at step 7$"):
+            verify_invariant_drift(pde, f0, inv, horizon)
+        assert forge._LAST_DRIFT_RUN.keys() == kept.keys()
+        calls = counted_ffts(monkeypatch)
+        with pytest.raises(Diverged, match="at step 7$"):
+            verify_invariant_drift(pde, f0, inv, horizon)
+        assert calls

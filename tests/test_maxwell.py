@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from field_ops import (
-    dense_rk4, leapfrog_power, projected_gaussian, rk4_power, spectral_curl, yee_leapfrog,
+    dense_rk4, leapfrog_power, projected_gaussian, rk4_power, scattered_snapshot, spectral_curl,
+    yee_leapfrog,
 )
-from twopoint.errors import InvalidMap, StepTooLarge
+from twopoint.errors import InvalidMap, NonFiniteField, StepTooLarge
 from twopoint.grid import (
     AffineMap, FieldState, GridSpec, ScalarField, VectorField, _gather_plan,
     _mode_numbers, _pull_array, divergence, volume_integral,
@@ -405,6 +406,90 @@ class TestLeap:
             s = engine.state()
             dense = np.sum(s.E.data**2 + s.B.data**2) * g.cell_volume
             assert abs(engine.energy() - dense) <= 1e-14 * dense
+
+
+FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn")
+
+
+def counted_ffts(monkeypatch) -> list:
+    """The names of numpy's FFT entry points called from now on, in order."""
+    calls = []
+    for name in FFT_NAMES:
+        def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _fft(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+class TestLazyState:
+    """Stepped states hold their coefficients until their samples are read."""
+
+    @pytest.mark.parametrize("stepper", ["spectral", "yee"])
+    def test_no_fft_until_a_read_then_one_irfftn(self, monkeypatch, stepper):
+        g = GridSpec.cube(1.0, 12)
+        s = random_band_limited(g, seed=3, kmax=1)
+        dt = 0.3 * cfl_max_dt(g, stepper)
+        engine = {"spectral": SpectralEngine, "yee": YeeEngine}[stepper](s, ZeroCurrent(), dt)
+        assert engine.analysis_grid != g
+        calls = counted_ffts(monkeypatch)
+        traj = evolve(s, ZeroCurrent(), dt, 3, stepper=stepper)
+        engine.advance(2)
+        states = [*traj.states[1:], engine.state(), engine.state(engine.analysis_grid)]
+        assert calls == []
+        for state, read in zip(states, itertools.cycle(("data", "E", "B"))):
+            assert state.spectrum is not None
+            getattr(state, read)
+            assert calls == ["irfftn"]
+            assert state.spectrum is None and state.modes is None
+            state.data, state.E, state.B
+            assert calls == ["irfftn"]
+            calls.clear()
+
+    @pytest.mark.parametrize("engine_cls", [SpectralEngine, YeeEngine])
+    @pytest.mark.parametrize("dims", [(16, 16, 16), (16, 12, 15), (15, 15, 15)],
+                             ids=["cubic", "16x12x15", "odd-cubic"])
+    @pytest.mark.parametrize("on", ["own", "analysis"])
+    def test_samples_are_the_eager_snapshots(self, engine_cls, dims, on):
+        g = GridSpec(dims, tuple(1.0 / n for n in dims))
+        s = random_band_limited(g, seed=11, kmax=1, mean_b=(0.1, 0.0, -0.2))
+        engine = engine_cls(s, UniformOscillating((0.2, 0.1, 0.0), omega=3.0),
+                            0.4 * cfl_max_dt(g, "spectral"))
+        grid = g if on == "own" else engine.analysis_grid
+        assert (grid == g) == (on == "own")
+        engine.advance(3)
+        state = engine.state(grid)
+        assert state.grid == grid and state.t == pytest.approx(3 * engine.dt)
+        assert np.array_equal(state.data, scattered_snapshot(engine, grid))
+
+    @pytest.mark.parametrize("engine_cls", [SpectralEngine, YeeEngine])
+    @pytest.mark.parametrize("current", ["zero", "uniform"])
+    def test_a_held_state_keeps_its_step(self, engine_cls, current):
+        g = GridSpec.cube(1.0, 16)
+        s = random_band_limited(g, seed=12, kmax=1)
+        j = {"zero": ZeroCurrent(),
+             "uniform": UniformOscillating((0.3, 0.0, 0.1), omega=2.0)}[current]
+        engine = engine_cls(s, j, 0.3 * cfl_max_dt(g, "spectral"))
+        engine.advance(2)
+        grids = (g, engine.analysis_grid)
+        held = [engine.state(grid) for grid in grids]
+        expected = [scattered_snapshot(engine, grid) for grid in grids]
+        for k in (1, 199):
+            engine.advance(k)
+        assert engine.step_index == 202
+        for state, samples in zip(held, expected):
+            assert state.spectrum is not None
+            assert np.array_equal(state.data, samples)
+
+    def test_samples_are_checked_on_their_first_read(self):
+        g = GridSpec.cube(1.0, 8)
+        coeffs = np.zeros((6, 2), dtype=complex)
+        coeffs[2, 1] = np.nan
+        state = FieldState.from_spectrum(g, np.array([0, 1]), coeffs, 0.5)
+        for _ in range(2):  # the coefficients are kept for the next read
+            with pytest.raises(NonFiniteField):
+                state.B
+            assert state.spectrum is not None
 
 
 class TestStepYee:
