@@ -27,7 +27,9 @@ coefficients: one staged transform per member reads the samples, bit for
 bit those of the states, and the gradients at the sampled and mapped
 nodes, and no state is synthesised unless a sub-node map shifts it.
 Sampled states are gathered at the nodes and differentiated from their
-rfftn.  A's singular values and vectors come from its R factor.  Since r
+rfftn.  The map acts through `grid` alone: its gather plan at the sampled
+nodes, its pullback (`laws._pulled6`) on the hold-out, and alpha^T on F's
+gradient.  A's singular values and vectors come from its R factor.  Since r
 is linear in (W, K), the hold-out check, discovery's one whole-grid pass,
 evaluates every near-null direction and the reference law in one pass
 over the hold-out's nodes, a block of nodes at a time.
@@ -47,14 +49,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, InsufficientData
-from .grid import (AffineMap, GridSpec, _gather_plan, _samples_at, _shift_fourier,
-                   _shifted_spectrum)
+from .grid import AffineMap, GridSpec, _gather_plan, _samples_at, _shifted_spectrum
 from .laws import (
     TwoPointLawSpec,
     law_of_map,
     residual,  # unused here; the benchmark's tracer patches this binding
     _stack6,
-    _pulled6,  # unused here too, and patched likewise
+    _pulled6,
 )
 
 MIN_ENSEMBLE = 20  # trajectories, the last of them held out
@@ -121,18 +122,13 @@ def _gradient(data: np.ndarray, grid: GridSpec) -> np.ndarray:
 def _step_fields(traj, amap, m, n):
     """(F, F~) as (12, nodes) at steps n-1, n+1 and n, and the spectral
     gradient (3, 12, nodes) of the last, at every node in node order: F~ is
-    F at step i + m pulled back along the map, and every node takes one
-    product per axis."""
+    F at step i + m pulled back along the map (`laws._pulled6`), and every
+    node takes one product per axis."""
     grid = traj.grid
-    offsets, rest = _gather_plan(grid, amap)
-    mapped = sum(offsets).ravel()
 
     def gather(i):
-        g = _stack6(traj.states[i + m])
-        if rest is not None:
-            g = _shift_fourier(g, grid, rest)
         return np.concatenate([_stack6(traj.states[i]).reshape(6, -1),
-                               g.reshape(6, -1)[:, mapped]])
+                               _pulled6(traj.states[i + m], amap).reshape(6, -1)])
 
     now = gather(n)
     return gather(n - 1), gather(n + 1), now, _gradient(now.reshape(12, *grid.dims),
@@ -184,8 +180,7 @@ def _point_fields(traj, amap, m, steps, points):
     """`_step_fields` at the flat node indices `points` only, for each
     interior step n of `steps` in turn: (12, nodes x steps) and (3, 12,
     nodes x steps).  F is read at the points and F~ at the nodes the map
-    sends them to; F~'s gradient is F's there turned back by the map, a
-    signed permutation, so exactly."""
+    sends them to; F~'s gradient is alpha^T times F's there."""
     grid = traj.grid
     offsets, rest = _gather_plan(grid, amap)
     p = len(points)
@@ -195,16 +190,14 @@ def _point_fields(traj, amap, m, steps, points):
     fields = dict.fromkeys([(i, None) for i in reads] + [(i + m, rest) for i in reads])
     grads = {(n, None) for n in steps} | {(n + m, rest) for n in steps}
     samples, gradients = _read(traj, fields, grads, nodes)
-    alpha = amap.alpha_matrix
-    axis = np.argmax(np.abs(alpha), axis=0)  # d/dx_j F~ = alpha[axis_j, j] d/dx_axis_j F
-    sign = alpha[axis, np.arange(3)][:, None, None]
 
     def values(i):
         return np.concatenate([samples[i, None][:, :p], samples[i + m, rest][:, p:]])
 
     def gradient(n):
-        return np.concatenate([gradients[n, None][..., :p],
-                               sign * gradients[n + m, rest][axis][..., p:]], axis=1)
+        # einsum, not matmul: see `grid._synthesize`
+        turned = np.einsum("ji,jcp->icp", amap.alpha_matrix, gradients[n + m, rest][..., p:])
+        return np.concatenate([gradients[n, None][..., :p], turned], axis=1)
 
     per_step = [(values(n - 1), values(n + 1), values(n), gradient(n)) for n in steps]
     return tuple(np.concatenate(x, axis=-1) for x in zip(*per_step))

@@ -185,13 +185,13 @@ class FieldState:
     coefficients, zero at every other index (and possibly at some of
     these), which an engine adopts in place of an rfftn.
 
-    A stepped state (`from_spectrum`) is lazy: until something reads
-    `data`, `E` or `B` it holds only `spectrum`, the (index, coeffs) its
-    samples are the irfftn of, which discovery reads its sampled nodes
-    from without synthesising them.  The first read synthesises `data`
-    once (one scatter and one irfftn), checks that it is finite, and drops
-    `spectrum`, which is None from then on and for every other state; its
-    `modes` stays None.
+    A stepped state (`from_spectrum`) is lazy: until something reads `data`,
+    `E` or `B` it holds only `spectrum`, the (index, coeffs) its samples are
+    the irfftn of, which discovery reads its sampled nodes from without
+    synthesising them and an engine adopts as it does `modes`.  The first read
+    synthesises `data` once (one scatter and one irfftn), checks that it is
+    finite, and drops `spectrum`, which is None from then on and for every
+    other state; its `modes` stays None.
     """
 
     modes = None

@@ -532,7 +532,8 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
         cols = {amap: 3 * i for i, amap in enumerate(pulled)}  # its 3 columns in the dual
         dual = source.dual(np.concatenate(list(pulled.values())))
         pairs = np.zeros((nsteps + 1, 6, len(cols) * 3))
-        pairs[0] = source.pair(dual)
+        with np.errstate(over="ignore", invalid="ignore"):  # `_check_pairs` names the step
+            pairs[0] = source.pair(dual)
         _check_pairs(pairs, 0, 0)
         f = j.time_factor(t0 + dt * np.arange(nsteps + 1))
 
@@ -553,7 +554,8 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
     for n_sim in sorted(reads):
         if n_sim > source.step_index:
             first = source.step_index + 1
-            passed = source.advance(n_sim - source.step_index, dual)
+            with np.errstate(over="ignore", invalid="ignore"):  # as for step 0
+                passed = source.advance(n_sim - source.step_index, dual)
             if dual is not None:
                 pairs[first:n_sim + 1] = passed
                 _check_pairs(pairs, first, n_sim)

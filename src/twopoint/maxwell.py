@@ -41,9 +41,9 @@ from .grid import (
 CFL_SAFETY = {"yee": 0.9, "spectral": 0.5}
 
 # Relative coefficient magnitude below which the engine counts a mode of
-# sampled data (a state without `modes`, a Gaussian current's profile) as
-# inactive: FFT round-trip noise sits near 1e-17.  Generators and closed-form
-# currents hand over their exact coefficients and need no threshold.
+# sampled data (a state without `modes` or `spectrum`, a Gaussian current's
+# profile) as inactive: FFT round-trip noise sits near 1e-17.  Generators,
+# stepped states and closed-form currents hand over their exact coefficients.
 _MASK_REL_TOL = 1e-15
 
 
@@ -297,8 +297,8 @@ def _check_dt(grid, dt, stepper):
 #                      one `_split` and `_weights`) where they cost less;
 #                      with a `dual`, the (k, 6, c) `pair` values of the k
 #                      steps it passes, for any dual (a driven closed form
-#                      pairs on the modes `_near` only, so it is taken only
-#                      for a dual whose weights lie there: `_leaps`)
+#                      works on the modes the current drives and the dual
+#                      weighs: `_reach`)
 #   energy()           int (|E|^2 + |B|^2) dV at the current step
 #   analysis_grid      the grid the balance rows are evaluated on: the coarsest
 #                      grid of the same box on which every quadratic quantity
@@ -346,10 +346,10 @@ class SpectralEngine:
     arithmetic, so the two agree up to rounding (1.3e-15 of the largest
     coefficient after 400 steps at 64^3).  Only the active modes are
     stepped: those with a nonzero coefficient in the state's or the
-    current's `modes` (exact from a generator or a closed form; from an
-    rfftn above ~1e-15 of the largest for sampled data, whose FFT round-trip
-    noise is decoupled from the rest and, as |R(i w dt)| <= 1 for stable
-    steps, stays at the noise level).  A step makes no BLAS call: a woken
+    current's `modes` (exact from a generator, a closed form or an unread
+    stepped state's `spectrum`; from an rfftn above ~1e-15 of the largest
+    for sampled data, whose FFT round-trip noise is decoupled from the rest
+    and, as |R(i w dt)| <= 1 for stable steps, stays at the noise level).  A step makes no BLAS call: a woken
     second BLAS thread would spin after each small product.
 
     Both engines leap in closed form.  Per mode, the step M has one
@@ -385,10 +385,9 @@ class SpectralEngine:
     def _gather(self, state: FieldState, current: CurrentSpec, dt: float):
         """Set what every mode-space engine shares: the active modes (those of
         the state and of the current), the state's gathered coefficients as
-        `u`, the current profile's as `_jh` (None for no current), the modes
-        `_near` that a driven leap works on, the snapshot layouts and the
-        analysis grid.  Nothing here is scattered into an rfftn array of the
-        grid."""
+        `u` (its `modes` or lazy `spectrum` where it has them), the current
+        profile's as `_jh` (None for no current), the snapshot layouts and the
+        analysis grid.  Nothing here is scattered into an rfftn array of the grid."""
         grid = state.grid
         self.grid = grid
         self.current = current
@@ -396,7 +395,7 @@ class SpectralEngine:
         self.initial = state
         self.step_index = 0
         self.mask = np.zeros((*grid.dims[:2], grid.dims[2] // 2 + 1), dtype=bool)
-        s_index, s_coeffs = _nonzero(*(state.modes or _sampled_modes(
+        s_index, s_coeffs = _nonzero(*(state.modes or state.spectrum or _sampled_modes(
             np.fft.rfftn(state.data, axes=(-3, -2, -1)))))
         self.mask.flat[s_index] = True
         if not current.is_zero:
@@ -407,22 +406,10 @@ class SpectralEngine:
         self._weight = np.where((kz == 0) | (2 * kz == grid.dims[2]), 1.0, 2.0)
         self.u = _on(index, s_index, s_coeffs)
         self._jh = None if current.is_zero else _on(index, j_index, j_coeffs)
-        n = self._per_mode(_mode_numbers(grid.dims))
-        self._near = np.arange(len(index))
-        if not current.is_zero:
-            # a map of the box (grid.AffineMap admits only signed axis
-            # permutations) carries mode n to a signed permutation of n, so
-            # the current's mapped profiles, and a dual of them, weigh only
-            # modes with a driven mode's |n|^2; `_leaps` checks each dual
-            # against that
-            n2 = np.sum(n * n, axis=0)
-            reached = np.zeros(np.max(n2) + 1, dtype=bool)
-            reached[n2[np.searchsorted(index, j_index)]] = True
-            self._near = np.flatnonzero(reached[n2])
         # grid -> (flat rfftn index of each active mode, coefficient scale)
         self._layout = {grid: (index, 1.0)}
         self.analysis_grid = grid
-        self._coarsen(n)
+        self._coarsen(self._per_mode(_mode_numbers(grid.dims)))
 
     def _per_mode(self, per_axis) -> np.ndarray:
         """(3, modes) values of the active modes from one rfftn-layout
@@ -460,16 +447,17 @@ class SpectralEngine:
 
         One step is the stepper's own (`_step`).  A free leap is the k-th
         power of the step (`_power`); a driven one is closed form on the
-        modes `_near` (`_leap`) where `_leaps` finds that cheaper than the
-        steps and exact for `dual`, and is taken one step at a time
-        otherwise.
+        modes `_reach(dual)` (`_leap`) where `_leaps` finds that cheaper
+        than the steps, and is taken one step at a time otherwise.
         """
         if k > 1 and self._g is None and dual is None:
             self.u = self._power(k)
             self.step_index += k
             return None
-        if k > 1 and self._g is not None and self._leaps(k, dual):
-            return self._leap(k, dual)
+        if k > 1 and self._g is not None:
+            r = self._reach(dual)
+            if self._leaps(k, len(r)):
+                return self._leap(k, dual, r)
         pairs = []
         for _ in range(k):
             self._step()
@@ -478,35 +466,33 @@ class SpectralEngine:
                 pairs.append(self.pair(dual))
         return None if dual is None else np.array(pairs)
 
-    def _leaps(self, k: int, dual) -> bool:
-        """Whether a driven leap of k steps is taken in closed form.
+    def _reach(self, dual) -> np.ndarray:
+        """The active modes a driven leap works on, whatever the maps behind
+        `dual`: those the current drives and those where `dual` weighs more
+        than 1e-12 of its largest weight (FFT round-off is neglected)."""
+        reach = np.any(self._jh != 0.0, axis=0)
+        if dual is not None:
+            weight = np.max(np.abs(dual), axis=0)
+            reach |= weight > 1e-12 * np.max(weight)
+        return np.flatnonzero(reach)
 
-        The closed form pairs the field with `dual` on the modes `_near`
-        only, so it is taken only where the dual's weights off them are at
-        most 1e-12 of its largest: FFT round-off for a dual of the current's
-        mapped profiles, as long as every map keeps |n| (`_gather`); a
-        dual of any other arrays makes the leap step.  It is taken only
-        where it is expected to cost less than the steps, on costs counted
-        in one mode of one step: a step with its pairing costs 400 + M for
-        M active modes, a closed-form leap 3600 + M + k (30 + 5 R) for R =
-        len(`_near`) (fitted to a sweep of both engines over leaps of
-        2-1000 steps, R/M of 0.0003-1 and M of 74, 2 600 and 18 512, on a
-        2-core x86 box: a Gaussian current drives every mode and steps, a
-        uniform one on a 64^3 `verify` drives one of 75 and leaps from k = 9).
+    def _leaps(self, k: int, near: int) -> bool:
+        """Whether a driven leap of k steps on `near` of the active modes is
+        expected to cost less than the steps, on costs counted in one mode
+        of one step: a step with its pairing costs 400 + M for M active
+        modes, a closed-form leap 3600 + M + k (30 + 5 R) for R = `near`
+        (fitted to a sweep of both engines over leaps of 2-1000 steps, R/M
+        of 0.0003-1 and M of 74, 2 600 and 18 512, on a 2-core x86 box: a
+        Gaussian current drives every mode and steps, a uniform one on a
+        64^3 `verify` drives one of 75 and leaps from k = 9).
         """
-        modes, near = self.u.shape[1], len(self._near)
-        if 3600 + modes + k * (30 + 5 * near) >= k * (400 + modes):
-            return False
-        if dual is None or near == modes:
-            return True
-        off = np.ones(modes, dtype=bool)
-        off[self._near] = False
-        return np.max(np.abs(dual[:, off])) <= 1e-12 * np.max(np.abs(dual))
+        modes = self.u.shape[1]
+        return 3600 + modes + k * (30 + 5 * near) < k * (400 + modes)
 
-    def _leap(self, k: int, dual):
-        """k steps in closed form on the modes r = `_near`, in blocks whose
-        tables hold at most `_LEAP_CELLS` steps times modes; the free part of
-        the landing state is `_power`'s on every mode.
+    def _leap(self, k: int, dual, r: np.ndarray):
+        """k steps in closed form on the modes r (`_reach(dual)`), in blocks
+        whose tables hold at most `_LEAP_CELLS` steps times modes; the free
+        part of the landing state is `_power`'s on every mode.
 
         Over a block of n steps from u, with the drive's weights (w0_j,
         sigma_j) of step j (`_weights`), the state after i + 1 steps is
@@ -517,7 +503,6 @@ class SpectralEngine:
         z_i = sum_{j <= i} l^(i - j) sigma_j (`_running`); a dual's pairs of
         those states are one contraction of the six parts' pairs.
         """
-        r = self._near
         # L g and V g are stored without their B rows, which are 0; `_at_nodes` needs all 6
         lg, vg = (np.concatenate((p[:, r], np.zeros(p[:, r].shape))) for p in self._g[:2])
         ng = self._g[2][:, r]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import twopoint.discover as discover
 import twopoint.laws as laws_module
 from twopoint.discover import (
+    MIN_ENSEMBLE,
     _holdout_max_r,
     _rows_at,
     _rows_for_step,
@@ -26,7 +27,7 @@ from twopoint.laws import (
     residual,
 )
 from twopoint.maxwell import Trajectory, UniformOscillating, ZeroCurrent, evolve
-from twopoint.waves import random_band_limited
+from twopoint.waves import PlaneWaveSpec, plane_wave, random_band_limited
 
 GRID = GridSpec.cube(1.0, 16)
 DT_PROBE = 1.5e-5
@@ -238,6 +239,37 @@ class TestValidation:
         with pytest.raises(ValueError):
             discover_laws(ensemble, AffineMap.identity(), -1)
 
+    def test_zero_fields_rejected(self):
+        members = [evolve(random_band_limited(GRID, seed=i, kmax=1, amplitude=0.0),
+                          ZeroCurrent(), DT_PROBE, 4) for i in range(MIN_ENSEMBLE)]
+        with pytest.raises(InsufficientData, match="identically zero"):
+            discover_laws(members, AffineMap.identity())
+
+    @pytest.mark.parametrize("amap,near_null", [(AffineMap.inversion(), 140),
+                                                (AffineMap.identity(), 142)],
+                             ids=["inversion", "identity"])
+    def test_directions_the_holdout_refutes_are_dropped(self, monkeypatch, amap, near_null):
+        # z-travelling plane waves leave most of (W, K) unconstrained; a
+        # random hold-out refutes every such direction against the map's law
+        members = []
+        for i, amplitude in enumerate(np.linspace(1.0, 3.2, 23)):
+            spec = PlaneWaveSpec(amplitude, 2 * np.pi * (i % 3 + 1), direction=(-1) ** i)
+            members.append(evolve(plane_wave(spec, GRID, 0.01 * i), ZeroCurrent(), DT_PROBE, 4))
+        members.append(make_ensemble(1, base_seed=5)[0])
+        hold_r = []
+
+        def holdout_max_r(*args, **kwargs):
+            hold_r.append(original(*args, **kwargs))
+            return hold_r[-1]
+
+        original = discover._holdout_max_r
+        monkeypatch.setattr(discover, "_holdout_max_r", holdout_max_r)
+        result = discover_laws(members, amap)
+        (r,) = hold_r
+        assert len(r) == near_null + 1 and r[-1] == result.reference_max_r > 0.0
+        assert np.all(r[:-1] > 10.0 * result.reference_max_r)
+        assert result.candidates == []
+
     @pytest.mark.parametrize("odd", [-1, 5], ids=["hold-out", "fit-member"])
     def test_member_on_another_grid_rejected(self, odd):
         members = make_ensemble(20, kmax=1, grid=GridSpec.cube(1.0, 8))
@@ -263,29 +295,36 @@ def synthesised_states(monkeypatch) -> list:
 class TestWork:
     def test_only_the_holdouts_stepped_states_are_synthesised(self, monkeypatch):
         # fit rows read their sampled nodes from the coefficients of the
-        # lazy stepped states; only the hold-out's 4 stepped states are
-        # synthesised, and differentiated by whole-grid products, at its 3
-        # interior steps (n - 1, n + 1 and n at each), and nothing is pulled back
+        # lazy stepped states and pull nothing back; only the hold-out's 4
+        # stepped states are synthesised, and differentiated by whole-grid
+        # products, at its 3 interior steps (n - 1, n + 1 and n at each),
+        # each of whose F~ is pulled back through `grid`
         members = make_ensemble(24)  # unread, unlike the shared fixture
         synthesised = synthesised_states(monkeypatch)
-        gradients, pullbacks = [], []
+        gradients, pullbacks, holdout = [], [], []
 
         def gradient(data, grid):
             gradients.append(data.shape)
             return original_gradient(data, grid)
 
         def pull_array(data, grid, amap):
-            pullbacks.append(data.shape)
+            pullbacks.append((bool(holdout), data.shape))
             return original_pull(data, grid, amap)
 
+        def holdout_max_r(*args, **kwargs):
+            holdout.append(True)
+            return original_holdout(*args, **kwargs)
+
         original_gradient, original_pull = discover._gradient, laws_module._pull_array
+        original_holdout = discover._holdout_max_r
         monkeypatch.setattr(discover, "_gradient", gradient)
         monkeypatch.setattr(laws_module, "_pull_array", pull_array)
+        monkeypatch.setattr(discover, "_holdout_max_r", holdout_max_r)
         discover_laws(members, AffineMap.inversion(), seed=7)
         assert sorted(map(id, synthesised)) == sorted(map(id, members[-1].states[1:]))
         assert all(s.spectrum is not None for traj in members[:-1] for s in traj.states[1:])
         assert gradients == [(12, *GRID.dims)] * 3
-        assert pullbacks == []
+        assert pullbacks == [(True, (6, *GRID.dims))] * 9
 
 
 def white_noise(dims, seed, nsteps=4, dt=DT_PROBE):

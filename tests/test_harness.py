@@ -89,16 +89,20 @@ forge.nu = 0
 """
 
 
-def test_python_m_twopoint_exits_with_the_command_code(tmp_path):
+def python_m_twopoint(*argv):
+    """`python -m twopoint *argv` in a fresh process on this checkout's src."""
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "twopoint", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_twopoint_exits_with_the_command_code(tmp_path):
     cfg = write_config(tmp_path / "v.txt", VERIFY_BASE)
 
     def run(*overrides):
-        return subprocess.run([sys.executable, "-m", "twopoint", "verify", cfg, *overrides,
-                               f"output.dir={tmp_path / 'out'}"],
-                              env=env, capture_output=True, text=True, timeout=120)
+        return python_m_twopoint("verify", cfg, *overrides, f"output.dir={tmp_path / 'out'}")
 
     bad = run("law.1=bogus")
     assert bad.returncode == EXIT_CONFIG and bad.stderr.startswith("config error:")
@@ -107,6 +111,24 @@ def test_python_m_twopoint_exits_with_the_command_code(tmp_path):
     assert ok.returncode == EXIT_OK, ok.stderr
     assert ok.stdout.startswith("verify: stepper=spectral")
     assert (tmp_path / "out" / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("overrides,step", [
+    (["source.kind=uniform", "source.amplitude=1e160 0 0"], 1),
+    (["source.kind=uniform", "source.amplitude=1e160 0 0", "stepper=yee"], 1),
+    (["source.kind=planewave", "source.polarization=0 1e300 0"], 1),
+    (["source.kind=gaussian", "source.polarization=0 0 1e300", "source.width=0.2",
+      "source.tau=0.01", "source.center=0.5 0.5 0.5"], 1),
+    (["source.kind=uniform", "source.amplitude=1e160 0 0", "initial.amplitude=1e150",
+      "initial.mean_b=0 1e150 0"], 0),
+], ids=["uniform", "uniform-yee", "planewave", "gaussian", "huge-state"])
+def test_a_driven_run_that_overflows_prints_only_its_verdict(tmp_path, overrides, step):
+    # numpy's overflow warnings would precede the verdict on stderr; the
+    # pairings are checked instead, and the verdict names the step
+    cfg = write_config(tmp_path / "v.txt", VERIFY_SMALL + PLANEWAVE_SOURCE)
+    run = python_m_twopoint("verify", cfg, *overrides, f"output.dir={tmp_path / 'out'}")
+    assert run.returncode == EXIT_DIVERGED
+    assert run.stderr == f"numerical failure: field is not finite at step {step}\n"
 
 
 class TestConfig:

@@ -381,6 +381,21 @@ def test_a_strongly_driven_stable_run_evolves(stepper):
     assert rep.max_defect <= 1e-5 * np.max(np.abs(rep.Q))
 
 
+@pytest.mark.parametrize("stepper", ["spectral", "yee"])
+@pytest.mark.parametrize("size,step", [("current", 1), ("state", 0)])
+def test_pairings_that_overflow_name_their_step_without_a_warning(stepper, size, step):
+    # a 1e160 current drives a field whose pairings with it overflow at the
+    # first step; a state of energy 1e300 whose mean B meets that current
+    # overflows them at step 0, though its energy is finite.  RuntimeWarnings
+    # are errors here, so the pairing's overflow must stay silent
+    g = GridSpec.cube(1.0, 8)
+    s = random_band_limited(g, seed=3, kmax=1, **(
+        {"amplitude": 1e150, "mean_b": (0.0, 1e150, 0.0)} if size == "state" else {}))
+    j = UniformOscillating((1e160, 0.0, 0.0), omega=1.0)
+    with pytest.raises(Diverged, match=f"^field is not finite at step {step}$"):
+        run_balance(s, j, 1e-3, 40, law_local_energy(), stepper=stepper, analysis_stride=10)
+
+
 def _leaps(grid, monkeypatch, engine, stepper, j):
     """The k of each `advance` call of a 400-step run at stride 200, whose
     rows at 0, 200 and 400 read steps 0, 199, 200, 201 and 400."""

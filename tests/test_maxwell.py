@@ -356,7 +356,7 @@ class TestLeap:
         ref = np.concatenate([stepped.advance(1, dual) for _ in range(k)])
         results = [(leapt, leapt.advance(k, dual))]
         if not j.is_zero:  # the closed form itself, which a Gaussian's leap passes by
-            results.append((closed, closed._leap(k, dual)))
+            results.append((closed, closed._leap(k, dual, closed._reach(dual))))
         for engine, p in results:
             assert engine.step_index == stepped.step_index == start + k
             assert p.shape == ref.shape
@@ -375,21 +375,25 @@ class TestLeap:
             assert np.array_equal(a.u, b.u)
 
     @pytest.mark.parametrize("engine_cls", [SpectralEngine, YeeEngine])
-    def test_a_dual_off_the_leap_modes_is_stepped(self, engine_cls):
-        # the closed form pairs on `_near` only: a dual of the mapped current
-        # lies there up to FFT round-off, a dual of arbitrary arrays does not
+    def test_a_dual_of_any_arrays_is_leapt_on_every_mode(self, engine_cls):
+        # the mapped current's dual reaches a few modes; one of arbitrary
+        # arrays reaches every active mode, and the closed form is exact for it
         g = GridSpec.cube(1.0, 12)
         state = random_band_limited(g, seed=5, kmax=2, mean_b=(0.0, 0.2, 0.1))
         j, dt, k = self.CURRENTS["planewave"], 0.4 * cfl_max_dt(g, "yee"), 64
         stepped, leapt = engine_cls(state, j, dt), engine_cls(state, j, dt)
+        modes = leapt.u.shape[1]
         mapped = np.concatenate(list(_pulled_profiles(stepped, self.MAPS)[1].values()))
-        assert leapt._leaps(k, stepped.dual(mapped))
+        assert 4 * len(leapt._reach(stepped.dual(mapped))) < modes
         q = np.random.default_rng(6).standard_normal((2, *stepped.analysis_grid.dims))
         dual = stepped.dual(q)
-        assert 4 * len(leapt._near) < leapt.u.shape[1] and not leapt._leaps(k, dual)
+        r = leapt._reach(dual)
+        assert np.array_equal(r, np.arange(modes))
         ref = np.concatenate([stepped.advance(1, dual) for _ in range(k)])
-        assert np.array_equal(leapt.advance(k, dual), ref)
-        assert np.array_equal(leapt.u, stepped.u)
+        p = leapt._leap(k, dual, r)
+        assert leapt.step_index == stepped.step_index == k
+        assert np.max(np.abs(p - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(leapt.u - stepped.u)) <= 1e-13 * np.max(np.abs(stepped.u))
 
     @pytest.mark.parametrize("engine_cls", [SpectralEngine, YeeEngine])
     @pytest.mark.parametrize("kind", ["generated", "sampled"])
@@ -480,6 +484,33 @@ class TestLazyState:
         for state, samples in zip(held, expected):
             assert state.spectrum is not None
             assert np.array_equal(state.data, samples)
+
+    @pytest.mark.parametrize("engine_cls", [SpectralEngine, YeeEngine])
+    def test_an_engine_adopts_an_unread_states_spectrum(self, monkeypatch, engine_cls):
+        # no synthesis and no rfftn: the continuation of 3 RK4 steps is the
+        # 6 straight steps bit for bit; Yee re-staggers the collocated
+        # coefficients, as it does from the synthesised samples
+        g = GridSpec.cube(1.0, 32)
+        s = random_band_limited(g, seed=13, kmax=2, mean_b=(0.0, 0.2, 0.1))
+        dt = 0.3 * cfl_max_dt(g, "yee")
+        straight = engine_cls(s, ZeroCurrent(), dt)
+        for _ in range(3):
+            straight.advance()
+        lazy = straight.state()
+        calls = counted_ffts(monkeypatch)
+        engine = engine_cls(lazy, ZeroCurrent(), dt)
+        engine.advance()
+        assert calls == [] and lazy.spectrum is not None
+        if engine_cls is SpectralEngine:
+            for _ in range(2):
+                engine.advance()
+            for _ in range(3):
+                straight.advance()
+            assert np.array_equal(engine.u, straight.u)
+        else:
+            sampled = engine_cls(FieldState.from_data(g, lazy.data, lazy.t), ZeroCurrent(), dt)
+            sampled.advance()
+            assert np.max(np.abs(engine.u - sampled.u)) <= 1e-15 * np.max(np.abs(sampled.u))
 
     def test_samples_are_checked_on_their_first_read(self):
         g = GridSpec.cube(1.0, 8)
