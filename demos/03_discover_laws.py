@@ -16,7 +16,7 @@ sampled product while the products are alias free (2 kmax < N/2, as here:
 kmax = 2 on 16^3); outside that range the product rule gives the exact
 derivative at the nodes.  The SVD factors the R of the rows' QR, which has
 their singular values and right singular vectors, and the hold-out check
-is the one pass over whole states.
+reads the held-out run the same way, at 144 sampled rows.
 """
 
 from twopoint import (
@@ -52,8 +52,8 @@ for name, amap, known in (
     print(f"  projection of the {known.label} law: "
           f"{result.projection_of(known):.6f}")
     worst = max(c.holdout_max_r for c in result.candidates)
-    print(f"  held-out max residual of candidates: {worst:.2e} "
-          f"(reference {result.reference_max_r:.2e})")
+    print(f"  max residual of candidates over {result.holdout_rows} held-out rows: "
+          f"{worst:.2e} (reference {result.reference_max_r:.2e})")
 
 print("\nEvery yardstick is one formula, law_symmetry: with E' = a^T E~ and")
 print("B' = det(a) a^T B~ (B is a pseudovector), a proper map a pairs by energy,")

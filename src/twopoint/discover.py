@@ -11,7 +11,7 @@ trajectories gives a linear system A v = 0 over v = (W, K).  Laws appear
 as the near-nullspace of A: singular values at the time-differencing noise
 floor, separated by orders of magnitude from the rest of the spectrum.
 Returned candidates are unit Frobenius norm, ranked by singular value, and
-post-verified on a held-out trajectory against the map's own law
+post-verified on rows of a held-out trajectory against the map's own law
 (`laws.law_of_map`, which every symmetry of the box has, under the label
 that `law.N` of the same map descriptor gets).
 
@@ -28,11 +28,11 @@ bit those of the states, and the gradients at the sampled and mapped
 nodes, and no state is synthesised unless a sub-node map shifts it.
 Sampled states are gathered at the nodes and differentiated from their
 rfftn.  The map acts through `grid` alone: its gather plan at the sampled
-nodes, its pullback (`laws._pulled6`) on the hold-out, and alpha^T on F's
-gradient.  A's singular values and vectors come from its R factor.  Since r
-is linear in (W, K), the hold-out check, discovery's one whole-grid pass,
-evaluates every near-null direction and the reference law in one pass
-over the hold-out's nodes, a block of nodes at a time.
+nodes and alpha^T on F's gradient.  A's singular values and vectors come
+from its R factor.  The hold-out check reads the held-out member by the
+same path, at every interior step and ceil(144 / steps) nodes drawn after
+the fit's; since r is linear in (W, K), one product with those rows
+evaluates every near-null direction and the reference law.
 
 For the identity map the products P_ab are symmetric in (a, b), so the
 antisymmetric parts of W and K are exactly unobservable and enlarge the
@@ -43,17 +43,17 @@ the recovered subspace are unaffected.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridMismatch, InsufficientData
-from .grid import AffineMap, GridSpec, _gather_plan, _samples_at, _shifted_spectrum
+from .grid import AffineMap, _gather_plan, _samples_at, _shifted_spectrum
 from .laws import (
     TwoPointLawSpec,
     law_of_map,
-    residual,  # unused here; the benchmark's tracer patches this binding
+    # unused here; only the benchmark's tracer needs these bindings
+    residual,
     _stack6,
     _pulled6,
 )
@@ -62,11 +62,13 @@ MIN_ENSEMBLE = 20  # trajectories, the last of them held out
 SVD_REL_TOL = 1e-6  # near-null: singular value <= SVD_REL_TOL * largest
 POINTS_PER_TIME = 8  # collocation nodes per sampled step
 TIMES_PER_TRAJ = 3  # sampled interior steps per fitted trajectory
+HOLDOUT_ROWS = 144  # screened hold-out rows, one per unknown, nodes permitting
 
 
 @dataclass(eq=False)
 class Candidate:
-    """One recovered law with its diagnostics."""
+    """One recovered law with its diagnostics: `holdout_max_r` is its
+    largest |r| over the hold-out's sampled rows."""
 
     law: TwoPointLawSpec
     singular_value: float
@@ -75,11 +77,15 @@ class Candidate:
 
 @dataclass(eq=False)
 class DiscoveryResult:
+    """The candidates of one map; `rows` collocation rows were fitted and
+    `holdout_rows` rows of the held-out member screened them."""
+
     candidates: list
     singular_values: np.ndarray
     rows: int
+    holdout_rows: int
     reference: TwoPointLawSpec  # the map's own law, the hold-out yardstick
-    reference_max_r: float
+    reference_max_r: float  # its largest |r| over the hold-out's rows
     singular_gap: float  # smallest discarded singular value / largest kept one
 
     def basis(self) -> np.ndarray:
@@ -100,39 +106,6 @@ def _unpack(v: np.ndarray):
     w = v[:36].reshape(6, 6)
     k = v[36:].reshape(3, 6, 6)
     return w, k
-
-
-@functools.lru_cache(maxsize=16)
-def _diff_matrix(n: int, h: float) -> np.ndarray:
-    """Spectral differentiation matrix of a periodic axis: (D @ f)_i = f'(x_i)."""
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
-    d = np.fft.irfft(1j * k[:, None] * np.fft.rfft(np.eye(n), axis=0), n, axis=0)
-    d.flags.writeable = False  # shared by every caller through the cache
-    return d
-
-
-def _gradient(data: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Spectral gradient (3, c, Nx, Ny, Nz) of (c, Nx, Ny, Nz) data, one product per axis."""
-    dx, dy, dz = (_diff_matrix(n, h) for n, h in zip(grid.dims, grid.spacing))
-    c, nx, ny, nz = data.shape
-    gx = (dx @ data.reshape(c, nx, ny * nz)).reshape(data.shape)
-    return np.stack([gx, dy @ data, data @ dz.T])
-
-
-def _step_fields(traj, amap, m, n):
-    """(F, F~) as (12, nodes) at steps n-1, n+1 and n, and the spectral
-    gradient (3, 12, nodes) of the last, at every node in node order: F~ is
-    F at step i + m pulled back along the map (`laws._pulled6`), and every
-    node takes one product per axis."""
-    grid = traj.grid
-
-    def gather(i):
-        return np.concatenate([_stack6(traj.states[i]).reshape(6, -1),
-                               _pulled6(traj.states[i + m], amap).reshape(6, -1)])
-
-    now = gather(n)
-    return gather(n - 1), gather(n + 1), now, _gradient(now.reshape(12, *grid.dims),
-                                                        grid).reshape(3, 12, -1)
 
 
 def _read(traj, fields, grads, nodes):
@@ -177,10 +150,12 @@ def _read(traj, fields, grads, nodes):
 
 
 def _point_fields(traj, amap, m, steps, points):
-    """`_step_fields` at the flat node indices `points` only, for each
-    interior step n of `steps` in turn: (12, nodes x steps) and (3, 12,
-    nodes x steps).  F is read at the points and F~ at the nodes the map
-    sends them to; F~'s gradient is alpha^T times F's there."""
+    """(F, F~) at steps n - 1, n + 1 and n, as (12, nodes x steps), and the
+    spectral gradient (3, 12, nodes x steps) of the last, at the flat node
+    indices `points`, for each interior step n of `steps` in turn.  F~ is F
+    at step n + m pulled back along the map: F is read at the points and
+    F~ at the nodes the map sends them to; F~'s gradient is alpha^T times
+    F's there."""
     grid = traj.grid
     offsets, rest = _gather_plan(grid, amap)
     p = len(points)
@@ -222,24 +197,6 @@ def _rows_for_step(traj, amap, m, steps, points):
     return _rows_at(_point_fields(traj, amap, m, steps, points), traj.dt)
 
 
-def _holdout_max_r(traj, amap, m, v, block=1024):
-    """max |r| over every node and interior step of traj, per column of v.
-
-    The residual r = rows @ v is linear in (W, K), so one pass evaluates
-    every column of the (144, k) matrix v; rows are taken `block` nodes at
-    a time so the full-grid row matrix is never held at once.  It is
-    discovery's one whole-grid pass, with one matrix product per axis: grid
-    lines would gather each line once per node on it.
-    """
-    out = np.zeros(v.shape[1])
-    for n in range(1, len(traj) - 1 - m):
-        fields = _step_fields(traj, amap, m, n)
-        for lo in range(0, traj.grid.num_nodes, block):
-            r = _rows_at([x[..., lo:lo + block] for x in fields], traj.dt) @ v
-            np.maximum(out, np.max(np.abs(r), axis=0), out=out)
-    return out
-
-
 def discover_laws(
     ensemble,
     amap: AffineMap,
@@ -249,8 +206,10 @@ def discover_laws(
     """Recover (W, K) candidates for one map from source-free trajectories.
 
     The last ensemble member is held out of the fit and used to verify each
-    candidate: its pointwise residual there must stay within 10x that of
-    the map's own law, `DiscoveryResult.reference`.  Raises
+    candidate: its largest |r| over the hold-out's rows, every interior step
+    at ceil(HOLDOUT_ROWS / steps) nodes drawn from `seed` after the fit's
+    (every node, on smaller grids), must stay within 10x that of the map's
+    own law, `DiscoveryResult.reference`.  Raises
     InsufficientData for undersized ensembles or rank-deficient sampling.
     """
     ensemble = list(ensemble)
@@ -284,11 +243,15 @@ def discover_laws(
     _, s, vh = np.linalg.svd(np.linalg.qr(a, mode="r"))  # R has A's s and vh
     if s[0] == 0.0:
         raise InsufficientData("collocation matrix is identically zero")
+    steps = np.arange(1, len(holdout) - 1 - m)
+    size = min(-(-HOLDOUT_ROWS // len(steps)), grid.num_nodes)
+    held = _rows_for_step(holdout, amap, m, steps,
+                          rng.choice(grid.num_nodes, size=size, replace=False))
     near_null = s <= SVD_REL_TOL * s[0]
     reference = law_of_map(amap, m, grid)
     order = np.flatnonzero(near_null)[::-1]  # smallest singular values first
-    hold_r = _holdout_max_r(holdout, amap, m,
-                            np.hstack([vh[order].T, reference.as_vector()[:, None]]))
+    hold_r = np.max(np.abs(held @ np.hstack([vh[order].T, reference.as_vector()[:, None]])),
+                    axis=0)
     ref_max_r = hold_r[-1]
     candidates = []
     for idx, r in zip(order, hold_r):
@@ -304,6 +267,7 @@ def discover_laws(
         candidates=candidates,
         singular_values=s,
         rows=a.shape[0],
+        holdout_rows=held.shape[0],
         reference=reference,
         reference_max_r=float(ref_max_r),
         singular_gap=float(dropped.min() / kept.max()) if kept.size else float("nan"),

@@ -539,6 +539,7 @@ def cmd_discover(cfg: Config) -> int:
     lines = [
         f"discover: map={cfg.str('discover.map')} ensemble={n_members} "
         f"rows={result.rows}",
+        f"holdout_rows={result.holdout_rows}",
         f"nullspace_dim={len(result.candidates)}",
         "singular_values_kept=" + " ".join(
             repr(c.singular_value) for c in result.candidates

@@ -4,12 +4,15 @@ dB/dt = -curl E on periodic data, the closed forms of many free steps of
 either engine's step, random band-limited data built in the
 full spectrum, band-limited resampling by zero padding, a Gaussian
 current's profile projected transverse by an FFT round trip, an
-engine's pairing weights taken from an rfftn of real-space data, and the
-1D forge's RK4 stepped in real space."""
+engine's pairing weights taken from an rfftn of real-space data, the
+1D forge's RK4 stepped in real space, and discovery's collocation rows at
+every node of a step."""
 
 import numpy as np
 
+from twopoint.discover import _rows_at
 from twopoint.grid import VectorField, _mode_numbers, _wavenumbers, spectral_wavevectors
+from twopoint.laws import _pulled6, _stack6
 
 
 def spectral_curl(v: VectorField) -> np.ndarray:
@@ -269,3 +272,26 @@ def scattered_snapshot(engine, grid) -> np.ndarray:
     out = np.zeros((6, nx * ny * (nz // 2 + 1)), dtype=complex)
     out[:, index] = engine._nodes() * scale
     return np.fft.irfftn(out.reshape(6, nx, ny, nz // 2 + 1), s=grid.dims, axes=(-3, -2, -1))
+
+
+def whole_grid_rows(traj, amap, m, n):
+    """Discovery's collocation rows (nodes, 144) at every node of interior
+    step n, in node order, the long way: F and F~ (F at step i + m pulled
+    back along the map, `laws._pulled6`) on the whole grid at steps n - 1,
+    n + 1 and n, and the gradient of both at n by one spectral
+    differentiation matrix per axis.  The reference for discovery's rows,
+    which read F and F~ at sampled nodes only."""
+    grid = traj.grid
+
+    def fields(i):
+        return np.concatenate([_stack6(traj.states[i]), _pulled6(traj.states[i + m], amap)])
+
+    now = fields(n)
+    grads = []
+    for axis, (size, h) in enumerate(zip(grid.dims, grid.spacing)):
+        k = 2.0 * np.pi * np.fft.rfftfreq(size, d=h)
+        d = np.fft.irfft(1j * k[:, None] * np.fft.rfft(np.eye(size), axis=0), size, axis=0)
+        grads.append(np.moveaxis(np.tensordot(d, now, axes=(1, axis + 1)), 0, axis + 1))
+    flat = [x.reshape(*x.shape[:-3], -1) for x in (fields(n - 1), fields(n + 1), now,
+                                                    np.stack(grads))]
+    return _rows_at(flat, traj.dt)

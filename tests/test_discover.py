@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from field_ops import whole_grid_rows
+
 import twopoint.discover as discover
+import twopoint.grid as grid_module
 import twopoint.laws as laws_module
-from twopoint.discover import (
-    MIN_ENSEMBLE,
-    _holdout_max_r,
-    _rows_at,
-    _rows_for_step,
-    _step_fields,
-    discover_laws,
-)
+from twopoint.discover import MIN_ENSEMBLE, SVD_REL_TOL, _rows_for_step, discover_laws
 from twopoint.errors import GridMismatch, InsufficientData
 from twopoint.grid import AffineMap, FieldState, GridSpec, spectral_wavevectors
 from twopoint.laws import (
@@ -139,6 +135,57 @@ class TestEveryBoxSymmetry:
         assert result.projection_of(law_symmetry(amap, m)) >= 0.999
 
 
+def spy(monkeypatch):
+    """Discovery's `_rows_for_step` calls, as (args, rows), and its SVDs, as
+    (u, s, vh), from now on: the last rows are the hold-out's."""
+    calls = {"rows": [], "svd": []}
+    rows_for_step, svd = discover._rows_for_step, np.linalg.svd
+
+    def rows(*args):
+        calls["rows"].append((args, rows_for_step(*args)))
+        return calls["rows"][-1][1]
+
+    def factor(*args, **kwargs):
+        calls["svd"].append(svd(*args, **kwargs))
+        return calls["svd"][-1]
+
+    monkeypatch.setattr(discover, "_rows_for_step", rows)
+    monkeypatch.setattr(np.linalg, "svd", factor)
+    return calls
+
+
+def screened(calls, result):
+    """(144, k + 1): the near-null directions discovery screened, smallest
+    singular value first, then the map's own law."""
+    ((_, s, vh),) = calls["svd"]
+    order = np.flatnonzero(s <= SVD_REL_TOL * s[0])[::-1]
+    return np.hstack([vh[order].T, result.reference.as_vector()[:, None]])
+
+
+def whole_grid_max_r(traj, amap, m, v):
+    """(steps, k): max |r| over every node of each interior step, per column
+    of v, from the whole-grid rows."""
+    return np.array([np.max(np.abs(whole_grid_rows(traj, amap, m, n) @ v), axis=0)
+                     for n in range(1, len(traj) - 1 - m)])
+
+
+def assert_reference_is_sampled(holdout, result, calls):
+    """The map's law's whole-grid max |r| on the hold-out is its balance
+    residual's; the reported one is the whole-grid rows' max at the
+    hold-out's sampled steps and points, so no larger."""
+    (traj, amap, m, steps, points), held = calls["rows"][-1]
+    assert traj is holdout and len(held) == result.holdout_rows
+    assert list(steps) == list(range(1, len(holdout) - 1 - m))  # every interior step
+    assert len(points) == -(-discover.HOLDOUT_ROWS // len(steps))
+    r = [np.abs(whole_grid_rows(holdout, amap, m, n) @ result.reference.as_vector())
+         for n in steps]
+    whole = max(x.max() for x in r)
+    assert whole == pytest.approx(residual(holdout, result.reference).max_r, rel=1e-5)
+    sampled = max(x[points].max() for x in r)
+    assert result.reference_max_r == pytest.approx(sampled, rel=1e-9)
+    assert sampled <= whole
+
+
 def rows_from_full_products(traj, amap, m, n, points):
     """Reference rows: products P_ab on the whole grid, differentiated by FFT."""
     grid = traj.grid
@@ -204,16 +251,17 @@ class TestPointSampledRows:
         points = np.random.Generator(np.random.PCG64(seed)).choice(GRID.num_nodes, 8,
                                                                    replace=False)
         sampled = _rows_for_step(traj, amap, m, n, points)
-        whole = _rows_at(_step_fields(traj, amap, m, n), traj.dt)[points]
+        whole = whole_grid_rows(traj, amap, m, n)[points]
         assert np.array_equal(sampled[:, :36], whole[:, :36])
         assert np.max(np.abs(sampled - whole)) <= 1e-12 * np.max(np.abs(whole))
 
-    @pytest.mark.parametrize("law", [law_local_energy(), law_inversion()],
+    @pytest.mark.parametrize("amap", [AffineMap.identity(), AffineMap.inversion()],
                              ids=["local-energy", "inversion"])
-    def test_blocked_holdout_matches_residual(self, ensemble, law):
-        holdout = ensemble[-1]
-        blocked = _holdout_max_r(holdout, law.map, 0, law.as_vector()[:, None], block=1000)
-        assert blocked[0] == pytest.approx(residual(holdout, law).max_r, rel=1e-5)
+    def test_holdout_reference_is_its_max_over_the_sampled_rows(self, monkeypatch, ensemble,
+                                                                 amap):
+        calls = spy(monkeypatch)
+        result = discover_laws(ensemble, amap, seed=3)
+        assert_reference_is_sampled(ensemble[-1], result, calls)
 
 
 class TestValidation:
@@ -256,19 +304,28 @@ class TestValidation:
             spec = PlaneWaveSpec(amplitude, 2 * np.pi * (i % 3 + 1), direction=(-1) ** i)
             members.append(evolve(plane_wave(spec, GRID, 0.01 * i), ZeroCurrent(), DT_PROBE, 4))
         members.append(make_ensemble(1, base_seed=5)[0])
-        hold_r = []
-
-        def holdout_max_r(*args, **kwargs):
-            hold_r.append(original(*args, **kwargs))
-            return hold_r[-1]
-
-        original = discover._holdout_max_r
-        monkeypatch.setattr(discover, "_holdout_max_r", holdout_max_r)
+        calls = spy(monkeypatch)
         result = discover_laws(members, amap)
-        (r,) = hold_r
+        r = np.max(np.abs(calls["rows"][-1][1] @ screened(calls, result)), axis=0)
         assert len(r) == near_null + 1 and r[-1] == result.reference_max_r > 0.0
         assert np.all(r[:-1] > 10.0 * result.reference_max_r)
         assert result.candidates == []
+
+    @pytest.mark.parametrize("amap,m", [
+        (AffineMap.identity(), 0),
+        (AffineMap.inversion(), 0),
+        (AffineMap.quarter_turn(2), 1),
+        (_signed((0, 1, 2), (-1, 1, 1), (0.37 * H, 0.0, 2.6 * H)), 0),
+    ], ids=["identity", "inversion", "quarter-turn-m1", "sub-node-mirror"])
+    def test_sampled_screen_keeps_what_the_whole_grid_screen_kept(self, monkeypatch,
+                                                                   ensemble, amap, m):
+        calls = spy(monkeypatch)
+        result = discover_laws(ensemble, amap, m, seed=7)
+        v = screened(calls, result)
+        r = whole_grid_max_r(ensemble[-1], amap, m, v).max(axis=0)
+        kept = v[:, :-1].T[r[:-1] <= 10.0 * r[-1]]
+        assert len(kept) == len(result.candidates) > 0
+        assert np.array_equal(result.basis(), kept)
 
     @pytest.mark.parametrize("odd", [-1, 5], ids=["hold-out", "fit-member"])
     def test_member_on_another_grid_rejected(self, odd):
@@ -293,38 +350,27 @@ def synthesised_states(monkeypatch) -> list:
 
 
 class TestWork:
-    def test_only_the_holdouts_stepped_states_are_synthesised(self, monkeypatch):
-        # fit rows read their sampled nodes from the coefficients of the
-        # lazy stepped states and pull nothing back; only the hold-out's 4
-        # stepped states are synthesised, and differentiated by whole-grid
-        # products, at its 3 interior steps (n - 1, n + 1 and n at each),
-        # each of whose F~ is pulled back through `grid`
+    def test_no_state_is_synthesised_or_pulled_back(self, monkeypatch):
+        # every member's rows, the hold-out's too, read their sampled nodes
+        # from the coefficients of the lazy stepped states in one pass per
+        # member, and a whole-node map pulls nothing back
         members = make_ensemble(24)  # unread, unlike the shared fixture
         synthesised = synthesised_states(monkeypatch)
-        gradients, pullbacks, holdout = [], [], []
-
-        def gradient(data, grid):
-            gradients.append(data.shape)
-            return original_gradient(data, grid)
+        pullbacks = []
 
         def pull_array(data, grid, amap):
-            pullbacks.append((bool(holdout), data.shape))
+            pullbacks.append(data.shape)
             return original_pull(data, grid, amap)
 
-        def holdout_max_r(*args, **kwargs):
-            holdout.append(True)
-            return original_holdout(*args, **kwargs)
-
-        original_gradient, original_pull = discover._gradient, laws_module._pull_array
-        original_holdout = discover._holdout_max_r
-        monkeypatch.setattr(discover, "_gradient", gradient)
-        monkeypatch.setattr(laws_module, "_pull_array", pull_array)
-        monkeypatch.setattr(discover, "_holdout_max_r", holdout_max_r)
+        original_pull = grid_module._pull_array
+        for module in (grid_module, laws_module):
+            monkeypatch.setattr(module, "_pull_array", pull_array)
+        calls = spy(monkeypatch)
         discover_laws(members, AffineMap.inversion(), seed=7)
-        assert sorted(map(id, synthesised)) == sorted(map(id, members[-1].states[1:]))
-        assert all(s.spectrum is not None for traj in members[:-1] for s in traj.states[1:])
-        assert gradients == [(12, *GRID.dims)] * 3
-        assert pullbacks == [(True, (6, *GRID.dims))] * 9
+        assert synthesised == []
+        assert all(s.spectrum is not None for traj in members for s in traj.states[1:])
+        assert pullbacks == []
+        assert [id(args[0]) for args, _ in calls["rows"]] == list(map(id, members))
 
 
 def white_noise(dims, seed, nsteps=4, dt=DT_PROBE):
@@ -344,8 +390,7 @@ def assert_sampled_rows_match(traj, amap, m, points):
     sampled = _rows_for_step(traj, amap, m, steps, points)
     assert np.array_equal(sampled, np.concatenate([
         _rows_for_step(traj, amap, m, n, points) for n in steps]))  # a pass per step
-    whole = np.concatenate([_rows_at(_step_fields(traj, amap, m, n), traj.dt)[points]
-                            for n in steps])
+    whole = np.concatenate([whole_grid_rows(traj, amap, m, n)[points] for n in steps])
     assert np.array_equal(sampled[:, :36], whole[:, :36])
     assert np.max(np.abs(sampled - whole)) <= 1e-12 * np.max(np.abs(whole))
 
@@ -418,8 +463,9 @@ class TestReferenceMatching:
         assert ref.label.startswith("translation")
         assert ref.time_shift_steps == 2
 
-    def test_result_carries_the_maps_own_law(self, ensemble):
+    def test_result_carries_the_maps_own_law(self, monkeypatch, ensemble):
+        calls = spy(monkeypatch)
         result = discover_laws(ensemble, AffineMap.inversion(), seed=7)
         assert result.reference.label == "inversion"
-        assert result.reference_max_r == pytest.approx(
-            residual(ensemble[-1], law_inversion()).max_r, rel=1e-5)
+        assert np.array_equal(result.reference.as_vector(), law_inversion().as_vector())
+        assert_reference_is_sampled(ensemble[-1], result, calls)

@@ -691,10 +691,28 @@ discover.top = 3
         code = main(["discover", cfg, f"output.dir={tmp_path/'out'}"])
         assert code == EXIT_OK
         report = (tmp_path / "out" / "discovery_report.txt").read_text()
+        # 3 interior steps, each screened at ceil(144 / 3) hold-out nodes
+        assert report.splitlines()[1] == "holdout_rows=144"
         assert "projection[local-energy]=" in report
         proj = float(report.split("projection[local-energy]=")[1].splitlines()[0])
         assert proj >= 0.999
         assert (tmp_path / "out" / "candidate_00.law").exists()
+
+    def test_holdout_points_are_capped_at_the_node_count(self, tmp_path):
+        # m = 1 leaves the hold-out 2 interior steps: ceil(144 / 2) = 72 nodes
+        # each, more than 4^3 has, so it is screened at every node
+        text = """
+grid.dims = 4 4 4
+grid.spacing = 0.25 0.25 0.25
+discover.map = translation 0 0 1 1
+discover.ensemble = 20
+discover.kmax = 1
+"""
+        cfg = write_config(tmp_path / "c.txt", text)
+        assert main(["discover", cfg, f"output.dir={tmp_path / 'out'}"]) == EXIT_OK
+        report = (tmp_path / "out" / "discovery_report.txt").read_text().splitlines()
+        assert report[0].endswith(" rows=304")
+        assert report[1:3] == ["holdout_rows=128", "nullspace_dim=8"]
 
     def test_warns_when_nothing_is_kept(self, tmp_path, capsys):
         # at h = 0.002 the dt = 1.5e-5 differencing floor lies above 1e-6 s0
