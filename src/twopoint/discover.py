@@ -22,14 +22,14 @@ twelve components of F and F~ at the nodes.  This equals spectral
 differentiation of the sampled product only while the products are alias
 free, 2 kmax < N/2; outside that range the product rule gives the exact
 derivative at the nodes.  A fit member's rows read its stepped states,
-which `evolve` leaves lazy (`FieldState.spectrum`), from their
-coefficients: one staged transform per member reads the samples, bit for
-bit those of the states, and the gradients at the sampled and mapped
-nodes, and no state is synthesised unless a sub-node map shifts it.
-Sampled states are gathered at the nodes and differentiated from their
-rfftn.  The map acts through `grid` alone: its gather plan at the sampled
-nodes and alpha^T on F's gradient.  A's singular values and vectors come
-from its R factor.  The hold-out check reads the held-out member by the
+which `evolve` leaves lazy, from their `coefficients()`: one staged
+transform per member reads the samples, bit for bit those of the states,
+and the gradients at the sampled and mapped nodes, and no state is
+synthesised unless a sub-node map shifts it.  States that hold samples
+are gathered at the nodes and differentiated from their `coefficients()`.
+The map acts through `grid` alone: its gather plan at the sampled nodes
+and alpha^T on F's gradient.  A's singular values and vectors come from
+its R factor.  The hold-out check reads the held-out member by the
 same path, at every interior step and ceil(144 / steps) nodes drawn after
 the fit's; since r is linear in (W, K), one product with those rows
 evaluates every near-null direction and the reference law.
@@ -114,11 +114,11 @@ def _read(traj, fields, grads, nodes):
     (None for none), as (6, nodes) and, for the fields in `grads`, its
     spectral gradient (3, 6, nodes).
 
-    An unshifted state's samples are its own: a lazy state's are read from
-    its coefficients (`grid._samples_at`, bit for bit its samples, which
-    stay unsynthesised), any other's gathered.  Gradients, and a shifted
-    state's samples, come from coefficients: a lazy state's own, else the
-    rfftn of its samples (times the shift's phases).  Fields that share a
+    An unshifted state's samples are gathered where it holds them, so they
+    are its own bit for bit; a lazy state's are read from its
+    `coefficients()` (`grid._samples_at`, bit for bit its samples, which
+    stay unsynthesised).  Its gradient comes from `coefficients()` too.  A
+    shifted state is read from its shifted spectrum.  Fields that share a
     mode layout go through one staged transform.
     """
     grid = traj.grid
@@ -129,13 +129,13 @@ def _read(traj, fields, grads, nodes):
         state = traj.states[i]
         if shift is not None:
             index, coeffs = every, _shifted_spectrum(state.data, grid, shift).reshape(6, -1)
-        elif state.spectrum is not None:
-            index, coeffs = state.spectrum
         else:
-            samples[key] = state.data.reshape(6, -1)[:, nodes]
-            if key not in grads:
-                continue
-            index, coeffs = every, np.fft.rfftn(state.data, axes=(-3, -2, -1)).reshape(6, -1)
+            held = vars(state).get("data")  # a lazy state holds no samples until read
+            if held is not None:
+                samples[key] = held.reshape(6, -1)[:, nodes]
+                if key not in grads:
+                    continue
+            index, coeffs = state.coefficients()
         passes.setdefault(id(index), (index, []))[1].append((key, coeffs))
     for index, members in passes.values():
         keys = [key for key, _ in members]

@@ -164,6 +164,19 @@ class VectorField:
         return VectorField(grid, np.zeros((3, *grid.dims)), copy=False)
 
 
+# Relative coefficient magnitude below which a mode of sampled data (a state
+# without `spectrum`, a Gaussian current's profile) is inactive: FFT noise ~1e-17
+_MASK_REL_TOL = 1e-15
+
+
+def _sampled_modes(spectrum: np.ndarray):
+    """(sorted flat rfftn indices, (c, n) coefficients) of the modes of
+    sampled data above the FFT round-trip noise, from its (c, ...) rfftn."""
+    dense = spectrum.reshape(len(spectrum), -1)
+    index = np.flatnonzero(np.any(np.abs(dense) > _MASK_REL_TOL * np.max(np.abs(dense)), axis=0))
+    return index, dense[:, index]
+
+
 def _view(grid: GridSpec, data: np.ndarray) -> VectorField:
     """VectorField over rows of an array that is already checked and frozen."""
     field = object.__new__(VectorField)
@@ -179,22 +192,16 @@ class FieldState:
     `data`, E in rows 0-2 and B in rows 3-5; `E` and `B` are read-only
     views of it, so the stacked layout the laws contract needs no copy.
 
-    `modes` is None for sampled data.  A generator that builds the state
-    from its spectrum sets it to (index, coeffs): distinct flat indices
-    into the rfftn array of `data`, in any order, and their exact (6, n)
+    `coefficients()` is the one way to a state's modes.  `spectrum` is None
+    for sampled data, else (index, coeffs): distinct flat indices into the
+    rfftn array of `data`, in any order, and their exact (6, n)
     coefficients, zero at every other index (and possibly at some of
-    these), which an engine adopts in place of an rfftn.
-
-    A stepped state (`from_spectrum`) is lazy: until something reads `data`,
-    `E` or `B` it holds only `spectrum`, the (index, coeffs) its samples are
-    the irfftn of, which discovery reads its sampled nodes from without
-    synthesising them and an engine adopts as it does `modes`.  The first read
-    synthesises `data` once (one scatter and one irfftn), checks that it is
-    finite, and drops `spectrum`, which is None from then on and for every
-    other state; its `modes` stays None.
+    these).  A generator sets it beside `data`.  A stepped state
+    (`from_spectrum`) is lazy: until something reads `data`, `E` or `B` it
+    holds only `spectrum`.  The first read synthesises `data` once (one
+    scatter and one irfftn), checks that it is finite, and drops `spectrum`.
     """
 
-    modes = None
     spectrum = None
 
     def __init__(self, E: VectorField, B: VectorField, t: float):
@@ -204,15 +211,15 @@ class FieldState:
         self._own(_freeze(np.concatenate([E.data, B.data])))
 
     @classmethod
-    def from_data(cls, grid: GridSpec, data, t: float, modes=None) -> "FieldState":
+    def from_data(cls, grid: GridSpec, data, t: float, spectrum=None) -> "FieldState":
         """State over a stacked (6, Nx, Ny, Nz) array, adopted without a copy
         when it is float64 and C-contiguous (the caller must not write to it),
-        with the (index, coeffs) of its spectrum when the caller has them."""
+        with its `spectrum` when the caller has it."""
         state = cls.__new__(cls)
         state._at(grid, t)
         state._own(_prep(data, (6, *grid.dims), copy=False))
-        if modes is not None:
-            state.modes = tuple(_freeze(np.asarray(a)) for a in modes)
+        if spectrum is not None:
+            state.spectrum = tuple(_freeze(np.asarray(a)) for a in spectrum)
         return state
 
     @classmethod
@@ -226,6 +233,14 @@ class FieldState:
         state._at(grid, t)
         state.spectrum = (index, _freeze(coeffs))
         return state
+
+    def coefficients(self):
+        """(index, coeffs) of the state's modes: its `spectrum` where it holds
+        one, else the sorted modes of its samples' rfftn above
+        `_MASK_REL_TOL` of the largest coefficient."""
+        if self.spectrum is not None:
+            return self.spectrum
+        return _sampled_modes(np.fft.rfftn(self.data, axes=(-3, -2, -1)))
 
     def _at(self, grid: GridSpec, t: float):
         self.t = float(t)

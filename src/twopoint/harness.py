@@ -647,12 +647,10 @@ def cmd_planewave(cfg: Config) -> int:
     write_csv(os.path.join(out, "planewave.csv"),
               ("d_nodes", "d", "Q_analytic", "Q_numeric", "abs_err"),
               (row[:5] for row in rows))
-    header = f"{'d_nodes':>8} {'d':>12} {'Q_analytic':>16} {'Q_numeric':>16} {'status':>8}"
-    print(header)
-    for nodes, d, expected, q, err, ok in rows:
-        print(f"{nodes:8d} {d:12.6f} {expected:16.9e} {q:16.9e} "
-              f"{'ok' if ok else 'FAIL':>8}")
-    return EXIT_OK if all(ok for *_, ok in rows) else EXIT_TOLERANCE
+    lines = [f"{'d_nodes':>8} {'d':>12} {'Q_analytic':>16} {'Q_numeric':>16} {'status':>8}"]
+    lines += [f"{nodes:8d} {d:12.6f} {expected:16.9e} {q:16.9e} {'ok' if ok else 'FAIL':>8}"
+              for nodes, d, expected, q, _, ok in rows]
+    return _report(os.path.join(out, "planewave_summary.txt"), lines, all(ok for *_, ok in rows))
 
 
 # ---------------------------------------------------------------------------

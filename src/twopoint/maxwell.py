@@ -33,27 +33,13 @@ from .grid import (
     GridSpec,
     _mode_numbers,
     _pull_array,
+    _sampled_modes,
     _scatter,
     _wavenumbers,
     spectral_wavevectors,
 )
 
 CFL_SAFETY = {"yee": 0.9, "spectral": 0.5}
-
-# Relative coefficient magnitude below which the engine counts a mode of
-# sampled data (a state without `modes` or `spectrum`, a Gaussian current's
-# profile) as inactive: FFT round-trip noise sits near 1e-17.  Generators,
-# stepped states and closed-form currents hand over their exact coefficients.
-_MASK_REL_TOL = 1e-15
-
-
-def _sampled_modes(spectrum: np.ndarray):
-    """(sorted flat rfftn indices, (c, n) coefficients) of the modes of
-    sampled data above the FFT round-trip noise, from its (c, ...) rfftn."""
-    dense = spectrum.reshape(len(spectrum), -1)
-    index = np.flatnonzero(np.any(np.abs(dense) > _MASK_REL_TOL * np.max(np.abs(dense)), axis=0))
-    return index, dense[:, index]
-
 
 def _nonzero(index: np.ndarray, coeffs: np.ndarray):
     """The modes of (index, coeffs) whose coefficients are not all 0."""
@@ -345,12 +331,13 @@ class SpectralEngine:
     t, t + h/2 and t + h.  This regroups stage-by-stage RK4's
     arithmetic, so the two agree up to rounding (1.3e-15 of the largest
     coefficient after 400 steps at 64^3).  Only the active modes are
-    stepped: those with a nonzero coefficient in the state's or the
-    current's `modes` (exact from a generator, a closed form or an unread
-    stepped state's `spectrum`; from an rfftn above ~1e-15 of the largest
-    for sampled data, whose FFT round-trip noise is decoupled from the rest
-    and, as |R(i w dt)| <= 1 for stable steps, stays at the noise level).  A step makes no BLAS call: a woken
-    second BLAS thread would spin after each small product.
+    stepped: those with a nonzero coefficient in the state's
+    `coefficients()` or the current's `modes` (exact from a generator, a
+    closed form or an unread stepped state; from an rfftn above ~1e-15 of
+    the largest for sampled data, whose FFT round-trip noise is decoupled
+    from the rest and, as |R(i w dt)| <= 1 for stable steps, stays at the
+    noise level).  A step makes no BLAS call: a woken second BLAS thread
+    would spin after each small product.
 
     Both engines leap in closed form.  Per mode, the step M has one
     eigenvalue l on the transverse part, its conjugate on the rest of it and
@@ -384,10 +371,10 @@ class SpectralEngine:
 
     def _gather(self, state: FieldState, current: CurrentSpec, dt: float):
         """Set what every mode-space engine shares: the active modes (those of
-        the state and of the current), the state's gathered coefficients as
-        `u` (its `modes` or lazy `spectrum` where it has them), the current
-        profile's as `_jh` (None for no current), the snapshot layouts and the
-        analysis grid.  Nothing here is scattered into an rfftn array of the grid."""
+        the state and of the current), the state's gathered `coefficients()`
+        as `u`, the current profile's as `_jh` (None for no current), the
+        snapshot layouts and the analysis grid.  Nothing here is scattered
+        into an rfftn array of the grid."""
         grid = state.grid
         self.grid = grid
         self.current = current
@@ -395,8 +382,7 @@ class SpectralEngine:
         self.initial = state
         self.step_index = 0
         self.mask = np.zeros((*grid.dims[:2], grid.dims[2] // 2 + 1), dtype=bool)
-        s_index, s_coeffs = _nonzero(*(state.modes or state.spectrum or _sampled_modes(
-            np.fft.rfftn(state.data, axes=(-3, -2, -1)))))
+        s_index, s_coeffs = _nonzero(*state.coefficients())
         self.mask.flat[s_index] = True
         if not current.is_zero:
             j_index, j_coeffs = _nonzero(*current.modes(grid))

@@ -73,21 +73,22 @@ def plane_wave(spec: PlaneWaveSpec, grid: GridSpec, t: float) -> FieldState:
     coeffs = np.zeros((6, 1), dtype=complex)
     coeffs[0] = spec.amplitude * c
     coeffs[4] = spec.direction * spec.amplitude * c
-    return FieldState.from_data(grid, data, t, modes=(np.array([abs(s)]), coeffs))
+    return FieldState.from_data(grid, data, t, spectrum=(np.array([abs(s)]), coeffs))
 
 
 def standing_wave(spec: PlaneWaveSpec, grid: GridSpec, t: float) -> FieldState:
     """Superpose the wave with its opposite mover so E has nodes at the walls.
 
-    Built literally as the sum of two plane_wave calls, data and modes; the
-    result is E = 2 E0 sin(k z) cos(w t) x-hat, B = -2 E0 cos(k z) sin(w t) y-hat.
+    Built literally as the sum of two plane_wave calls, data and spectra
+    (both at the one mode |s|); the result is
+    E = 2 E0 sin(k z) cos(w t) x-hat, B = -2 E0 cos(k z) sin(w t) y-hat.
     """
     fwd = plane_wave(spec, grid, t)
     bwd = plane_wave(
         replace(spec, direction=-spec.direction, amplitude=-spec.amplitude), grid, t
     )
-    return FieldState.from_data(grid, fwd.data + bwd.data, t,
-                                modes=(fwd.modes[0], fwd.modes[1] + bwd.modes[1]))
+    (index, c_fwd), (_, c_bwd) = fwd.coefficients(), bwd.coefficients()
+    return FieldState.from_data(grid, fwd.data + bwd.data, t, spectrum=(index, c_fwd + c_bwd))
 
 
 def twopoint_energy_analytic(e0: float, vol: float, k: float, d: float) -> float:
@@ -119,7 +120,7 @@ def random_band_limited(
     constant magnetic offset `mean_b` can be added to the k = 0 mode (a
     valid Maxwell configuration) to give current-work terms a nonzero
     mean-field coupling.  The block is synthesised on the grid once, and
-    the state carries it as `modes`.
+    the state carries it as `spectrum`.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -151,4 +152,4 @@ def random_band_limited(
     nx, ny, nz = grid.dims
     index = np.ravel_multi_index(np.ix_(band % nx, band % ny, range(kmax + 1)),
                                  (nx, ny, nz // 2 + 1))
-    return FieldState.from_data(grid, data, t, modes=(index.ravel(), spec.reshape(6, -1)))
+    return FieldState.from_data(grid, data, t, spectrum=(index.ravel(), spec.reshape(6, -1)))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from field_ops import whole_grid_rows
+from test_maxwell import counted_ffts
 
 import twopoint.discover as discover
 import twopoint.grid as grid_module
@@ -353,9 +354,10 @@ class TestWork:
     def test_no_state_is_synthesised_or_pulled_back(self, monkeypatch):
         # every member's rows, the hold-out's too, read their sampled nodes
         # from the coefficients of the lazy stepped states in one pass per
-        # member, and a whole-node map pulls nothing back
+        # member, and a whole-node map neither pulls back nor transforms a state
         members = make_ensemble(24)  # unread, unlike the shared fixture
         synthesised = synthesised_states(monkeypatch)
+        ffts = counted_ffts(monkeypatch)
         pullbacks = []
 
         def pull_array(data, grid, amap):
@@ -369,7 +371,7 @@ class TestWork:
         discover_laws(members, AffineMap.inversion(), seed=7)
         assert synthesised == []
         assert all(s.spectrum is not None for traj in members for s in traj.states[1:])
-        assert pullbacks == []
+        assert pullbacks == [] and "rfftn" not in ffts
         assert [id(args[0]) for args, _ in calls["rows"]] == list(map(id, members))
 
 

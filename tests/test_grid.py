@@ -1,4 +1,6 @@
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,3 +382,32 @@ def test_refine_matches_the_zero_padded_oracle(coarse, fine, lengths):
     data = np.random.default_rng(11).standard_normal(coarse)
     oracle = zero_padded_refine(data, g, fg)
     assert np.max(np.abs(_refine(data, g, fg) - oracle)) <= 1e-15 * np.max(np.abs(oracle))
+
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "twopoint").glob("*.py"))
+GRID_ONLY = {"_MASK_REL_TOL", "_sampled_modes"}
+
+
+def spectrum_knowledge(path):
+    """(line, what) for every `.spectrum` attribute a source file touches
+    and every definition of a name in GRID_ONLY."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and node.attr == "spectrum":
+            yield node.lineno, ".spectrum"
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in GRID_ONLY:
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((node.lineno, t.id) for t in targets
+                        if isinstance(t, ast.Name) and t.id in GRID_ONLY)
+
+
+def test_sources_are_found():
+    assert "grid.py" in {p.name for p in SOURCES} and len(SOURCES) > 5
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "grid.py"],
+                         ids=lambda p: p.name)
+def test_only_grid_knows_how_a_state_holds_its_modes(path):
+    # every other module reaches a state's modes through `coefficients()`
+    assert list(spectrum_knowledge(path)) == []

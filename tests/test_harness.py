@@ -964,8 +964,24 @@ planewave.d_nodes = 0 4 8 16
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
+        assert (tmp_path / "out" / "planewave_summary.txt").read_text() == out
         body = (tmp_path / "out" / "planewave.csv").read_text().splitlines()
         assert body[1] == "d_nodes,d,Q_analytic,Q_numeric,abs_err"
+
+    def test_a_failing_row_exits_1_and_is_in_the_summary(self, tmp_path, capsys, monkeypatch):
+        import twopoint.harness as harness
+
+        def analytic(e0, vol, k, d):  # off by 1e-6 at d = 0 only
+            return vol * e0 * e0 * float(np.cos(k * d)) * (1.0 + 1e-6 * (d == 0.0))
+
+        monkeypatch.setattr(harness, "twopoint_energy_analytic", analytic)
+        cfg = write_config(tmp_path / "c.txt", VERIFY_SMALL)
+        code = main(["planewave", cfg, "initial.k_mode=1", "planewave.d_nodes=0 1 -2",
+                     f"output.dir={tmp_path / 'out'}"])
+        out = capsys.readouterr().out
+        assert code == EXIT_TOLERANCE
+        assert [line.split()[-1] for line in out.splitlines()[1:]] == ["FAIL", "ok", "ok"]
+        assert (tmp_path / "out" / "planewave_summary.txt").read_text() == out
 
 
 # command -> (config, overrides, header of each CSV file it writes)

@@ -400,7 +400,7 @@ class TestLeap:
     def test_energy_is_the_dense_sum(self, engine_cls, kind):
         g = GridSpec((16, 12, 15), (1.0 / 16, 1.0 / 12, 1.0 / 15))
         state = random_band_limited(g, seed=4, kmax=2, mean_b=(0.1, 0.0, 0.3))
-        assert state.modes is not None  # coefficients handed over by the generator
+        assert state.spectrum is not None  # coefficients handed over by the generator
         if kind == "sampled":  # coefficients from an rfftn of the samples
             state = FieldState.from_data(g, state.data, 0.0)
         engine = engine_cls(state, ZeroCurrent(), 0.3 * cfl_max_dt(g, "yee"))
@@ -445,7 +445,7 @@ class TestLazyState:
             assert state.spectrum is not None
             getattr(state, read)
             assert calls == ["irfftn"]
-            assert state.spectrum is None and state.modes is None
+            assert state.spectrum is None
             state.data, state.E, state.B
             assert calls == ["irfftn"]
             calls.clear()
@@ -521,6 +521,51 @@ class TestLazyState:
             with pytest.raises(NonFiniteField):
                 state.B
             assert state.spectrum is not None
+
+
+class TestCoefficients:
+    """`FieldState.coefficients()` is the one way an engine gets a state's modes."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(dims=st.tuples(*[st.integers(8, 16)] * 3), kmax=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    def test_sampled_copy_keeps_the_generator_modes(self, dims, kmax, seed):
+        g = GridSpec(dims, tuple(1.0 / n for n in dims))
+        exact = random_band_limited(g, seed=seed, kmax=kmax, mean_b=(0.1, 0.0, -0.2))
+        copy = FieldState.from_data(g, exact.data, 0.0)
+        assert copy.spectrum is None
+        index, coeffs = exact.coefficients()
+        keep = np.any(coeffs != 0.0, axis=0)
+        index, coeffs = index[keep], coeffs[:, keep]
+        got_index, got = copy.coefficients()
+        top = np.max(np.abs(coeffs))
+        assert set(index) <= set(got_index)
+        at = np.searchsorted(got_index, index)
+        assert np.max(np.abs(got[:, at] - coeffs)) <= 1e-14 * top
+        extra = np.ones(len(got_index), dtype=bool)
+        extra[at] = False
+        assert np.max(np.abs(got[:, extra]), initial=0.0) < 2e-15 * top  # FFT noise modes
+        dt = 0.3 * cfl_max_dt(g, "yee")
+        for engine_cls in (SpectralEngine, YeeEngine):
+            a, b = engine_cls(exact, ZeroCurrent(), dt), engine_cls(copy, ZeroCurrent(), dt)
+            assert abs(a.energy() - b.energy()) <= 1e-14 * a.energy()
+            a.advance(7)
+            b.advance(7)
+            leapt = a.state().data
+            assert np.max(np.abs(b.state().data - leapt)) <= 1e-13 * np.max(np.abs(leapt))
+
+    @pytest.mark.parametrize("engine_cls", [SpectralEngine, YeeEngine])
+    @pytest.mark.parametrize("kind", ["generated", "stepped"])
+    def test_an_engine_takes_no_rfftn_of_a_state_with_a_spectrum(self, monkeypatch,
+                                                                  engine_cls, kind):
+        g = GridSpec((16, 12, 15), (1.0 / 16, 1.0 / 12, 1.0 / 15))
+        state = random_band_limited(g, seed=14, kmax=2)
+        dt = 0.3 * cfl_max_dt(g, "yee")
+        if kind == "stepped":
+            state = evolve(state, ZeroCurrent(), dt, 2).states[-1]
+        calls = counted_ffts(monkeypatch)
+        engine_cls(state, ZeroCurrent(), dt)
+        assert "rfftn" not in calls and state.spectrum is not None
 
 
 class TestStepYee:
