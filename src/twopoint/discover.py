@@ -114,12 +114,12 @@ def _read(traj, fields, grads, nodes):
     (None for none), as (6, nodes) and, for the fields in `grads`, its
     spectral gradient (3, 6, nodes).
 
-    An unshifted state's samples are gathered where it holds them, so they
-    are its own bit for bit; a lazy state's are read from its
-    `coefficients()` (`grid._samples_at`, bit for bit its samples, which
-    stay unsynthesised).  Its gradient comes from `coefficients()` too.  A
-    shifted state is read from its shifted spectrum.  Fields that share a
-    mode layout go through one staged transform.
+    An unshifted state's samples are gathered where it holds them
+    (`held_samples()`), bit for bit its own; an unread lazy state's are read
+    from its `coefficients()` (`grid._samples_at`, bit for bit its samples,
+    which stay unsynthesised), as is every gradient.  A shifted state is
+    read from its shifted spectrum.  Fields that share a mode layout go
+    through one staged transform.
     """
     grid = traj.grid
     every = np.arange(grid.dims[0] * grid.dims[1] * (grid.dims[2] // 2 + 1))
@@ -130,8 +130,7 @@ def _read(traj, fields, grads, nodes):
         if shift is not None:
             index, coeffs = every, _shifted_spectrum(state.data, grid, shift).reshape(6, -1)
         else:
-            held = vars(state).get("data")  # a lazy state holds no samples until read
-            if held is not None:
+            if (held := state.held_samples()) is not None:
                 samples[key] = held.reshape(6, -1)[:, nodes]
                 if key not in grads:
                     continue

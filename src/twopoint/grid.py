@@ -199,7 +199,7 @@ class FieldState:
     these).  A generator sets it beside `data`.  A stepped state
     (`from_spectrum`) is lazy: until something reads `data`, `E` or `B` it
     holds only `spectrum`.  The first read synthesises `data` once (one
-    scatter and one irfftn), checks that it is finite, and drops `spectrum`.
+    scatter and one irfftn) and checks it; reading never changes `spectrum`.
     """
 
     spectrum = None
@@ -225,10 +225,10 @@ class FieldState:
     @classmethod
     def from_spectrum(cls, grid: GridSpec, index: np.ndarray, coeffs: np.ndarray,
                       t: float) -> "FieldState":
-        """Lazy state whose samples are the irfftn of the (6, n) complex
-        `coeffs` at the distinct flat rfftn indices `index` of `grid` (zero
-        elsewhere), both held without a copy (the caller must not write to
-        them) until the first read of the samples."""
+        """Lazy state whose samples, synthesised on their first read, are the
+        irfftn of the (6, n) complex `coeffs` at the distinct flat rfftn
+        indices `index` of `grid` (zero elsewhere); it holds both as its
+        `spectrum` without a copy (the caller must not write to them)."""
         state = cls.__new__(cls)
         state._at(grid, t)
         state.spectrum = (index, _freeze(coeffs))
@@ -253,21 +253,19 @@ class FieldState:
         self.E = _view(self.grid, data[:3])
         self.B = _view(self.grid, data[3:])
 
+    def held_samples(self):
+        """`data` if the state holds it, else None (a lazy state before its first read)."""
+        return vars(self).get("data")
+
     def __getattr__(self, name):
         """`data`, `E` and `B` of a lazy state, at their first read: one
-        scatter and one irfftn, whose coefficients are not held through it."""
+        scatter and one irfftn of `spectrum`, which the state keeps."""
         if name not in ("data", "E", "B") or self.spectrum is None:
             raise AttributeError(name)
         index, coeffs = self.spectrum
         dims = self.grid.dims
-        dense = _scatter(coeffs, index, dims)
-        self.spectrum = coeffs = None
-        try:
-            self._own(_prep(np.fft.irfftn(dense, s=dims, axes=(-3, -2, -1)), (6, *dims),
-                            copy=False))
-        except NonFiniteField:
-            self.spectrum = (index, _freeze(dense.reshape(6, -1)[:, index]))
-            raise
+        self._own(_prep(np.fft.irfftn(_scatter(coeffs, index, dims), s=dims, axes=(-3, -2, -1)),
+                        (6, *dims), copy=False))
         return getattr(self, name)
 
 

@@ -239,10 +239,14 @@ def _stack6(state: FieldState) -> np.ndarray:
     return state.data
 
 
-def _pulled6(state: FieldState, amap: AffineMap) -> np.ndarray:
+def _pulled(data: np.ndarray, grid: GridSpec, amap: AffineMap) -> np.ndarray:
     if amap == _IDENTITY:
-        return _stack6(state)  # the gather would copy the array unchanged
-    return _pull_array(_stack6(state), state.grid, amap)
+        return data  # the gather would copy the array unchanged
+    return _pull_array(data, grid, amap)
+
+
+def _pulled6(state: FieldState, amap: AffineMap) -> np.ndarray:
+    return _pulled(_stack6(state), state.grid, amap)
 
 
 def _paired(state_now: FieldState, state_shifted: Optional[FieldState], amap: AffineMap):
@@ -374,24 +378,22 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _analysis_row(law, j, dt, get_state, a, nsteps, fine_grid, profiles):
-    """Q and residual norms of one law at analysis step a, with `profiles`
-    the current's profile and its pullback under the law's map.
+def _analysis_row(law, j, dt, window, a, nsteps, grid, fine_grid, profiles):
+    """Q and residual norms of one law at analysis step a, from `window`,
+    which maps each step to its (t, samples) on `grid`, and `profiles`, the
+    current's profile and its pullback under the law's map.
 
-    Each state a row reads is pulled back once, and its density, flux and
-    source share it.  The states may live on a coarser grid than
-    `fine_grid`, the grid of the run, if it holds their band-limited
-    products exactly; r_max is still the largest |r| over the fine nodes.
-    A row that overflows raises Diverged naming step a.
+    A row pulls back each step's samples once for its density, flux and
+    source.  `grid` may be coarser than `fine_grid`, the grid of the run, if
+    it holds the band-limited products exactly; r_max is still the largest
+    |r| over the fine nodes.  A row that overflows raises Diverged naming step a.
     """
     m = law.time_shift_steps
-    s_now = get_state(a)
-    grid = s_now.grid
     interior = 1 <= a <= nsteps - m - 1
     r_l2 = r_max = float("nan")
 
     def paired(b):
-        return _paired(get_state(b), get_state(b + m), law.map)
+        return window[b][1], _pulled(window[b + m][1], grid, law.map)
 
     try:
         with np.errstate(over="ignore"):  # an overflow is reported below, naming the step
@@ -403,7 +405,7 @@ def _analysis_row(law, j, dt, get_state, a, nsteps, fine_grid, profiles):
                 r = (rho_next - rho_prev) / (2.0 * dt)
                 r = r + divergence(_flux(law, grid, f, g)).data
                 if not j.is_zero:
-                    r = r - _source(law, grid, f, g, j, (s_now.t, get_state(a + m).t),
+                    r = r - _source(law, grid, f, g, j, (window[a][0], window[a + m][0]),
                                     profiles).data
                 r_l2 = float(np.sqrt(volume_integral(ScalarField(grid, r * r, copy=False))))
                 if grid != fine_grid:
@@ -483,7 +485,7 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
 
     `source` follows the engine protocol of `maxwell` (a stepping engine or
     a stored trajectory).  Q and the residual norms are evaluated at
-    `stride` multiples, from snapshots on the source's analysis grid of
+    `stride` multiples, from samples, not states, on the analysis grid of
     the steps some row reads, held until no pending row reads them.  The
     run leaps from one such step to the next (`advance(k)`), so a free
     run's cost does not grow with nsteps.  A driven run's leaps return the
@@ -559,20 +561,17 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
             if dual is not None:
                 pairs[first:n_sim + 1] = passed
                 _check_pairs(pairs, first, n_sim)
-        window[n_sim] = source.state(agrid)
-        # every snapshot taken is read; synthesising a lazy one here, not
-        # amid a row's temporaries, keeps the run's memory peak where it was
+        state = source.state(agrid)
         try:
-            window[n_sim].data
+            window[n_sim] = state.t, state.data
         except NonFiniteField:
             raise Diverged(f"field is not finite at step {n_sim}") from None
+        del state  # a read state keeps its spectrum too: the window holds samples only
         while ai < len(analysis) and need(analysis[ai]) <= n_sim:
             a = analysis[ai]
             for law in laws:
-                rows[id(law)].append(_analysis_row(
-                    law, j, dt, window.__getitem__, a, nsteps, initial.grid,
-                    (profile, pulled.get(law.map))
-                ))
+                rows[id(law)].append(_analysis_row(law, j, dt, window, a, nsteps, agrid,
+                                                   initial.grid, (profile, pulled.get(law.map))))
             ai += 1
             oldest = analysis[ai] - 1 if ai < len(analysis) else n_sim + 1  # read by a pending row
             window = {n: s for n, s in window.items() if n >= oldest}

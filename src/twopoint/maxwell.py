@@ -293,8 +293,8 @@ def _check_dt(grid, dt, stepper):
 #   state(grid=None)   the collocated FieldState of the current step on the
 #                      own grid (default) or the analysis grid; on the own
 #                      grid, step 0 is the initial state itself, and any
-#                      other is lazy, holding the step's coefficients until
-#                      its samples are read
+#                      other is lazy, holding the step's coefficients, and
+#                      its samples as well once they are read
 #   profile()          the current's (3, ...) profile on the analysis grid
 #   dual(mapped)       the (c, ...) arrays `mapped` on the analysis grid (the
 #                      current's profile pulled back to each law map) as the
@@ -333,7 +333,7 @@ class SpectralEngine:
     coefficient after 400 steps at 64^3).  Only the active modes are
     stepped: those with a nonzero coefficient in the state's
     `coefficients()` or the current's `modes` (exact from a generator, a
-    closed form or an unread stepped state; from an rfftn above ~1e-15 of
+    closed form or a stepped state, read or not; from an rfftn above ~1e-15 of
     the largest for sampled data, whose FFT round-trip noise is decoupled
     from the rest and, as |R(i w dt)| <= 1 for stable steps, stays at the
     noise level).  A step makes no BLAS call: a woken second BLAS thread
@@ -781,8 +781,8 @@ def evolve(
     trajectory and only shifts snapshots back to the nodes, so the leapfrog
     is never filtered by the collocation resampling.  Every state after the
     initial one is lazy (`SpectralEngine.state`): it synthesises its samples
-    on their first read, so a caller that reads only some nodes from the
-    coefficients (discovery's fit rows) pays for no synthesis.  A step whose
+    on their first read and keeps its coefficients, which discovery's fit
+    rows read and `evolve` from it adopts, with no transform.  A step whose
     coefficients are not finite raises Diverged naming it.
     """
     if nsteps < 0:

@@ -374,6 +374,21 @@ class TestWork:
         assert pullbacks == [] and "rfftn" not in ffts
         assert [id(args[0]) for args, _ in calls["rows"]] == list(map(id, members))
 
+    def test_a_read_ensemble_gives_the_unread_result(self):
+        # reading a state keeps its coefficients, so whether anything read
+        # the members first moves no row: the result is the same bit for bit
+        unread, read = make_ensemble(24), make_ensemble(24)
+        for traj in read:
+            for state in traj.states:
+                state.data
+        for amap, seed in ((AffineMap.identity(), 5), (AffineMap.inversion(), 7)):
+            a, b = (discover_laws(e, amap, seed=seed) for e in (unread, read))
+            assert np.array_equal(a.singular_values, b.singular_values)
+            assert np.array_equal(a.basis(), b.basis())
+            assert a.reference_max_r == b.reference_max_r
+            assert [c.holdout_max_r for c in a.candidates] == [
+                c.holdout_max_r for c in b.candidates]
+
 
 def white_noise(dims, seed, nsteps=4, dt=DT_PROBE):
     """A trajectory of independent white-noise samples: every mode, Nyquist

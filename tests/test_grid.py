@@ -389,11 +389,15 @@ GRID_ONLY = {"_MASK_REL_TOL", "_sampled_modes"}
 
 
 def spectrum_knowledge(path):
-    """(line, what) for every `.spectrum` attribute a source file touches
-    and every definition of a name in GRID_ONLY."""
+    """(line, what) for every `.spectrum` attribute a source file touches,
+    every `vars(` call (which would tell a state that holds samples from a
+    lazy one) and every definition of a name in GRID_ONLY."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Attribute) and node.attr == "spectrum":
             yield node.lineno, ".spectrum"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "vars"):
+            yield node.lineno, "vars("
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in GRID_ONLY:
             yield node.lineno, node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -409,5 +413,6 @@ def test_sources_are_found():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "grid.py"],
                          ids=lambda p: p.name)
 def test_only_grid_knows_how_a_state_holds_its_modes(path):
-    # every other module reaches a state's modes through `coefficients()`
+    # every other module reaches a state's modes through `coefficients()` and
+    # asks `held_samples()` whether it holds samples
     assert list(spectrum_knowledge(path)) == []

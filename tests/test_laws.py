@@ -1,10 +1,12 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import twopoint.laws as laws_module
 from twopoint.errors import (Diverged, GridMismatch, HistoryUnderflow, InvalidMap,
                              NonFiniteField, NotARotation)
 from twopoint.grid import (
@@ -429,6 +431,36 @@ def test_driven_runs_leap_between_the_steps_rows_read(grid, monkeypatch, stepper
          "planewave": PlaneWaveCurrent((1, 2, 0), (0.0, 0.0, 1.0), omega=2 * np.pi)}[current]
     leaps = _leaps(grid, monkeypatch, engine, stepper, j)
     assert sum(leaps) == 400 and len(leaps) <= len({0, 199, 200, 201, 400})
+
+
+@pytest.mark.parametrize("stepper", ["spectral", "yee"])
+@pytest.mark.parametrize("current", ["zero", "uniform"])
+def test_the_window_keeps_no_state(grid, monkeypatch, stepper, current):
+    # a read lazy state keeps its spectrum beside its samples, so the window
+    # holds each step's samples and lets the state go; the caller's initial
+    # state, which the engine hands back for its own step 0, stays alive
+    handed, alive = [], []
+    hand_out, row = SpectralEngine.state, laws_module._analysis_row
+
+    def state(engine, g=None):
+        out = hand_out(engine, g)
+        if out is not engine.initial:
+            handed.append(weakref.ref(out))
+        return out
+
+    def analysis_row(*args):
+        alive.append(sum(ref() is not None for ref in handed))
+        return row(*args)
+
+    monkeypatch.setattr(SpectralEngine, "state", state)
+    monkeypatch.setattr(laws_module, "_analysis_row", analysis_row)
+    j = {"zero": ZeroCurrent(),
+         "uniform": UniformOscillating((0.02, 0.0, 0.01), omega=2 * np.pi)}[current]
+    s = random_band_limited(grid, seed=2, kmax=1, mean_b=(0.0, 0.2, 0.1))
+    laws = [law_local_energy(), law_inversion(), law_translation(grid, (0, 0, 3), 1)]
+    run_balance(s, j, 1e-3, 12, laws, stepper=stepper, analysis_stride=4)
+    assert len(handed) >= 8 and len(alive) == 3 * 4
+    assert alive == [0] * len(alive)
 
 
 def test_norm_scale_is_the_initial_field_energy(grid):

@@ -427,7 +427,7 @@ def counted_ffts(monkeypatch) -> list:
 
 
 class TestLazyState:
-    """Stepped states hold their coefficients until their samples are read."""
+    """Stepped states hold their coefficients, and their samples once read."""
 
     @pytest.mark.parametrize("stepper", ["spectral", "yee"])
     def test_no_fft_until_a_read_then_one_irfftn(self, monkeypatch, stepper):
@@ -442,10 +442,12 @@ class TestLazyState:
         states = [*traj.states[1:], engine.state(), engine.state(engine.analysis_grid)]
         assert calls == []
         for state, read in zip(states, itertools.cycle(("data", "E", "B"))):
-            assert state.spectrum is not None
+            spectrum = state.spectrum
+            before = [a.copy() for a in spectrum]
             getattr(state, read)
             assert calls == ["irfftn"]
-            assert state.spectrum is None
+            assert state.spectrum is spectrum  # kept, and unchanged
+            assert all(np.array_equal(a, b) for a, b in zip(spectrum, before))
             state.data, state.E, state.B
             assert calls == ["irfftn"]
             calls.clear()
@@ -512,6 +514,22 @@ class TestLazyState:
             sampled.advance()
             assert np.max(np.abs(engine.u - sampled.u)) <= 1e-15 * np.max(np.abs(sampled.u))
 
+    @pytest.mark.parametrize("stepper", ["spectral", "yee"])
+    def test_evolve_from_a_read_state_makes_no_transform(self, monkeypatch, stepper):
+        # the read state keeps its spectrum, so the continuation adopts it
+        # and steps exactly as it does from the unread state
+        g = GridSpec.cube(1.0, 16)
+        s = random_band_limited(g, seed=14, kmax=2, mean_b=(0.1, 0.0, 0.2))
+        dt = 0.3 * cfl_max_dt(g, "yee")
+        last = evolve(s, ZeroCurrent(), dt, 3, stepper=stepper).states[-1]
+        unread = evolve(last, ZeroCurrent(), dt, 3, stepper=stepper)
+        last.B
+        calls = counted_ffts(monkeypatch)
+        read = evolve(last, ZeroCurrent(), dt, 3, stepper=stepper)
+        assert calls == []
+        for a, b in zip(unread.states[1:], read.states[1:]):
+            assert all(np.array_equal(x, y) for x, y in zip(a.spectrum, b.spectrum))
+
     def test_samples_are_checked_on_their_first_read(self):
         g = GridSpec.cube(1.0, 8)
         coeffs = np.zeros((6, 2), dtype=complex)
@@ -553,6 +571,29 @@ class TestCoefficients:
             b.advance(7)
             leapt = a.state().data
             assert np.max(np.abs(b.state().data - leapt)) <= 1e-13 * np.max(np.abs(leapt))
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(dims=st.tuples(*[st.integers(8, 16)] * 3), kmax=st.integers(1, 3),
+           seed=st.integers(0, 2**16), read=st.sampled_from(["data", "E", "B"]))
+    def test_reading_a_state_leaves_its_coefficients(self, dims, kmax, seed, read):
+        g = GridSpec(dims, tuple(1.0 / n for n in dims))
+        exact = random_band_limited(g, seed=seed, kmax=kmax, mean_b=(0.1, 0.0, -0.2))
+        copy = FieldState.from_data(g, exact.data, 0.0)
+        dt = 0.3 * cfl_max_dt(g, "yee")
+        engines = (SpectralEngine, YeeEngine)
+        stepped = []
+        for engine_cls, stepper in zip(engines, ("spectral", "yee")):
+            stepped += evolve(exact, ZeroCurrent(), dt, 2, stepper=stepper).states[1:]
+            engine = engine_cls(exact, ZeroCurrent(), dt)
+            engine.advance(3)
+            stepped.append(engine.state(engine.analysis_grid))
+        for state in (exact, copy, *stepped):
+            before = [a.copy() for a in state.coefficients()]
+            built = [engine_cls(state, ZeroCurrent(), dt).u for engine_cls in engines]
+            getattr(state, read)
+            assert all(np.array_equal(a, b) for a, b in zip(state.coefficients(), before))
+            for engine_cls, u in zip(engines, built):
+                assert np.array_equal(engine_cls(state, ZeroCurrent(), dt).u, u)
 
     @pytest.mark.parametrize("engine_cls", [SpectralEngine, YeeEngine])
     @pytest.mark.parametrize("kind", ["generated", "stepped"])
