@@ -3,7 +3,8 @@
 Balance residuals on a discrete trajectory are pure discretization error,
 so they must shrink at the stepper's order under refinement.  The Yee
 leapfrog shows 2nd-order pointwise residuals under joint (h, dt) halving;
-the spectral RK4 shows 4th-order global defects on a driven dt ladder.
+the exact spectral step shows 4th-order global defects on a driven dt
+ladder, from the Simpson sum of the source work.
 """
 
 import numpy as np
@@ -42,7 +43,7 @@ for level in range(3):
 for label, vals in metrics.items():
     print(f"  fitted order [{label}]: {fitted_order(vals):.2f}")
 
-print("\nspectral RK4: global defect, dt halving with a resonant drive")
+print("\nspectral: global defect, dt halving with a resonant drive")
 grid = GridSpec.cube(1.0, 16)
 current = PlaneWaveCurrent(mode=(0, 1, 0), polarization=(1.0, 0.0, 4.0),
                            omega=2 * np.pi)
@@ -60,5 +61,5 @@ for level in range(3):
 for label, vals in metrics.items():
     print(f"  fitted order [{label}]: {fitted_order(vals):.2f}")
 
-print("\n(Source-free spectral defects superconverge at 5th order: RK4's")
-print("amplitude error; the driven run exposes the textbook 4th order.)")
+print("\n(Source-free spectral defects sit at rounding: the free step is exact;")
+print("the driven run exposes the 4th order of the Simpson work sum.)")

@@ -501,9 +501,10 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
     the box).  `_pulled_profiles` builds them for every map once per run;
     the rows read the same arrays, and `dual` turns them into the weights
     that step 0's `pair` and each leap contract the field with.  The
-    work's Simpson quadrature reads every step and keeps the stepper's
-    order.  A step whose pairings or snapshot are not finite raises
-    Diverged naming it.  `norm_scale` is the field energy at step 0.
+    work's Simpson quadrature reads every step; its O(dt^4) error is a
+    driven spectral run's defect.  Pairings or a snapshot that are not
+    finite raise Diverged naming the step.  `norm_scale` is the field
+    energy at step 0.
     """
     single = isinstance(laws, TwoPointLawSpec)
     laws = [laws] if single else list(laws)

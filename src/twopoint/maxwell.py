@@ -10,11 +10,11 @@ separable as profile(x) * time_factor(t), and are transverse (divergence
 free) so E stays solenoidal and no charge density enters.
 
 Two steppers are provided, both on the gathered rfftn coefficients of the
-field's active modes: a pseudo-spectral classical RK4 (near machine
-precision on band-limited data) and a staggered Yee leapfrog (2nd order,
-its periodic stencils applied as per-mode Fourier symbols), so
-conservation-law residuals can be checked both at the noise floor and
-through a convergence-order study.  Each engine states its per-mode
+field's active modes: the exact per-mode propagator of the pseudo-spectral
+equations (a current's drive by Gauss-Legendre) and a staggered Yee
+leapfrog (2nd order, its periodic stencils applied as per-mode Fourier
+symbols), so conservation-law residuals can be checked both at the noise
+floor and through a convergence-order study.  Each engine states its per-mode
 closed form once (the parts of a mode's vector and the log of the step's
 eigenvalue, and the drive's weights on those parts), for every leap to read.
 """
@@ -40,6 +40,9 @@ from .grid import (
 )
 
 CFL_SAFETY = {"yee": 0.9, "spectral": 0.5}
+# 3-point Gauss-Legendre on [0, 1]
+_GL_NODES = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
+_GL_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 def _nonzero(index: np.ndarray, coeffs: np.ndarray):
     """The modes of (index, coeffs) whose coefficients are not all 0."""
@@ -255,9 +258,9 @@ class GaussianPulseCurrent(CurrentSpec):
 def cfl_max_dt(grid: GridSpec, stepper: str = "yee") -> float:
     """Largest stable step: safety / sqrt(sum h_i^-2).
 
-    Documented safety constants: 0.9 for the Yee leapfrog, 0.5 for the
-    spectral RK4 (whose true stability edge on this grid is 2*sqrt(2)/pi
-    ~ 0.9 in the same units).
+    Documented safety constants: 0.9 for the Yee leapfrog; 0.5 for the
+    spectral engine, whose free step is exact at any dt, for its drive
+    quadrature (`SpectralEngine._weights`) and the balance's Simpson sum.
     """
     if stepper not in CFL_SAFETY:
         raise ValueError(f"unknown stepper {stepper!r}")
@@ -311,8 +314,8 @@ def _curl(d: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _running(lam: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """y_i = sum over j <= i of lam^(i - j) sigma_j along axis 0, by doubling:
-    log2(len) passes that take no negative power of |lam| <= 1, so no
-    term grows."""
+    log2(len) passes that take no negative power of lam, which both
+    engines keep on the unit circle."""
     y, p, d = np.array(sigma, dtype=complex), lam, 1
     while d < len(y):
         y[d:] += p * y[:-d]
@@ -321,31 +324,30 @@ def _running(lam: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 
 class SpectralEngine:
-    """Classical RK4 on the active rfftn coefficients of the stacked (E, B) field.
+    """The exact propagator on the active rfftn coefficients of the (E, B) field.
 
     The update is diagonal over wavevectors: per mode the free field obeys
-    u' = L u with L u = i C u, C u = (k x B, -k x E), and L^3 = -|k|^2 L, so
-    one step is RK4's stability polynomial u + i b C u - c C^2 u with real
-    per-mode b, c, and C^2 u = |k|^2 u - k (k . u) blockwise takes no second
-    curl; a current J = profile * f(t) adds J, L J and L^2 J weighted by f at
-    t, t + h/2 and t + h.  This regroups stage-by-stage RK4's
-    arithmetic, so the two agree up to rounding (1.3e-15 of the largest
-    coefficient after 400 steps at 64^3).  Only the active modes are
-    stepped: those with a nonzero coefficient in the state's
-    `coefficients()` or the current's `modes` (exact from a generator, a
-    closed form or a stepped state, read or not; from an rfftn above ~1e-15 of
-    the largest for sampled data, whose FFT round-trip noise is decoupled
-    from the rest and, as |R(i w dt)| <= 1 for stable steps, stays at the
-    noise level).  A step makes no BLAS call: a woken second BLAS thread
-    would spin after each small product.
+    u' = i C u, C u = (k x B, -k x E), whose eigenvalues are 0 and +-|k|, so
+    one step is e^{ihC} = I + i b C - c C^2, b = sin(|k| h) / |k|, c = (1 -
+    cos(|k| h)) / |k|^2, and C^2 u = |k|^2 u - k (k . u) blockwise takes no
+    second curl.  k is 0 along an axis at its Nyquist mode, whose imaginary
+    part an irfftn drops, so the coefficients stay a real field's.  A
+    current J = profile * f(t) adds its Duhamel integral over the step
+    (`_weights`).  Only the active modes are stepped: those with a nonzero
+    coefficient in the state's `coefficients()` or the current's `modes`
+    (exact from a generator, a closed form or a stepped state, read or not;
+    from an rfftn above ~1e-15 of the largest for sampled data, whose FFT
+    round-trip noise is decoupled from the rest and keeps its norm).  A step
+    makes no BLAS call: a woken second BLAS thread would spin after each
+    small product.
 
     Both engines leap in closed form.  Per mode, the step M has one
     eigenvalue l on the transverse part, its conjugate on the rest of it and
     1 on the longitudinal part, so M^p w = L w + Re(l^p) V w + Im(l^p) N w
     (`_split`), and a drive that adds weights sigma_j to a fixed vector g
     (`_weights`, whose parts `_g` are split once) sums over a leap to a
-    causal convolution of sigma with the powers of l; RK4's own step adds
-    its drive from the same parts and weights.
+    causal convolution of sigma with the powers of l; the step adds its
+    drive from the same parts and weights.
     """
 
     # steps times modes of one block of a driven leap's tables (about 3 MiB
@@ -355,18 +357,20 @@ class SpectralEngine:
 
     def __init__(self, state: FieldState, current: CurrentSpec, dt: float):
         self._gather(state, current, dt)
-        h = self.dt
-        k = self._per_mode(_wavenumbers(self.grid.dims, self.grid.spacing))
+        h, dims = self.dt, self.grid.dims
+        k = self._per_mode([np.where(2 * np.abs(n) == d, 0.0, a) for n, d, a in
+                            zip(_mode_numbers(dims), dims, _wavenumbers(dims, self.grid.spacing))])
         kx, ky, kz = k
-        self._k2 = k2 = kx * kx + ky * ky + kz * kz
-        hk2 = k2 * h * h
+        self._kappa = kappa = np.sqrt(kx * kx + ky * ky + kz * kz)
         self._ka = np.stack([ky, kz, kx, kz, kx, ky])  # row factors of C u
         self._kb = np.stack([kz, kx, ky, ky, kz, kx])
-        self._ib = 1j * h * (1.0 - hk2 / 6.0)  # i b, as L = i C
-        c = h * h * (0.5 - hk2 / 24.0)
-        self._a = 1.0 - c * k2  # - c C^2 u = - c |k|^2 u + c k (k . u)
+        self._ib = 1j * h * np.sinc(kappa * h / np.pi)  # i b; sinc does not cancel as |k| -> 0
+        c = 0.5 * h * h * np.sinc(kappa * h / (2.0 * np.pi)) ** 2
+        self._a = np.cos(kappa * h)  # 1 - c |k|^2, as - c C^2 u = - c |k|^2 u + c k (k . u)
         # k and c k per real and imaginary part, for real contractions
         self._k, self._ck = np.repeat(k, 2, axis=1), np.repeat(c * k, 2, axis=1)
+        # h w e^{i |k| (h - s)} at the drive's Gauss-Legendre nodes s (`_weights`)
+        self._gauss = h * _GL_WEIGHTS[:, None] * np.exp(1j * (h - h * _GL_NODES)[:, None] * kappa)
         self._g = self._drive_parts(self._jh)
 
     def _gather(self, state: FieldState, current: CurrentSpec, dt: float):
@@ -515,7 +519,7 @@ class SpectralEngine:
         return None if dual is None else np.concatenate(pairs)
 
     def _step(self):
-        """One RK4 step of `u`: u + i b C u - c C^2 u blockwise, with C^2 u =
+        """One step e^{ihC} u = u + i b C u - c C^2 u blockwise, with C^2 u =
         |k|^2 u - k (k . u), plus the step's drive (`_weights`) if driven."""
         u = self.u
         out = self._ka * u[[5, 3, 4, 1, 2, 0]]
@@ -550,30 +554,24 @@ class SpectralEngine:
         """((L w, V w, N w), log l) of the (6, len(r)) vectors w at the active
         modes r: L w is w's part in C's null space (the longitudinal part,
         all of w at the mean mode), V w = C^2 w / |k|^2 and N w = i C w / |k|,
-        and l = 1 - c |k|^2 + i b |k| is the step's eigenvalue on C = |k|."""
-        kappa = np.sqrt(self._k2[r])
+        and l = e^{i |k| h} is the step's eigenvalue on C = |k|."""
+        kappa = self._kappa[r]
         mean = kappa == 0.0
         kh = self._k[:, ::2][:, r] / np.where(mean, 1.0, kappa)  # `_k` holds k twice per mode
         lw = np.concatenate((kh * np.sum(kh * w[:3], axis=0), kh * np.sum(kh * w[3:], axis=0)))
         lw[:, mean] = w[:, mean]
         nw = 1j * np.concatenate((_curl(kh, w[3:]), -_curl(kh, w[:3])))
-        return (lw, w - lw, nw), np.log(self._a[r] + self._ib[r] * kappa)
+        return (lw, w - lw, nw), 1j * kappa * self.dt
 
     def _weights(self, steps: np.ndarray, r) -> tuple:
-        """The drive's weights of the given steps, w0 on L g (per step) and
-        sigma (per step and mode r): RK4 with f at t, t + h/2 and t + h adds
-        h/6 [(f0 + 4 f1 + f2) g + h (f0 (1 - |k|^2 h^2/4) + 2 f1) i C g -
-        h^2/2 (f0 + f1) C^2 g], so w0 = h/6 (f0 + 4 f1 + f2) and sigma = w0 -
-        h^3/12 (f0 + f1) |k|^2 + i |k| h^2/6 (f0 + 2 f1 - f0 h^2 |k|^2/4)."""
-        h = self.dt
-        t = self.initial.t + steps * h
-        f0, f1, f2 = (self.current.time_factor(s) for s in (t, t + 0.5 * h, t + h))
-        w00 = h / 6.0 * (f0 + 4.0 * f1 + f2)
-        k2 = self._k2[r]
-        re = w00[:, None] - np.multiply.outer(h**3 / 12.0 * (f0 + f1), k2)
-        im = np.multiply.outer(h * h / 6.0 * (f0 + 2.0 * f1), np.sqrt(k2))
-        im -= np.multiply.outer(h * h / 24.0 * f0, h * h * k2 * np.sqrt(k2))
-        return w00, re + 1j * im
+        """The drive's weights of the given steps from t: w0 = int_0^h f(t + s)
+        ds on L g (per step) and the Duhamel integral sigma = int_0^h
+        e^{i |k| (h - s)} f(t + s) ds (per step and mode r), both by 3-point
+        Gauss-Legendre, whose per-mode weights `_gauss` the engine holds."""
+        t = self.initial.t + steps * self.dt
+        f = [self.current.time_factor(t + s) for s in self.dt * _GL_NODES]
+        return (self.dt * sum(w * fq for w, fq in zip(_GL_WEIGHTS, f)),
+                sum(np.multiply.outer(fq, wq) for fq, wq in zip(f, self._gauss[:, r])))
 
     # -- snapshots and pairings ------------------------------------------------
 

@@ -1,8 +1,8 @@
-"""Oracles for the tests: the spectral curl, a dense RK4 stepper and a
-real-space Yee leapfrog of the field equations dE/dt = curl B - J,
-dB/dt = -curl E on periodic data, the closed forms of many free steps of
-either engine's step, random band-limited data built in the
-full spectrum, band-limited resampling by zero padding, a Gaussian
+"""Oracles for the tests: the spectral curl, the exact flow of every mode
+by a dense 6 x 6 propagator and a real-space Yee leapfrog of the field
+equations dE/dt = curl B - J, dB/dt = -curl E on periodic data, the
+closed form of many free leapfrog steps, random band-limited data built
+in the full spectrum, band-limited resampling by zero padding, a Gaussian
 current's profile projected transverse by an FFT round trip, an
 engine's pairing weights taken from an rfftn of real-space data, the
 1D forge's RK4 stepped in real space, and discovery's collocation rows at
@@ -27,40 +27,45 @@ def spectral_curl(v: VectorField) -> np.ndarray:
     return np.fft.irfftn(ch, s=v.grid.dims, axes=(-3, -2, -1))
 
 
-def dense_rk4(state, current, dt: float, nsteps: int) -> np.ndarray:
-    """rfftn coefficients, shape (6, Nx, Ny, Nz // 2 + 1), of `state` after
-    nsteps classical RK4 steps of every mode, stage by stage: the reference
-    for the spectral engine, which steps only the active modes, each with
-    RK4's stability polynomial."""
-    kx, ky, kz = spectral_wavevectors(state.grid)
-    jh = None
-    if not current.is_zero:
-        jh = np.fft.rfftn(current.spatial_profile(state.grid), axes=(-3, -2, -1))
+def exact_flow(u, grid, mask, dt: float, nsteps: int, current=None, t: float = 0.0,
+               points: int = 16):
+    """Gathered coefficients u (6, modes) at the modes of `mask` after nsteps
+    steps of dt from time t of the exact flow u' = i C u + (-J, 0) f(t), C u
+    = (k x B, -k x E), each axis's k 0 at its Nyquist mode.  Per mode, the
+    dense 6 x 6 C is real symmetric, so eigh gives C = Q diag(lam) Q^T, and
+    e^{i tau C} = Q diag(e^{i lam tau}) Q^T.  Its eigenvalues are 0 and
+    +-|k|, and are taken as exactly those, so that a free leap turns by
+    nsteps (|k| dt): at 10^12 steps the rounding of that phase is 1e-4.
+    A current adds, per step, its Duhamel integral by `points`-point
+    Gauss-Legendre: 16, exact to rounding for the tests' currents, or 3,
+    the engine's rule.  The reference for the spectral engine's steps and
+    free leaps."""
+    k = np.stack([np.where(2 * np.abs(n) == d, 0.0, a)[i] for n, d, a, i in
+                  zip(_mode_numbers(grid.dims), grid.dims, _wavenumbers(grid.dims, grid.spacing),
+                      np.nonzero(mask))])
+    kx, ky, kz = k
+    kappa = np.sqrt(kx * kx + ky * ky + kz * kz)
+    zero = np.zeros_like(kx)
+    cross = np.moveaxis(np.array([[zero, -kz, ky], [kz, zero, -kx], [-ky, kx, zero]]), -1, 0)
+    c = np.zeros((len(kx), 6, 6))
+    c[:, :3, 3:], c[:, 3:, :3] = cross, -cross  # cross @ v = k x v
+    lam, q = np.linalg.eigh(c)
+    sign = np.rint(lam / np.where(kappa == 0.0, 1.0, kappa)[:, None])
 
-    def rhs(u, t):
-        E, B = u[:3], u[3:]
-        out = np.empty_like(u)
-        out[0] = 1j * (ky * B[2] - kz * B[1])
-        out[1] = 1j * (kz * B[0] - kx * B[2])
-        out[2] = 1j * (kx * B[1] - ky * B[0])
-        out[3] = -1j * (ky * E[2] - kz * E[1])
-        out[4] = -1j * (kz * E[0] - kx * E[2])
-        out[5] = -1j * (kx * E[1] - ky * E[0])
-        if jh is not None:
-            out[:3] -= jh * current.time_factor(t)
-        return out
+    def turn(w, phase):
+        """e^{i tau C} w for the per-mode phases |k| tau."""
+        return np.einsum("mab,mb,mcb,cm->am", q, np.exp(1j * sign * phase[:, None]), q, w)
 
-    u = np.fft.rfftn(state.data, axes=(-3, -2, -1))
+    if current is None or current.is_zero:
+        return turn(u, nsteps * (kappa * dt))
+    jh = np.fft.rfftn(current.spatial_profile(grid), axes=(-3, -2, -1))[:, mask]
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes = 0.5 * dt * (nodes + 1.0)
+    drive = [0.5 * dt * w * turn(np.concatenate((-jh, 0.0 * jh)), kappa * (dt - s))
+             for s, w in zip(nodes, weights)]
     for n in range(nsteps):
-        t = state.t + n * dt
-        k = rhs(u, t)
-        acc = k
-        k = rhs(u + (0.5 * dt) * k, t + 0.5 * dt)
-        acc = acc + 2.0 * k
-        k = rhs(u + (0.5 * dt) * k, t + 0.5 * dt)
-        acc = acc + 2.0 * k
-        k = rhs(u + dt * k, t + dt)
-        u = u + (dt / 6.0) * (acc + k)
+        u = turn(u, kappa * dt) + sum(current.time_factor(t + n * dt + s) * d
+                                      for s, d in zip(nodes, drive))
     return u
 
 
@@ -113,27 +118,6 @@ def yee_leapfrog(state, current, dt: float, nsteps: int) -> np.ndarray:
 
 def _curl(d, v):
     return np.cross(d, v, axis=0)
-
-
-def rk4_power(u, grid, mask, dt: float, steps: int) -> np.ndarray:
-    """Gathered coefficients u (6, modes) at the modes of `mask` after
-    `steps` free spectral RK4 steps, as one step's stability polynomial:
-    C u = (k x B, -k x E) has eigenvalues 0 and +-|k|, so with l = 1 -
-    c |k|^2 + i b |k|, b = h (1 - h^2 |k|^2 / 6) and c = h^2 (1/2 - h^2
-    |k|^2 / 24), the power is u + i Im(l^p)/|k| C u + (Re l^p - 1)/|k|^2
-    C^2 u, where C^2 u = |k|^2 u - k (k . u) blockwise.  The reference for
-    the spectral engine's free leaps."""
-    k = np.stack([a[i] for a, i in zip(_wavenumbers(grid.dims, grid.spacing), np.nonzero(mask))])
-    k2 = k[0] * k[0] + k[1] * k[1] + k[2] * k[2]
-    hk2 = k2 * dt * dt
-    c = dt * dt * (0.5 - hk2 / 24.0)
-    kappa = np.sqrt(k2)
-    lp = (1.0 - c * k2 + 1j * dt * (1.0 - hk2 / 6.0) * kappa) ** steps
-    kappa[kappa == 0.0] = 1.0  # l = 1 at the mean mode, so both factors are 0
-    e, b = u[:3], u[3:]
-    cu = np.concatenate((_curl(k, b), -_curl(k, e)))
-    c2u = k2 * u - np.concatenate((k * np.sum(k * e, axis=0), k * np.sum(k * b, axis=0)))
-    return u + 1j * lp.imag / kappa * cu + (lp.real - 1.0) / kappa**2 * c2u
 
 
 def leapfrog_power(u, grid, mask, dt: float, steps: int) -> np.ndarray:

@@ -188,8 +188,8 @@ def test_criterion_5_yee_convergence_order():
 
 
 def test_criterion_5_spectral_temporal_order():
-    # driven run: the O(dt^4) forced error dominates the superconvergent
-    # O(dt^5) free-field defect, exposing the RK4 temporal order per law
+    # driven run: the free step is exact, so the defect per law is the
+    # O(dt^4) error of `_balance`'s cumulative-Simpson sum of the source work
     grid = GridSpec.cube(1.0, 16)
     from twopoint.maxwell import PlaneWaveCurrent
 

@@ -1,4 +1,6 @@
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from field_ops import (
-    dense_rk4, leapfrog_power, projected_gaussian, rk4_power, scattered_snapshot, spectral_curl,
+    exact_flow, leapfrog_power, projected_gaussian, scattered_snapshot, spectral_curl,
     yee_leapfrog,
 )
 from twopoint.errors import InvalidMap, NonFiniteField, StepTooLarge
@@ -27,6 +29,16 @@ from twopoint.maxwell import (
     evolve,
 )
 from twopoint.waves import PlaneWaveSpec, plane_wave, random_band_limited
+
+
+def dense_exact_flow(state, current, dt: float, nsteps: int, points: int = 16) -> np.ndarray:
+    """rfftn coefficients (6, Nx, Ny, Nz // 2 + 1) of `state` after nsteps
+    steps of the exact flow (`exact_flow`) of every mode of its rfftn, the
+    drive by `points`-point Gauss-Legendre."""
+    coeffs = np.fft.rfftn(state.data, axes=(-3, -2, -1))
+    every = np.ones(coeffs.shape[1:], dtype=bool)
+    return exact_flow(coeffs[:, every], state.grid, every, dt, nsteps, current,
+                      state.t, points).reshape(coeffs.shape)
 
 
 def l2_error(a: FieldState, b: FieldState) -> float:
@@ -70,7 +82,8 @@ class TestStepSpectral:
     @pytest.mark.parametrize("cfl_fraction,bound", [(0.2, 2e-8), (0.15, 1e-8)])
     def test_plane_wave_one_period(self, cfl_fraction, bound):
         # oracle: the closed-form wave returns to itself after one period;
-        # RK4 leaves a phase lag of nsteps * (w dt)^5 / 120
+        # the exact step leaves rounding, far below the phase lag
+        # nsteps * (w dt)^5 / 120 of a classical RK4
         g = GridSpec.cube(1.0, 64)
         spec = PlaneWaveSpec(amplitude=1.0, k=2 * np.pi * 4)
         period = 2 * np.pi / spec.omega
@@ -95,9 +108,10 @@ class TestStepSpectral:
         assert np.max(np.abs(d.data)) <= 1e-10 * max(scale, 1.0)
 
     @pytest.mark.parametrize("j", [
+        ZeroCurrent(),
         UniformOscillating((0.1, 0.2, 0.0), omega=2 * np.pi),
         GaussianPulseCurrent((0.5, 0.4, 0.5), 0.2, (0.0, 0.0, 1.0), t0=0.004, tau=0.01),
-    ], ids=["uniform", "gaussian"])
+    ], ids=["zero", "uniform", "gaussian"])
     def test_masked_engine_matches_dense(self, j):
         g = GridSpec.cube(1.0, 16)
         state = random_band_limited(g, seed=2, kmax=1)
@@ -106,9 +120,9 @@ class TestStepSpectral:
         assert engine.mask.mean() < 1
         for _ in range(5):
             engine.advance()
-        dense = dense_rk4(state, j, dt, 5)
-        # the per-mode polynomial is stage-by-stage RK4 regrouped: equal up
-        # to rounding
+        dense = dense_exact_flow(state, j, dt, 5, points=3)
+        # the per-mode closed form is the dense propagator, with the same
+        # drive quadrature: equal up to rounding
         retained = dense[:, engine.mask]
         assert np.max(np.abs(engine.u - retained)) <= 1e-14 * np.max(np.abs(engine.u))
         # snapshots differ only by the dropped round-trip noise modes
@@ -117,6 +131,22 @@ class TestStepSpectral:
         scale = np.max(np.abs(b[:3]))
         assert np.max(np.abs(a.E.data - b[:3])) <= 1e-13 * scale
         assert np.max(np.abs(a.B.data - b[3:])) <= 1e-13 * scale
+
+    def test_a_nyquist_mode_stays_a_real_field(self):
+        # each axis's derivative symbol is 0 at its Nyquist mode: E_z on mode
+        # (8, 1, 0) turns with k = (0, 2 pi, 0), as the irfftn of its
+        # coefficients would, so the snapshots keep the energy
+        g = GridSpec((16, 12, 15), (1.0 / 16, 1.0 / 12, 1.0 / 15))
+        x, y, _ = g.meshgrid()
+        data = np.zeros((6, *g.dims))
+        data[2] = np.cos(2.0 * np.pi * (8 * x + y))
+        engine = SpectralEngine(FieldState.from_data(g, data, 0.0), ZeroCurrent(),
+                                0.3 * cfl_max_dt(g, "yee"))
+        for _ in range(3):
+            engine.advance()
+            s = engine.state()
+            dense = np.sum(s.E.data**2 + s.B.data**2) * g.cell_volume
+            assert abs(dense - 0.5) <= 1e-12 and abs(engine.energy() - dense) <= 1e-12
 
     def test_mean_mode_is_active_only_with_a_mean(self):
         g = GridSpec.cube(1.0, 16)
@@ -208,7 +238,7 @@ class TestPairing:
             assert np.max(np.abs(mapped - expected)) <= 1e-13 * scale
 
 
-class TestRk4Polynomial:
+class TestExactStep:
     @staticmethod
     def travelling_mode(g, n, direction):
         """E = p sin(k.x), B = direction * khat x p sin(k.x): one rfftn mode,
@@ -224,7 +254,7 @@ class TestRk4Polynomial:
 
     @pytest.mark.parametrize("n", [(0, 0, 1), (0, 0, 7), (1, 2, 3), (7, 7, 7)])
     @pytest.mark.parametrize("direction", [1, -1])
-    def test_one_step_is_the_stability_polynomial(self, n, direction):
+    def test_one_step_turns_a_travelling_mode(self, n, direction):
         # at the spectral CFL limit, kappa h runs up to 1.37 for mode (7, 7, 7)
         g = GridSpec.cube(1.0, 16)
         dt = cfl_max_dt(g, "spectral")
@@ -233,8 +263,7 @@ class TestRk4Polynomial:
         mode = np.argmax(np.max(np.abs(engine.u), axis=0))  # beside round-off modes
         u0 = engine.u[:, mode]
         engine.advance()
-        z = -direction * 1j * kappa * dt
-        r = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        r = np.exp(-direction * 1j * kappa * dt)
         assert np.max(np.abs(engine.u[:, mode] - r * u0)) <= 1e-15 * np.max(np.abs(u0))
 
     DRIVES = {
@@ -249,7 +278,7 @@ class TestRk4Polynomial:
 
     @pytest.mark.parametrize("current", sorted(DRIVES))
     @pytest.mark.parametrize("start, nsteps", [("zero", 1), ("random", 4)])
-    def test_driven_step_matches_stage_by_stage(self, current, start, nsteps):
+    def test_driven_step_matches_the_dense_propagator(self, current, start, nsteps):
         g = GridSpec.cube(1.0, 16)
         dt = cfl_max_dt(g, "spectral")
         if start == "zero":
@@ -260,20 +289,45 @@ class TestRk4Polynomial:
         engine = SpectralEngine(state, j, dt)
         for _ in range(nsteps):
             engine.advance()
-        dense = dense_rk4(state, j, dt, nsteps)[:, engine.mask]
+        dense = dense_exact_flow(state, j, dt, nsteps, points=3)[:, engine.mask]
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(engine.u - dense)) <= 1e-14 * scale
-        free = dense_rk4(state, ZeroCurrent(), dt, nsteps)[:, engine.mask]
+        # against the exact Duhamel integral: 3-point Gauss-Legendre's
+        # remainder, largest where |k| dt reaches 1.37 at the CFL limit
+        exact = dense_exact_flow(state, j, dt, nsteps)[:, engine.mask]
+        assert np.max(np.abs(engine.u - exact)) <= 1e-7 * scale
+        free = dense_exact_flow(state, ZeroCurrent(), dt, nsteps)[:, engine.mask]
         assert np.max(np.abs(dense - free)) > 0.05 * scale  # the drive is not round-off
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(kmax=st.integers(1, 4), seed=st.integers(0, 2**16),
+           mean_b=st.tuples(*[st.floats(-0.5, 0.5)] * 3).filter(any),
+           fraction=st.floats(0.05, 1.0), k=st.integers(1, 10**12),
+           a=st.integers(1, 10**6), b=st.integers(1, 10**6))
+    def test_free_leaps_keep_the_energy_and_compose(self, kmax, seed, mean_b, fraction, k, a, b):
+        # the phase k |k| dt is rounded to its own ulp, which grows with k:
+        # leaps of a + b steps compose only to that rounding
+        g = GridSpec.cube(1.0, 16)
+        state = random_band_limited(g, seed=seed, kmax=kmax, mean_b=mean_b)
+        dt = fraction * cfl_max_dt(g, "spectral")
+        leapt, split, whole = (SpectralEngine(state, ZeroCurrent(), dt) for _ in range(3))
+        energy = leapt.energy()
+        leapt.advance(k)
+        assert abs(leapt.energy() - energy) <= 1e-13 * energy
+        split.advance(a)
+        split.advance(b)
+        whole.advance(a + b)
+        assert np.max(np.abs(split.u - whole.u)) <= 1e-10 * np.max(np.abs(whole.u))
 
 
 class TestLongLeap:
-    """A free leap of up to 10^12 steps against the closed form of the
-    step's power written out per stepper (`field_ops`): Yee's powers stay on
-    the unit circle, which a complex power of exp(i theta) would leave."""
+    """A free leap of up to 10^12 steps against each stepper's oracle
+    (`field_ops`): the dense exact propagator, and the leapfrog's power in
+    closed form.  Both engines' powers stay on the unit circle, which a
+    complex power of a rounded eigenvalue would leave."""
 
     @pytest.mark.parametrize("engine_cls, stepper, oracle",
-                             [(SpectralEngine, "spectral", rk4_power),
+                             [(SpectralEngine, "spectral", exact_flow),
                               (YeeEngine, "yee", leapfrog_power)], ids=["spectral", "yee"])
     @pytest.mark.parametrize("k", [199, 10**4, 10**6, 10**9, 10**12])
     def test_free_leap_matches_the_closed_form(self, engine_cls, stepper, oracle, k):
@@ -412,6 +466,33 @@ class TestLeap:
             assert abs(engine.energy() - dense) <= 1e-14 * dense
 
 
+BLAS_NAMES = {"dot", "matmul", "linalg"}
+
+
+def blas_calls(method) -> list:
+    """(line, what) for every `@` and every dot, matmul or linalg attribute
+    in the AST of `method`."""
+    found = []
+    for node in ast.walk(method):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+    return found
+
+
+@pytest.mark.parametrize("cls, name", [("SpectralEngine", "_step"),
+                                       ("SpectralEngine", "_weights"), ("YeeEngine", "_step")])
+def test_a_step_makes_no_blas_call(cls, name):
+    # a woken second BLAS thread would spin after each of a step's small products
+    path = Path(__file__).parent.parent / "src" / "twopoint" / "maxwell.py"
+    classes = {node.name: node for node in ast.parse(path.read_text(), str(path)).body
+               if isinstance(node, ast.ClassDef)}
+    methods = [node for node in classes[cls].body
+               if isinstance(node, ast.FunctionDef) and node.name == name]
+    assert len(methods) == 1 and blas_calls(methods[0]) == []
+
+
 FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn")
 
 
@@ -489,7 +570,7 @@ class TestLazyState:
 
     @pytest.mark.parametrize("engine_cls", [SpectralEngine, YeeEngine])
     def test_an_engine_adopts_an_unread_states_spectrum(self, monkeypatch, engine_cls):
-        # no synthesis and no rfftn: the continuation of 3 RK4 steps is the
+        # no synthesis and no rfftn: the continuation of 3 spectral steps is the
         # 6 straight steps bit for bit; Yee re-staggers the collocated
         # coefficients, as it does from the synthesised samples
         g = GridSpec.cube(1.0, 32)
