@@ -358,8 +358,9 @@ def write_csv(path, header, rows):
 
 def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     """Cumulative integral of n >= 3 evenly spaced samples, 4th order: composite
-    Simpson at even indices, a cubic (Adams-Moulton style) one-interval
-    correction at odd ones (a quadratic one at index 1 when n = 3)."""
+    Simpson at even indices, one interval more at each odd index a >= 3 by the
+    cubic through y[a - 3 ... a] (Adams-Moulton style); at index 1 by the cubic
+    through y[0 ... 3], or the quadratic through y[0 ... 2] when n = 3."""
     y = np.asarray(y, dtype=float)
     n = len(y)
     out = np.zeros(n)
@@ -367,14 +368,10 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     out[2::2] = np.cumsum(inc)
     if n >= 4:
         out[1] = (dx / 24.0) * (9.0 * y[0] + 19.0 * y[1] - 5.0 * y[2] + y[3])
+        out[3::2] = out[2:-1:2] + (dx / 24.0) * (
+            y[0:-3:2] - 5.0 * y[1:-2:2] + 19.0 * y[2:-1:2] + 9.0 * y[3::2])
     else:
         out[1] = (dx / 12.0) * (5.0 * y[0] + 8.0 * y[1] - y[2])
-    if n > 4:
-        out[5::2] = out[4:-1:2] + (dx / 24.0) * (
-            y[2:-3:2] - 5.0 * y[3:-2:2] + 19.0 * y[4:-1:2] + 9.0 * y[5::2]
-        )
-    if n > 3:
-        out[3] = out[2] + (dx / 24.0) * (y[0] - 5.0 * y[1] + 19.0 * y[2] + 9.0 * y[3])
     return out
 
 
@@ -471,10 +468,10 @@ def _pulled_profiles(source, maps) -> tuple:
                      for amap in dict.fromkeys(maps)}
 
 
-def _check_pairs(pairs: np.ndarray, first: int, last: int):
-    """Raise Diverged naming the first of steps first..last whose pairings
-    are not finite."""
-    bad = ~np.all(np.isfinite(pairs[first:last + 1].reshape(last + 1 - first, -1)), axis=1)
+def _check_pairs(passed: np.ndarray, first: int):
+    """Raise Diverged naming the first step whose pairings are not finite in
+    `passed`, the (k, 6, c) pairings of the k steps from `first` on."""
+    bad = ~np.all(np.isfinite(passed.reshape(len(passed), -1)), axis=1)
     if np.any(bad):
         raise Diverged(f"field is not finite at step {first + int(np.argmax(bad))}")
 
@@ -537,7 +534,7 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
         pairs = np.zeros((nsteps + 1, 6, len(cols) * 3))
         with np.errstate(over="ignore", invalid="ignore"):  # `_check_pairs` names the step
             pairs[0] = source.pair(dual)
-        _check_pairs(pairs, 0, 0)
+        _check_pairs(pairs[:1], 0)
         f = j.time_factor(t0 + dt * np.arange(nsteps + 1))
 
     reads = set()  # the steps some row reads, each law with its own m
@@ -560,8 +557,8 @@ def _balance(source, laws, j: CurrentSpec, dt: float, nsteps: int, stride: int):
             with np.errstate(over="ignore", invalid="ignore"):  # as for step 0
                 passed = source.advance(n_sim - source.step_index, dual)
             if dual is not None:
+                _check_pairs(passed, first)
                 pairs[first:n_sim + 1] = passed
-                _check_pairs(pairs, first, n_sim)
         state = source.state(agrid)
         try:
             window[n_sim] = state.t, state.data

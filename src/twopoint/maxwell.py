@@ -15,8 +15,8 @@ equations (a current's drive by Gauss-Legendre) and a staggered Yee
 leapfrog (2nd order, its periodic stencils applied as per-mode Fourier
 symbols), so conservation-law residuals can be checked both at the noise
 floor and through a convergence-order study.  Each engine states its per-mode
-closed form once (the parts of a mode's vector and the log of the step's
-eigenvalue, and the drive's weights on those parts), for every leap to read.
+closed form once (the parts of a mode's vector and the real phase of the
+step's eigenvalue, and the drive's weights on those parts), for every leap.
 """
 
 from __future__ import annotations
@@ -281,8 +281,8 @@ def _check_dt(grid, dt, stepper):
 # Both steppers share one protocol, constructed as Engine(state, current, dt):
 #   advance(k=1, dual=None)
 #                      k steps: the stepper's own step at k = 1, closed forms
-#                      beyond (the k-th power of the free step, plus the
-#                      drive's sum over the k steps, both from the engine's
+#                      beyond (the free step's k-th power e^{i k theta}, plus
+#                      the drive's sum over the k steps, both from the engine's
 #                      one `_split` and `_weights`) where they cost less;
 #                      with a `dual`, the (k, 6, c) `pair` values of the k
 #                      steps it passes, for any dual (a driven closed form
@@ -312,17 +312,6 @@ def _curl(d: np.ndarray, v: np.ndarray) -> np.ndarray:
     return d[[1, 2, 0]] * v[[2, 0, 1]] - d[[2, 0, 1]] * v[[1, 2, 0]]
 
 
-def _running(lam: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """y_i = sum over j <= i of lam^(i - j) sigma_j along axis 0, by doubling:
-    log2(len) passes that take no negative power of lam, which both
-    engines keep on the unit circle."""
-    y, p, d = np.array(sigma, dtype=complex), lam, 1
-    while d < len(y):
-        y[d:] += p * y[:-d]
-        p, d = p * p, 2 * d
-    return y
-
-
 class SpectralEngine:
     """The exact propagator on the active rfftn coefficients of the (E, B) field.
 
@@ -342,12 +331,12 @@ class SpectralEngine:
     small product.
 
     Both engines leap in closed form.  Per mode, the step M has one
-    eigenvalue l on the transverse part, its conjugate on the rest of it and
-    1 on the longitudinal part, so M^p w = L w + Re(l^p) V w + Im(l^p) N w
-    (`_split`), and a drive that adds weights sigma_j to a fixed vector g
-    (`_weights`, whose parts `_g` are split once) sums over a leap to a
-    causal convolution of sigma with the powers of l; the step adds its
-    drive from the same parts and weights.
+    eigenvalue l = e^{i theta} on the transverse part, its conjugate on the
+    rest of it and 1 on the longitudinal part, so M^p w = L w + cos(p theta)
+    V w + sin(p theta) N w (`_split` gives theta), and a drive of weights
+    sigma_j on a fixed vector g (`_weights`; `_g` holds its parts) sums over
+    a leap to sigma's causal convolution with the powers of l, one cumulative
+    sum as l^-j = conj(l^j); the step adds its drive from the same parts.
     """
 
     # steps times modes of one block of a driven leap's tables (about 3 MiB
@@ -490,8 +479,9 @@ class SpectralEngine:
             L u + Re(l^(i+1)) V u + Im(l^(i+1)) N u
                 + (sum_{j <= i} w0_j) L g + Re(z_i) V g + Im(z_i) N g,
 
-        z_i = sum_{j <= i} l^(i - j) sigma_j (`_running`); a dual's pairs of
-        those states are one contraction of the six parts' pairs.
+        z_i = sum_{j <= i} l^(i - j) sigma_j = l^i sum_{j <= i} conj(l^j) sigma_j
+        (|l| = 1): one cumulative sum; a dual's pairs of those states are one
+        contraction of the six parts' pairs.
         """
         # L g and V g are stored without their B rows, which are 0; `_at_nodes` needs all 6
         lg, vg = (np.concatenate((p[:, r], np.zeros(p[:, r].shape))) for p in self._g[:2])
@@ -502,11 +492,11 @@ class SpectralEngine:
             n = min(block, k - first)
             w0, sigma = self._weights(self.step_index + np.arange(n), r)
             split = self._split(self.u, slice(None))  # column-wise, so its r columns are u[:, r]'s
-            (lu, vu, nu), log_l = split
-            z = _running(np.exp(log_l[r]), np.broadcast_to(sigma, (n, len(r))))
-            c0 = np.cumsum(w0)
+            (lu, vu, nu), theta = split
+            lp = np.exp(1j * np.arange(n + 1)[:, None] * theta[r])  # l^0 ... l^n
+            z = lp[:-1] * np.cumsum(np.conj(lp[:-1]) * sigma, axis=0)
+            c0, lp = np.cumsum(w0), lp[1:]
             if dual is not None:
-                lp = np.exp(np.arange(1, n + 1)[:, None] * log_l[r])
                 coef = np.stack([np.ones(lp.shape), lp.real, lp.imag,
                                  np.broadcast_to(c0[:, None], lp.shape), z.real, z.imag], axis=1)
                 parts = np.stack([self._at_nodes(p, r) for p in
@@ -536,10 +526,10 @@ class SpectralEngine:
         self.u = out
 
     def _power(self, k: int, split=None) -> np.ndarray:
-        """`u` after k free steps: L u + Re(l^k) V u + Im(l^k) N u, from
-        `_split(u)` or the given one."""
-        (lu, vu, nu), log_l = self._split(self.u, slice(None)) if split is None else split
-        lk = np.exp(k * log_l)
+        """`u` after k free steps: L u + Re(l^k) V u + Im(l^k) N u, l^k =
+        e^{i k theta}, from `_split(u)` or the given one."""
+        (lu, vu, nu), theta = self._split(self.u, slice(None)) if split is None else split
+        lk = np.exp(1j * (k * theta))
         return lu + lk.real * vu + lk.imag * nu
 
     def _drive_parts(self, e):
@@ -551,17 +541,17 @@ class SpectralEngine:
         return lg[:3].copy(), vg[:3].copy(), ng
 
     def _split(self, w: np.ndarray, r) -> tuple:
-        """((L w, V w, N w), log l) of the (6, len(r)) vectors w at the active
+        """((L w, V w, N w), theta) of the (6, len(r)) vectors w at the active
         modes r: L w is w's part in C's null space (the longitudinal part,
         all of w at the mean mode), V w = C^2 w / |k|^2 and N w = i C w / |k|,
-        and l = e^{i |k| h} is the step's eigenvalue on C = |k|."""
+        and theta = |k| h, the phase of the step's eigenvalue on C = |k|."""
         kappa = self._kappa[r]
         mean = kappa == 0.0
         kh = self._k[:, ::2][:, r] / np.where(mean, 1.0, kappa)  # `_k` holds k twice per mode
         lw = np.concatenate((kh * np.sum(kh * w[:3], axis=0), kh * np.sum(kh * w[3:], axis=0)))
         lw[:, mean] = w[:, mean]
         nw = 1j * np.concatenate((_curl(kh, w[3:]), -_curl(kh, w[:3])))
-        return (lw, w - lw, nw), 1j * kappa * self.dt
+        return (lw, w - lw, nw), kappa * self.dt
 
     def _weights(self, steps: np.ndarray, r) -> tuple:
         """The drive's weights of the given steps from t: w0 = int_0^h f(t + s)
@@ -652,9 +642,9 @@ class YeeEngine(SpectralEngine):
     along the two other axes, and J is staggered like E.  `u` holds the
     staggered E and B(t - dt/2); snapshots and pairings shift them back to
     the nodes on demand (B time-averaged to the whole step), so
-    repeated stepping never filters the state.  Its `_split` takes the
-    leapfrog's eigenvalues exp(+-i theta) per mode, whose log i theta has
-    real part exactly 0, so every power of them stays on the unit circle.
+    repeated stepping never filters the state.  Its `_split` returns the
+    phase theta of the leapfrog's eigenvalues exp(+-i theta) per mode, so
+    every power of them is on the unit circle by construction.
     """
 
     def __init__(self, state: FieldState, current: CurrentSpec, dt: float):
@@ -689,7 +679,7 @@ class YeeEngine(SpectralEngine):
         self.u = np.concatenate((e, b))
 
     def _split(self, w: np.ndarray, r) -> tuple:
-        """((L w, V w, N w), i theta) of the (6, len(r)) vectors w at the
+        """((L w, V w, N w), theta) of the (6, len(r)) vectors w at the
         modes r, for the free step M, which obeys M^2 = T M - I, T = 2 -
         curl- curl+ on E and 2 - curl+ curl- on B.  T/2 is 1 on the
         longitudinal part L w (E along d+, B along d-), which M keeps, and
@@ -706,7 +696,7 @@ class YeeEngine(SpectralEngine):
         v, half = w - lw, 0.5 * s
         theta = 2.0 * np.arcsin(np.sqrt(0.5 * half))
         nv = np.concatenate((_curl(dm, v[3:]) - half * v[:3], half * v[3:] - _curl(dp, v[:3])))
-        return (lw, v, nv / np.sin(theta)), 1j * theta
+        return (lw, v, nv / np.sin(theta)), theta
 
     def _weights(self, steps: np.ndarray, r) -> tuple:
         """The drive f(t + dt/2) g of a step has the weight f on every part."""

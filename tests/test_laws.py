@@ -859,7 +859,7 @@ class TestPlaneWaveTwoPointTable:
 
 
 class TestCumulativeSimpson:
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 21])  # 4-8: every branch's first use
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 21])  # 4-8: every rule's first uses
     def test_exact_on_cubics(self, n):
         x = np.linspace(0.0, 2.0, n)
         y = 3 * x**3 - x + 2
