@@ -9,6 +9,7 @@ dependent nonlocal invariants for 1D first-order-in-time PDEs.
 """
 
 from .errors import (
+    ConfigError,
     Diverged,
     GridMismatch,
     HistoryUnderflow,

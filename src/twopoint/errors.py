@@ -37,5 +37,9 @@ class NotARotation(TwoPointError):
     """Map given to the rotation law is improper (det = -1) or shifted (beta != 0)."""
 
 
+class ConfigError(TwoPointError):
+    """A config or law file cannot be read, or does not say what a run needs."""
+
+
 class InvalidWavenumber(TwoPointError):
     """Wavenumber is not an integer multiple of 2*pi/L on the given grid."""

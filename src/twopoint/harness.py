@@ -8,13 +8,14 @@ One experiment per invocation:
     twopoint forge     config.txt [key=value ...]
     twopoint planewave config.txt [key=value ...]
 
-Configs are flat `key = value` text (number lists are space separated, '#'
-starts a comment); command-line overrides are applied after the file, and
-keys the command never reads are named in a warning on stderr.  The output
-directory comes from `output.dir`, overridable with the environment
-variable TWOPOINT_OUTPUT_DIR.  Every CSV file is written by
-`laws.write_csv` and every run summary by `_report` (which also prints
-it); identical configs and seeds reproduce both byte for byte.
+Configs are flat UTF-8 `key = value` text, read by `laws.Config` as law
+files are ('#' starts a comment, number lists are space separated);
+command-line overrides apply after the file, and keys the command never
+reads are named in a warning on stderr.  The output directory comes from
+`output.dir`, overridable with the environment variable
+TWOPOINT_OUTPUT_DIR.  Every CSV file is written by `laws.write_csv` and
+every run summary by `_report` (which also prints it); identical configs
+and seeds reproduce both byte for byte.
 
 Exit codes: 0 success, 1 tolerance failure, 2 config error, 3 numerical
 divergence, 4 insufficient data.
@@ -30,6 +31,7 @@ import numpy as np
 
 from .discover import MIN_ENSEMBLE, SVD_REL_TOL, discover_laws
 from .errors import (
+    ConfigError,
     Diverged,
     HistoryUnderflow,
     InsufficientData,
@@ -37,7 +39,6 @@ from .errors import (
     InvalidWavenumber,
     NonFiniteField,
     StepTooLarge,
-    TwoPointError,
 )
 from .forge import (
     MAX_ORDER,
@@ -49,6 +50,7 @@ from .forge import (
 )
 from .grid import MAX_NODES, AffineMap, GridSpec, volume_integral
 from .laws import (
+    Config,
     density,
     law_of_map,
     law_translation,
@@ -81,88 +83,6 @@ EXIT_DIVERGED = 3
 EXIT_INSUFFICIENT = 4
 
 OUTPUT_ENV_VAR = "TWOPOINT_OUTPUT_DIR"
-
-
-class ConfigError(TwoPointError):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# Config handling
-# ---------------------------------------------------------------------------
-
-
-class Config:
-    """Flat key/value store with typed accessors; `read` holds the keys looked up."""
-
-    def __init__(self, entries: dict):
-        self.entries = dict(entries)
-        self.read = set()
-
-    @staticmethod
-    def load(path, overrides=()):
-        entries = {}
-        try:
-            with open(path) as f:
-                for lineno, line in enumerate(f, 1):
-                    line = line.split("#", 1)[0].strip()
-                    if not line:
-                        continue
-                    if "=" not in line:
-                        raise ConfigError(f"{path}:{lineno}: expected key = value")
-                    key, _, value = line.partition("=")
-                    entries[key.strip()] = value.strip()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        for item in overrides:
-            if "=" not in item:
-                raise ConfigError(f"override {item!r} is not key=value")
-            key, _, value = item.partition("=")
-            entries[key.strip()] = value.strip()
-        return Config(entries)
-
-    def has(self, key):
-        self.read.add(key)
-        return key in self.entries
-
-    def str(self, key, default=None):
-        self.read.add(key)
-        if key in self.entries:
-            return self.entries[key]
-        if default is None:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
-
-    def int(self, key, default=None):
-        try:
-            return int(self.str(key, None if default is None else str(default)))
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r} is not an integer") from exc
-
-    def float(self, key, default=None):
-        raw = self.str(key, None if default is None else repr(default))
-        return self._finite(key, [raw], "a number")[0]
-
-    def floats(self, key, default=None):
-        return self._finite(key, self.str(key, default).split(), "a number list")
-
-    @staticmethod
-    def _finite(key, words, what) -> list:
-        """The words as floats; non-numbers and inf or nan are ConfigErrors."""
-        try:
-            values = [float(v) for v in words]
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r} is not {what}") from exc
-        if not all(np.isfinite(values)):
-            raise ConfigError(f"key {key!r} must be finite, got {' '.join(words)!r}")
-        return values
-
-    def ints(self, key, default=None):
-        raw = self.str(key, default)
-        try:
-            return [int(v) for v in raw.split()]
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r} is not an integer list") from exc
 
 
 def output_dir(cfg: Config) -> str:
@@ -289,15 +209,6 @@ def build_source(cfg: Config, grid: GridSpec):
     raise ConfigError(f"unknown source.kind {kind!r}")
 
 
-def _check_resolved(source, dt: float):
-    """An oscillating current must turn its phase by less than pi per step;
-    a faster one is aliased by the stepper to another frequency."""
-    omega = getattr(source, "omega", 0.0)  # uniform and plane-wave currents have one
-    if not abs(omega) * dt < np.pi:
-        raise ConfigError(f"source.omega = {omega!r} is not resolved by "
-                          f"dt = {dt!r}: |omega| dt must be < pi")
-
-
 _AXES = {"x": 0, "y": 1, "z": 2}
 _MAP_ARITY = {"identity": 0, "inversion": 0, "rotation": 2, "translation": 4}
 _MAP_FORMS = "identity | inversion | rotation x|y|z QUARTERS | translation NX NY NZ MSTEPS"
@@ -341,8 +252,8 @@ def build_law(descriptor: str, grid: GridSpec):
             raise ConfigError("custom law needs a file path")
         try:
             return load_law(parts[1])
-        except (OSError, KeyError, ValueError, InvalidMap) as exc:
-            raise ConfigError(f"bad law file {parts[1]}: {exc!r}") from exc
+        except (ConfigError, ValueError, InvalidMap) as exc:
+            raise ConfigError(f"bad law file {parts[1]}: {exc}") from exc
     if parts == ["local-energy"]:
         descriptor = "identity"
     return law_of_map(*_build_map(descriptor, grid, _LAW_FORMS), grid)
@@ -382,6 +293,19 @@ def resolve_dt(cfg: Config, grid: GridSpec, stepper: str) -> float:
     raise ConfigError("set either dt or cfl_fraction")
 
 
+def _balance_run(cfg: Config, grid: GridSpec, stepper: str, dt: float, nsteps: int, stride: int):
+    """Reports of the configured laws on the configured initial state and
+    current, stepped nsteps times by dt.  An oscillating current must turn
+    its phase by less than pi per step; a faster one is aliased by the
+    stepper to another frequency."""
+    initial, source, laws = build_initial(cfg, grid), build_source(cfg, grid), build_laws(cfg, grid)
+    omega = getattr(source, "omega", 0.0)  # uniform and plane-wave currents have one
+    if not abs(omega) * dt < np.pi:
+        raise ConfigError(f"source.omega = {omega!r} is not resolved by "
+                          f"dt = {dt!r}: |omega| dt must be < pi")
+    return run_balance(initial, source, dt, nsteps, laws, stepper=stepper, analysis_stride=stride)
+
+
 def _slug(label: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "-" for c in label)
 
@@ -403,11 +327,7 @@ def cmd_verify(cfg: Config) -> int:
     out = output_dir(cfg)
     grid = build_grid(cfg)
     stepper = build_stepper(cfg)
-    initial = build_initial(cfg, grid)
-    source = build_source(cfg, grid)
-    laws = build_laws(cfg, grid)
     dt = resolve_dt(cfg, grid, stepper)
-    _check_resolved(source, dt)
     nsteps = build_count(cfg, "nsteps")
     if nsteps > MAX_NODES:  # a driven run keeps pairings of every step
         raise ConfigError(f"nsteps is beyond {MAX_NODES} steps")
@@ -420,8 +340,7 @@ def cmd_verify(cfg: Config) -> int:
         raise ConfigError("tolerance.defect_rel and tolerance.residual_max must be >= 0")
     r_tol = r_tol or None
 
-    reports = run_balance(initial, source, dt, nsteps, laws,
-                          stepper=stepper, analysis_stride=stride)
+    reports = _balance_run(cfg, grid, stepper, dt, nsteps, stride)
     unchecked = [rep.label for rep in reports if np.isnan(rep.max_r)]
     if r_tol is not None and unchecked:
         raise InsufficientData("tolerance.residual_max has no residual to check: no analysis "
@@ -483,13 +402,8 @@ def cmd_converge(cfg: Config) -> int:
         scale = factor**level
         dt = base_dt / scale
         nsteps = base_nsteps * scale
-        initial = build_initial(cfg, grid)
-        source = build_source(cfg, grid)
-        _check_resolved(source, dt)  # level 0 checks the base dt, the largest
-        laws = build_laws(cfg, grid)
-        stride = max(1, nsteps // 8)
-        reports = run_balance(initial, source, dt, nsteps, laws,
-                              stepper=stepper, analysis_stride=stride)
+        # level 0 checks the current against the base dt, the largest
+        reports = _balance_run(cfg, grid, stepper, dt, nsteps, max(1, nsteps // 8))
         rows += [(rep.label, level, grid.spacing[0], dt, rep.max_r, rep.max_defect)
                  for rep in reports]
 

@@ -60,7 +60,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import Diverged, GridMismatch, HistoryUnderflow, NonFiniteField, NotARotation
+from .errors import (ConfigError, Diverged, GridMismatch, HistoryUnderflow, NonFiniteField,
+                     NotARotation)
 from .grid import (
     AffineMap,
     FieldState,
@@ -625,11 +626,83 @@ def run_balance(
 
 
 # ---------------------------------------------------------------------------
-# Law files (structured text, row-major number lists)
+# Configs and law files (UTF-8 text; `Config.load` is the one reader of both)
 # ---------------------------------------------------------------------------
 
 
+class Config:
+    """Flat `key = value` lines ('#' starts a comment, number lists are space
+    separated) with typed accessors; `read` holds the keys looked up."""
+
+    def __init__(self, entries: dict):
+        self.entries = dict(entries)
+        self.read = set()
+
+    @staticmethod
+    def load(path, overrides=()):
+        """The entries of the file at `path`, then of the `key=value` overrides."""
+        try:
+            with open(path, encoding="utf-8") as f:
+                lines = [line.split("#", 1)[0] for line in f]
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
+        items = [(f"{path}:{n}", line) for n, line in enumerate(lines, 1) if line.strip()]
+        entries = {}
+        for where, item in items + [(f"override {o!r}", o) for o in overrides]:
+            if "=" not in item:
+                raise ConfigError(f"{where}: expected key = value")
+            key, _, value = item.partition("=")
+            entries[key.strip()] = value.strip()
+        return Config(entries)
+
+    def has(self, key):
+        self.read.add(key)
+        return key in self.entries
+
+    def str(self, key, default=None):
+        self.read.add(key)
+        if key in self.entries:
+            return self.entries[key]
+        if default is None:
+            raise ConfigError(f"missing config key {key!r}")
+        return default
+
+    def int(self, key, default=None):
+        try:
+            return int(self.str(key, None if default is None else str(default)))
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r} is not an integer") from exc
+
+    def float(self, key, default=None):
+        raw = self.str(key, None if default is None else repr(default))
+        return self._finite(key, [raw], "a number")[0]
+
+    def floats(self, key, default=None):
+        return self._finite(key, self.str(key, default).split(), "a number list")
+
+    @staticmethod
+    def _finite(key, words, what) -> list:
+        """The words as floats; non-numbers and inf or nan are ConfigErrors."""
+        try:
+            values = [float(v) for v in words]
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r} is not {what}") from exc
+        if not all(np.isfinite(values)):
+            raise ConfigError(f"key {key!r} must be finite, got {' '.join(words)!r}")
+        return values
+
+    def ints(self, key, default=None):
+        try:
+            return [int(v) for v in self.str(key, default).split()]
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r} is not an integer list") from exc
+
+
 def save_law(law: TwoPointLawSpec, path):
+    """Write `law` as a law file; a label no config value can hold is a ValueError."""
+    if set(law.label) & set("#\r\n") or law.label != law.label.strip():
+        raise ValueError(f"label {law.label!r} has a '#', a line break or outer blanks")
+
     def fmt(arr):
         return " ".join(repr(float(v)) for v in np.asarray(arr).ravel())
 
@@ -644,26 +717,20 @@ def save_law(law: TwoPointLawSpec, path):
 
 
 def load_law(path) -> TwoPointLawSpec:
-    fields = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-    amap = AffineMap(
-        tuple(float(v) for v in fields["map.alpha"].split()),
-        tuple(float(v) for v in fields["map.beta"].split()),
+    """The law of a file `save_law` wrote, bit for bit.  An unreadable file, a
+    missing or malformed value and a key other than `save_law`'s and the
+    legacy `map.exactness` are ConfigErrors; a value that makes no law
+    raises ValueError or InvalidMap."""
+    cfg = Config.load(path)
+    law = TwoPointLawSpec(
+        AffineMap(cfg.floats("map.alpha"), cfg.floats("map.beta")),
+        cfg.int("dt_shift_steps", 0),
+        cfg.floats("W"),
+        cfg.floats("K"),
+        cfg.floats("source"),
+        label=cfg.str("label", "custom"),
     )
-    def arr(key, shape):
-        return np.array([float(v) for v in fields[key].split()]).reshape(shape)
-
-    return TwoPointLawSpec(
-        amap,
-        int(fields.get("dt_shift_steps", "0")),
-        arr("W", (6, 6)),
-        arr("K", (3, 6, 6)),
-        arr("source", (6, 6)),
-        label=fields.get("label", "custom"),
-    )
+    unknown = sorted(set(cfg.entries) - cfg.read - {"map.exactness"})
+    if unknown:
+        raise ConfigError(f"unknown keys {', '.join(map(repr, unknown))}")
+    return law

@@ -491,7 +491,7 @@ class SpectralEngine:
         for first in range(0, k, block):
             n = min(block, k - first)
             w0, sigma = self._weights(self.step_index + np.arange(n), r)
-            split = self._split(self.u, slice(None))  # column-wise, so its r columns are u[:, r]'s
+            split = self._split(self.u)  # column-wise, so its r columns are u[:, r]'s
             (lu, vu, nu), theta = split
             lp = np.exp(1j * np.arange(n + 1)[:, None] * theta[r])  # l^0 ... l^n
             z = lp[:-1] * np.cumsum(np.conj(lp[:-1]) * sigma, axis=0)
@@ -528,7 +528,7 @@ class SpectralEngine:
     def _power(self, k: int, split=None) -> np.ndarray:
         """`u` after k free steps: L u + Re(l^k) V u + Im(l^k) N u, l^k =
         e^{i k theta}, from `_split(u)` or the given one."""
-        (lu, vu, nu), theta = self._split(self.u, slice(None)) if split is None else split
+        (lu, vu, nu), theta = self._split(self.u) if split is None else split
         lk = np.exp(1j * (k * theta))
         return lu + lk.real * vu + lk.imag * nu
 
@@ -537,21 +537,20 @@ class SpectralEngine:
         their E rows, since both are 0 on B; None for no current."""
         if e is None:
             return None
-        (lg, vg, ng), _ = self._split(np.concatenate((-e, 0.0 * e)), slice(None))
+        (lg, vg, ng), _ = self._split(np.concatenate((-e, 0.0 * e)))
         return lg[:3].copy(), vg[:3].copy(), ng
 
-    def _split(self, w: np.ndarray, r) -> tuple:
-        """((L w, V w, N w), theta) of the (6, len(r)) vectors w at the active
-        modes r: L w is w's part in C's null space (the longitudinal part,
-        all of w at the mean mode), V w = C^2 w / |k|^2 and N w = i C w / |k|,
-        and theta = |k| h, the phase of the step's eigenvalue on C = |k|."""
-        kappa = self._kappa[r]
-        mean = kappa == 0.0
-        kh = self._k[:, ::2][:, r] / np.where(mean, 1.0, kappa)  # `_k` holds k twice per mode
+    def _split(self, w: np.ndarray) -> tuple:
+        """((L w, V w, N w), theta) of the (6, modes) vectors w: L w is w's
+        part in C's null space (the longitudinal part, all of w at the mean
+        mode), V w = C^2 w / |k|^2 and N w = i C w / |k|, and theta = |k| h,
+        the phase of the step's eigenvalue on C = |k|."""
+        mean = self._kappa == 0.0
+        kh = self._k[:, ::2] / np.where(mean, 1.0, self._kappa)  # `_k` holds k twice per mode
         lw = np.concatenate((kh * np.sum(kh * w[:3], axis=0), kh * np.sum(kh * w[3:], axis=0)))
         lw[:, mean] = w[:, mean]
         nw = 1j * np.concatenate((_curl(kh, w[3:]), -_curl(kh, w[:3])))
-        return (lw, w - lw, nw), kappa * self.dt
+        return (lw, w - lw, nw), self._kappa * self.dt
 
     def _weights(self, steps: np.ndarray, r) -> tuple:
         """The drive's weights of the given steps from t: w0 = int_0^h f(t + s)
@@ -678,15 +677,15 @@ class YeeEngine(SpectralEngine):
             e -= self.current.time_factor(t_half) * self._drive
         self.u = np.concatenate((e, b))
 
-    def _split(self, w: np.ndarray, r) -> tuple:
-        """((L w, V w, N w), theta) of the (6, len(r)) vectors w at the
-        modes r, for the free step M, which obeys M^2 = T M - I, T = 2 -
-        curl- curl+ on E and 2 - curl+ curl- on B.  T/2 is 1 on the
-        longitudinal part L w (E along d+, B along d-), which M keeps, and
-        cos(theta) = 1 - s/2, s = sum |dt d+|^2, on the rest V w = w - L w,
-        where N w = (M - cos(theta)) V w / sin(theta); for v = V w,
-        (M - cos(theta)) v = (curl- v_B - s/2 v_E, s/2 v_B - curl+ v_E)."""
-        dp, dm = self._dplus[:, r], self._dminus[:, r]
+    def _split(self, w: np.ndarray) -> tuple:
+        """((L w, V w, N w), theta) of the (6, modes) vectors w, for the free
+        step M, which obeys M^2 = T M - I, T = 2 - curl- curl+ on E and 2 -
+        curl+ curl- on B.  T/2 is 1 on the longitudinal part L w (E along
+        d+, B along d-), which M keeps, and cos(theta) = 1 - s/2, s = sum
+        |dt d+|^2, on the rest V w = w - L w, where N w = (M - cos(theta))
+        V w / sin(theta); for v = V w, (M - cos(theta)) v = (curl- v_B -
+        s/2 v_E, s/2 v_B - curl+ v_E)."""
+        dp, dm = self._dplus, self._dminus
         s = np.sum(dp.real**2 + dp.imag**2, axis=0)
         mean = s == 0.0  # no curl: the whole mode is longitudinal
         s[mean] = 1.0

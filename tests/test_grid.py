@@ -416,3 +416,39 @@ def test_only_grid_knows_how_a_state_holds_its_modes(path):
     # every other module reaches a state's modes through `coefficients()` and
     # asks `held_samples()` whether it holds samples
     assert list(spectrum_knowledge(path)) == []
+
+
+def reads_a_file(call: ast.Call) -> bool:
+    """Whether a call is `open(` in a mode that reads (any but a constant
+    "w", "a" or "x" without "+"), or a `.open(`, `.read_text(` or `.read_bytes(`."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr in ("open", "read_text", "read_bytes")
+    if not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant) and set(mode.value) & set("wax")
+                and "+" not in mode.value)
+
+
+def file_reads(path):
+    """(module, enclosing definition, line) of every call in a source file
+    that reads a file."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and reads_a_file(child):
+                yield path.name, ".".join(scope), child.lineno
+            yield from visit(child, scope)
+
+    yield from visit(ast.parse(path.read_text(), str(path)), ())
+
+
+def test_only_config_load_reads_a_file():
+    # configs and law files share one parser, its UTF-8 decoding and its
+    # checks; the writers (`write_csv`, `save_law`, `harness._report`) open "w"
+    reads = [read for path in SOURCES for read in file_reads(path)]
+    assert [read[:2] for read in reads] == [("laws.py", "Config.load")], reads

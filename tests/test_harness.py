@@ -175,6 +175,32 @@ class TestConfig:
         assert captured.out.count("law=translation-0-0-2-m0") == 2
         assert captured.err == ""
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.binary(max_size=300), at=st.integers(0, 300), law=st.booleans())
+    def test_a_file_that_is_not_utf8_exits_2_naming_it(self, tmp_path_factory, data, at, law):
+        # a config, or the custom law file of a valid one; 0xff is in no UTF-8 text
+        tmp = tmp_path_factory.mktemp("b")
+        bad = tmp / ("bad.law" if law else "bad.txt")
+        bad.write_bytes(data[:at] + b"\xff" + data[at:])
+        cfg = write_config(tmp / "v.txt", VERIFY_SMALL + f"law.5 = custom {bad}\n") if law else bad
+        code, printed = run_cleanly(["verify", str(cfg), f"output.dir={tmp / 'out'}"])
+        assert code == EXIT_CONFIG and printed.startswith("config error:")
+        assert printed.count("\n") == 1 and str(bad) in printed
+        assert len(printed.replace(str(bad), "")) < 150  # the bytes are not reprinted
+
+    @pytest.mark.parametrize("old,new,named", [
+        ("dt_shift_steps =", "dt_shift_step =", "'dt_shift_step'"),
+        ("label = ", "label ", "bad.law:1: expected key = value"),
+    ], ids=["misspelled-key", "no-equals"])
+    def test_a_law_file_that_cannot_mean_what_it_says_exits_2(self, tmp_path, old, new, named):
+        bad = tmp_path / "bad.law"
+        save_law(law_symmetry(AffineMap.identity(), 2), bad)
+        bad.write_text(bad.read_text().replace(old, new))
+        cfg = write_config(tmp_path / "v.txt", VERIFY_SMALL + f"law.5 = custom {bad}\n")
+        code, printed = run_cleanly(["verify", cfg, f"output.dir={tmp_path / 'out'}"])
+        assert code == EXIT_CONFIG and printed.count("\n") == 1
+        assert printed.startswith(f"config error: bad law file {bad}:") and named in printed
+
 
 class TestVerify:
     def test_passes_and_writes_artifacts(self, tmp_path):

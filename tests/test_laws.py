@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twopoint.laws as laws_module
-from twopoint.errors import (Diverged, GridMismatch, HistoryUnderflow, InvalidMap,
+from twopoint.errors import (ConfigError, Diverged, GridMismatch, HistoryUnderflow, InvalidMap,
                              NonFiniteField, NotARotation)
 from twopoint.grid import (
     AffineMap,
@@ -902,3 +902,49 @@ class TestLawFiles:
         old_format = text.replace("dt_shift_steps", "map.exactness = grid_exact\ndt_shift_steps")
         path.write_text(old_format)
         assert load_law(path).map == law.map
+
+    @staticmethod
+    def held(law):
+        """Everything a law file holds, as bytes where it is a number."""
+        return (law.label, law.time_shift_steps, np.array(law.map.alpha).tobytes(),
+                np.array(law.map.beta).tobytes(), law.W.tobytes(), law.K.tobytes(),
+                law.source.tobytes())
+
+    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("shift", ["zero", "whole", "sub"])
+    def test_every_symmetry_law_round_trips_bit_for_bit(self, tmp_path, grid, shift, m):
+        h = grid.spacing[0]
+        beta = {"zero": (0.0, 0.0, 0.0), "whole": (3 * h, 0.0, 5 * h),
+                "sub": (0.13, 0.4, 1 / 3)}[shift]
+        for i, alpha in enumerate(_SIGNED_PERMUTATIONS):
+            law = symmetry_law(alpha, beta, m)
+            save_law(law, tmp_path / f"{i}.law")
+            assert self.held(load_law(tmp_path / f"{i}.law")) == self.held(law), i
+
+    def test_comments_anywhere_and_the_legacy_exactness_key_are_ignored(self, tmp_path, grid):
+        law = law_translation(grid, (1, -2, 3), dt_steps=2)
+        path = tmp_path / "t.law"
+        save_law(law, path)
+        lines = [f"{line}  # note {i}" for i, line in enumerate(path.read_text().splitlines())]
+        lines[3:3] = ["", "# a law file is a config", "map.exactness = grid_exact # legacy"]
+        path.write_text("\n".join(lines) + "\n")
+        assert self.held(load_law(path)) == self.held(law)
+
+    @pytest.mark.parametrize("old,new,named", [
+        ("dt_shift_steps =", "dt_shift_step =", "unknown keys 'dt_shift_step'"),
+        ("W =", "w =", "missing config key 'W'"),
+        ("label = ", "label ", "t.law:1: expected key = value"),
+    ], ids=["misspelled", "missing", "no-equals"])
+    def test_a_file_that_cannot_mean_what_it_says_is_a_config_error(self, tmp_path, grid,
+                                                                     old, new, named):
+        path = tmp_path / "t.law"
+        save_law(law_translation(grid, (1, -2, 3), dt_steps=2), path)
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(ConfigError, match=named):
+            load_law(path)
+
+    @pytest.mark.parametrize("label", ["a#b", "two\nlines", "cr\rlf", " padded", "tab\t"])
+    def test_a_label_no_config_value_can_hold_is_refused(self, tmp_path, label):
+        with pytest.raises(ValueError, match="label"):
+            save_law(law_symmetry(AffineMap.identity(), label=label), tmp_path / "x.law")
+        assert not (tmp_path / "x.law").exists()
